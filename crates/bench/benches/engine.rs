@@ -14,19 +14,6 @@ use rbb_core::process::LoadProcess;
 use rbb_core::rng::Xoshiro256pp;
 use rbb_core::strategy::QueueStrategy;
 
-fn bench_load_engine(c: &mut Criterion) {
-    let mut g = c.benchmark_group("load_engine_step");
-    for n in [256usize, 1024, 4096, 16384] {
-        g.throughput(Throughput::Elements(n as u64));
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let mut p = LoadProcess::legitimate_start(n, 42);
-            p.run_silent(100); // equilibrate
-            b.iter(|| black_box(p.step()));
-        });
-    }
-    g.finish();
-}
-
 fn bench_load_engine_batched(c: &mut Criterion) {
     let mut g = c.benchmark_group("load_engine_step_batched");
     for n in [256usize, 1024, 4096, 16384] {
@@ -78,7 +65,6 @@ fn bench_convergence(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_load_engine,
     bench_load_engine_batched,
     bench_ball_engine,
     bench_convergence

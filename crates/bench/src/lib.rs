@@ -9,7 +9,7 @@
 //!   `ci.sh` as a compile-and-smoke gate with a minimum engine-speedup
 //!   threshold.
 //! * **criterion bench targets** (`benches/`): `engine` (load vs identity
-//!   engines, scalar vs batched), `tetris`, `samplers` (+ PRNG ablation),
+//!   engines), `tetris`, `samplers` (+ PRNG ablation),
 //!   `graphs`, `traversal` (+ bitset ablation), `baselines`, `strategies`
 //!   (FIFO/LIFO/random ablation). Run with `cargo bench -p rbb-bench`.
 //!
@@ -196,9 +196,11 @@ pub fn measure_paired(
 /// render as JSON `null` when the contributing benchmarks were filtered out.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct Derived {
-    /// Median throughput of `engine/scalar`, in rounds/sec.
+    /// Median throughput of `engine/scalar` (the scalar reference round,
+    /// `rbb_core::load::reference_round`, at one stream), in rounds/sec.
     pub engine_rounds_per_sec_scalar: Option<f64>,
-    /// Median throughput of `engine/batched`, in rounds/sec.
+    /// Median throughput of `engine/batched` (the dense engine's round), in
+    /// rounds/sec.
     pub engine_rounds_per_sec_batched: Option<f64>,
     /// `batched / scalar` — the perf-gate headline; `ci.sh` enforces a
     /// minimum via `--min-engine-speedup`.

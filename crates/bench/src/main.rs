@@ -1,8 +1,9 @@
 //! `rbb-bench` — the repo's machine-readable perf gate.
 //!
 //! Runs warmup + repetition + median-throughput measurements of every hot
-//! path (load/ball engines scalar vs batched, Tetris, traversal, graph
-//! walks, the work-stealing trial scheduler) and emits `BENCH.json` (see
+//! path (the load engine vs its scalar reference round, the ball engine
+//! scalar vs batched, Tetris, traversal, graph walks, the work-stealing
+//! trial scheduler) and emits `BENCH.json` (see
 //! [`rbb_bench::BenchReport`] for the schema). `ci.sh` runs it with
 //! `--quick --json target/BENCH.json --min-engine-speedup 1.5` as a smoke
 //! gate; the committed `BENCH.json` snapshot is refreshed deliberately with
@@ -20,6 +21,7 @@ use rbb_bench::{measure, measure_paired, BenchReport, BenchResult, Derived, Spec
 use rbb_core::ball_process::BallProcess;
 use rbb_core::config::Config;
 use rbb_core::engine::Engine;
+use rbb_core::load::reference_round;
 use rbb_core::metrics::NullObserver;
 use rbb_core::process::LoadProcess;
 use rbb_core::rng::Xoshiro256pp;
@@ -204,12 +206,13 @@ fn registry(p: &Profile, seed: u64) -> Vec<Bench> {
                 "rounds",
             ),
             Box::new(move || {
-                // Explicit scalar stepping: `Engine::run_silent` drives the
-                // batched kernel, and the gate needs the scalar baseline.
-                let mut proc = LoadProcess::legitimate_start(engine_n, seed);
+                // The scalar reference round at one stream — the baseline
+                // the engine kernel's speedup gate is measured against.
+                let mut loads = vec![1u32; engine_n];
+                let mut streams = [Xoshiro256pp::seed_from(seed)];
                 Box::new(move || {
                     for _ in 0..engine_rounds {
-                        proc.step();
+                        reference_round(&mut loads, &mut streams);
                     }
                 })
             }),

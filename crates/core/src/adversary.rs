@@ -26,15 +26,6 @@ pub trait Adversary {
     fn label(&self) -> &'static str;
 }
 
-/// Converts a placement to a load [`Config`] over `n` bins.
-pub fn placement_to_config(n: usize, placement: &[usize]) -> Config {
-    let mut loads = vec![0u32; n];
-    for &b in placement {
-        loads[b] += 1;
-    }
-    Config::from_loads(loads)
-}
-
 /// Piles every ball into bin 0 — the maximum-skew adversary; the worst case
 /// for convergence since bin 0 drains one ball per round.
 #[derive(Debug, Default, Clone, Copy)]
@@ -168,6 +159,15 @@ impl FaultSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Folds a placement into a load configuration over `n` bins.
+    fn placement_to_config(n: usize, placement: &[usize]) -> Config {
+        let mut loads = vec![0u32; n];
+        for &b in placement {
+            loads[b] += 1;
+        }
+        Config::from_loads(loads)
+    }
 
     fn rng() -> Xoshiro256pp {
         Xoshiro256pp::seed_from(1)

@@ -17,6 +17,7 @@
 //! *verifies* domination every round, which is exactly experiment E04.
 
 use crate::config::Config;
+use crate::engine::Engine;
 use crate::process::LoadProcess;
 use crate::rng::Xoshiro256pp;
 use crate::tetris::Tetris;

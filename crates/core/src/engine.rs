@@ -10,16 +10,15 @@
 //! / `run_rounds_batched` / `run_until`) collapse into the provided methods
 //! here.
 //!
-//! # Scalar vs batched
+//! # One round path
 //!
-//! [`Engine::step`] is the scalar reference path; [`Engine::step_batched`]
-//! is the throughput path and **defaults to `step`** for engines without a
-//! dedicated batched kernel. Engines that do override it (the load and ball
-//! engines) guarantee the two paths are **bit-identical** from equal state —
-//! same trajectory, same RNG consumption — which their unit tests pin down.
-//! The provided run family therefore drives `step_batched` unconditionally:
-//! callers get the fastest available kernel without choosing between
-//! drifting method variants.
+//! [`Engine::step`] is an engine's round. The load engines have exactly one
+//! kernel per storage (see [`crate::load`]), pinned bit-identical to the
+//! scalar [`reference_round`](crate::load::reference_round).
+//! [`Engine::step_batched`] is a provided method forwarding to `step`;
+//! [`BallProcess`] alone overrides it, with a batched kernel that its unit
+//! tests pin bit-identical to its `step`. The provided run family drives
+//! `step_batched`, so callers get the fastest kernel without choosing.
 //!
 //! [`LoadProcess`]: crate::process::LoadProcess
 //! [`BallProcess`]: crate::ball_process::BallProcess
@@ -42,18 +41,18 @@ use crate::weights::Capacities;
 ///
 /// let mut p = LoadProcess::legitimate_start(64, 7);
 /// let mut tracker = MaxLoadTracker::new();
-/// p.run(1_000, &mut tracker); // batched hot path, observer per round
+/// p.run(1_000, &mut tracker); // observer after every round
 /// assert_eq!(p.round(), 1_000);
 /// assert!(tracker.window_max() >= 1);
 /// ```
 pub trait Engine {
-    /// Advances one round through the scalar reference path; returns the
-    /// number of balls that moved this round.
+    /// Advances one round; returns the number of balls that moved this
+    /// round.
     fn step(&mut self) -> usize;
 
-    /// Advances one round through the batched hot path. Engines with a
-    /// dedicated batched kernel guarantee bit-identical trajectories to
-    /// [`step`](Engine::step) from equal state; the default is `step`.
+    /// Advances one round; forwards to [`step`](Engine::step). Only
+    /// [`BallProcess`](crate::ball_process::BallProcess) overrides it, with
+    /// a batched kernel bit-identical to its `step` from equal state.
     fn step_batched(&mut self) -> usize {
         self.step()
     }
@@ -112,9 +111,9 @@ pub trait Engine {
         self.config().loads()[bin]
     }
 
-    /// Indices of the currently non-empty bins, for engines that can
-    /// produce the list without materializing a dense configuration (the
-    /// sparse engine). `None` means "derive it from `config()`" — the
+    /// Indices of the currently non-empty bins, in any order, for engines
+    /// that list them without materializing a dense configuration (the
+    /// load engines). `None` means "derive it from `config()`" — the
     /// `all-emptied` stop condition uses this to initialize its worklist.
     fn nonempty_bins_list(&self) -> Option<Vec<u32>> {
         None
@@ -139,35 +138,13 @@ pub trait Engine {
         panic!("this engine does not support adversarial reassignment");
     }
 
-    /// Whether the incremental allocation surface
-    /// ([`place`](Engine::place) / [`depart`](Engine::depart)) is supported.
-    /// Only the load engines (dense, sparse, sharded) implement it; engines
-    /// whose state is not a plain load vector (ball identities, Tetris
-    /// non-conservation) report `false` and `rbb-serve` rejects allocation
-    /// requests against them.
-    fn supports_incremental(&self) -> bool {
-        false
-    }
-
-    /// Places one **new** ball into a bin chosen uniformly at random from
-    /// the engine's own RNG stream (the sharded engine draws from shard 0's
-    /// stream), between rounds; returns the chosen bin and grows the ball
-    /// count by one. Panics if unsupported
-    /// ([`supports_incremental`](Engine::supports_incremental) is the guard)
-    /// or if the ball count would overflow the `u32` load bound.
-    fn place(&mut self) -> usize {
-        // rbb-lint: allow(panic, reason = "guarded by supports_incremental(); rbb-serve rejects allocation requests for engines without support")
-        panic!("this engine does not support incremental placement");
-    }
-
-    /// Removes one ball from `bin`, between rounds; returns `false` (a
-    /// no-op) if the bin is empty or out of range. Panics if unsupported
-    /// ([`supports_incremental`](Engine::supports_incremental) is the
-    /// guard).
-    fn depart(&mut self, bin: usize) -> bool {
-        let _ = bin;
-        // rbb-lint: allow(panic, reason = "guarded by supports_incremental(); rbb-serve rejects allocation requests for engines without support")
-        panic!("this engine does not support incremental departure");
+    /// The incremental allocation surface, for engines that support it —
+    /// the load engines (dense, sparse, sharded). `None` for engines whose
+    /// state is not a plain load vector (ball identities, Tetris
+    /// non-conservation); `rbb-serve` rejects allocation requests against
+    /// them.
+    fn incremental(&mut self) -> Option<&mut dyn Incremental> {
+        None
     }
 
     /// Whether the engine carries non-unit ball weights. `false` for every
@@ -203,30 +180,11 @@ pub trait Engine {
         &Capacities::Unbounded
     }
 
-    /// Number of bins whose weighted load currently exceeds their capacity.
-    /// 0 under [`Capacities::Unbounded`]; the default otherwise scans all
-    /// `n` bins, and the sparse engine overrides it with an `O(#occupied)`
-    /// scan (empty bins never violate — capacities are ≥ 1).
+    /// Number of bins whose weighted load currently exceeds their capacity;
+    /// 0 for engines without capacities (only the load engines observe
+    /// them).
     fn capacity_violations(&self) -> u64 {
-        let caps = self.capacities();
-        if caps.is_unbounded() {
-            return 0;
-        }
-        (0..self.n())
-            .filter(|&b| caps.bound(b).is_some_and(|c| self.weighted_bin_load(b) > c))
-            .count() as u64
-    }
-
-    /// Places one **new** ball of weight `weight`, the weighted counterpart
-    /// of [`place`](Engine::place) — same RNG draw, same returned bin. The
-    /// default accepts only weight 1 (unit engines have nowhere to record a
-    /// heavier ball); weighted load engines override it.
-    fn place_weighted(&mut self, weight: u32) -> usize {
-        assert_eq!(
-            weight, 1,
-            "this engine is not weighted: only weight-1 placements are supported"
-        );
-        self.place()
+        0
     }
 
     /// The engine's bit-exact resumable state (loads + RNG stream states +
@@ -249,8 +207,7 @@ pub trait Engine {
         None
     }
 
-    /// Runs `rounds` rounds through the batched hot path, invoking
-    /// `observer` after each round.
+    /// Runs `rounds` rounds, invoking `observer` after each round.
     fn run(&mut self, rounds: u64, mut observer: impl RoundObserver)
     where
         Self: Sized,
@@ -261,8 +218,8 @@ pub trait Engine {
         }
     }
 
-    /// Runs `rounds` rounds through the batched hot path without
-    /// observation — the throughput-critical entry point.
+    /// Runs `rounds` rounds without observation — the
+    /// throughput-critical entry point.
     fn run_silent(&mut self, rounds: u64)
     where
         Self: Sized,
@@ -291,6 +248,29 @@ pub trait Engine {
         }
         None
     }
+}
+
+/// Incremental allocation between rounds: new balls placed by the engine's
+/// own uniform draw, and departures from a named bin. Reached through
+/// [`Engine::incremental`].
+pub trait Incremental {
+    /// Places one **new** ball into a bin drawn uniformly from the engine's
+    /// own RNG stream (the sharded engine draws from shard 0's stream);
+    /// returns the bin. Panics if the ball count would overflow the `u32`
+    /// load bound.
+    fn place(&mut self) -> usize {
+        self.place_weighted(1)
+    }
+
+    /// Places one new ball of weight `weight` — the same RNG draw and the
+    /// same bin as [`place`](Incremental::place); the weight only feeds
+    /// the weight overlay. Panics on a weight above 1 for a unit-weight
+    /// engine, which has nowhere to record it.
+    fn place_weighted(&mut self, weight: u32) -> usize;
+
+    /// Removes one ball from `bin`; returns `false` (a no-op) if the bin is
+    /// empty or out of range.
+    fn depart(&mut self, bin: usize) -> bool;
 }
 
 #[cfg(test)]
@@ -332,7 +312,7 @@ mod tests {
 
     #[test]
     fn provided_run_family_drives_batched_path() {
-        // Trait run == inherent batched stepping, bit for bit.
+        // Trait run == stepping by hand, bit for bit.
         let mut via_trait = LoadProcess::legitimate_start(64, 3);
         let mut by_hand = via_trait.clone();
         via_trait.run_silent(200);
@@ -370,16 +350,10 @@ mod tests {
     #[test]
     fn incremental_and_snapshot_defaults_are_gated() {
         let mut t = Tetris::new(Config::one_per_bin(8), Xoshiro256pp::seed_from(5));
-        assert!(!Engine::supports_incremental(&t));
+        assert!(Engine::incremental(&mut t).is_none());
         assert!(Engine::snapshot(&t).is_none());
-        let place = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            t.place();
-        }));
-        assert!(place.is_err(), "default place must panic");
-        let depart = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            t.depart(0);
-        }));
-        assert!(depart.is_err(), "default depart must panic");
+        let mut p = LoadProcess::legitimate_start(8, 5);
+        assert!(Engine::incremental(&mut p).is_some());
     }
 
     #[test]
@@ -407,10 +381,11 @@ mod tests {
         );
         assert!(Engine::capacities(&p).is_unbounded());
         assert_eq!(Engine::capacity_violations(&p), 0);
-        let b = Engine::place_weighted(&mut p, 1);
+        let inc = Engine::incremental(&mut p).expect("load engines place");
+        let b = inc.place_weighted(1);
         assert!(b < 16);
         let heavy = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Engine::place_weighted(&mut p, 2);
+            inc.place_weighted(2);
         }));
         assert!(heavy.is_err(), "unit engines must reject weight > 1");
     }

@@ -16,13 +16,16 @@
 //!
 //! ## Crate map
 //!
-//! * [`process`] — the load-only engine (the paper's `Q(t)` dynamics).
-//! * [`sparse`] — the sparse occupancy engine for the `m ≪ n` regime:
+//! * [`load`] — the one load engine (the paper's `Q(t)` dynamics) over a
+//!   pluggable load storage, and the scalar reference round.
+//! * [`process`] — dense storage: the load-only engine
+//!   [`LoadProcess`](process::LoadProcess).
+//! * [`sparse`] — sparse occupancy storage for the `m ≪ n` regime:
 //!   bit-identical trajectories at `O(#non-empty bins)` per round and
 //!   `O(m)` memory.
-//! * [`sharded`] — the sharded single-trial engine for the large-`n` dense
-//!   regime: bins partitioned into fixed per-shard columns with private RNG
-//!   streams, bit-identical for a fixed shard count at any thread count.
+//! * [`sharded`] — sharded storage for the large-`n` dense regime: bins
+//!   partitioned into fixed per-shard columns with private RNG streams,
+//!   bit-identical for a fixed shard count at any thread count.
 //! * [`ball_process`] — the ball-identity engine (per-ball progress, delays,
 //!   per-move hooks for cover-time tracking).
 //! * [`tetris`] — the Tetris majorant process of Section 3 and its
@@ -79,6 +82,7 @@ pub mod coupling;
 pub mod det_hash;
 pub mod engine;
 pub mod exact;
+pub mod load;
 pub mod markov;
 pub mod metrics;
 pub mod mixing;
@@ -101,7 +105,7 @@ pub mod prelude {
     pub use crate::config::{Config, LegitimacyThreshold};
     pub use crate::coupling::{CoupledRun, CouplingReport};
     pub use crate::det_hash::{DetHashMap, DetHashSet};
-    pub use crate::engine::Engine;
+    pub use crate::engine::{Engine, Incremental};
     pub use crate::markov::ZChain;
     pub use crate::metrics::{
         CapacityTracker, EmptyBinsTracker, LegitimacyTracker, MaxLoadTracker, NullObserver,

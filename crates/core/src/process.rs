@@ -1,4 +1,4 @@
-//! The repeated balls-into-bins process — load-only engine.
+//! The repeated balls-into-bins process — dense load storage.
 //!
 //! This engine simulates exactly the dynamics of Section 2:
 //!
@@ -12,22 +12,121 @@
 //! the load process is strategy-invariant; this engine therefore carries no
 //! ball identities and runs a round in `O(n)` time over a dense `Vec<u32>`
 //! (see DESIGN.md §3.1 — [`crate::ball_process::BallProcess`] is the
-//! identity-carrying sibling).
+//! identity-carrying sibling). [`crate::load::LoadEngine`] supplies
+//! everything but the storage.
 
-use crate::adversary::placement_to_config;
 use crate::config::Config;
 use crate::engine::Engine;
+use crate::load::{densify, Draws, LoadEngine, LoadStore};
 use crate::rng::Xoshiro256pp;
-use crate::sampling::{
-    throw_uniform, throw_uniform_batched, throw_uniform_recording, UniformSampler,
-};
-use crate::snapshot::{
-    SnapshotError, SnapshotState, WeightedSection, ENGINE_DENSE, SNAPSHOT_VERSION,
-    SNAPSHOT_VERSION_WEIGHTED,
-};
-use crate::weights::{Capacities, WeightOverlay, Weights};
+use crate::sampling::throw_uniform_batched;
+use crate::snapshot::{SnapshotState, ENGINE_DENSE};
+use crate::weights::{Capacities, Weights};
 
-/// Load-only repeated balls-into-bins simulator.
+/// Dense load storage: one `u32` per bin.
+#[derive(Debug, Clone)]
+pub struct DenseStore {
+    config: Config,
+}
+
+impl LoadStore for DenseStore {
+    const KIND: &'static str = ENGINE_DENSE;
+
+    fn restore(state: &SnapshotState) -> Self {
+        Self {
+            config: densify(state.n, state.entries.iter().copied()),
+        }
+    }
+
+    #[inline]
+    fn n(&self) -> usize {
+        self.config.n()
+    }
+
+    /// The departure scan, then the batched throw of
+    /// [`throw_uniform_batched`].
+    fn round(&mut self, draws: &mut Draws, srcs: Option<&mut Vec<u32>>) -> usize {
+        let loads = self.config.loads_mut();
+        let mut departures = 0usize;
+        match srcs {
+            None => {
+                for l in loads.iter_mut() {
+                    // Branchless: at ~63% occupancy in equilibrium the
+                    // `l > 0` branch is close to worst-case unpredictable.
+                    let occupied = u32::from(*l > 0);
+                    *l -= occupied;
+                    departures += occupied as usize;
+                }
+            }
+            Some(srcs) => {
+                for (l, b) in loads.iter_mut().zip(0u32..) {
+                    if *l > 0 {
+                        *l -= 1;
+                        departures += 1;
+                        srcs.push(b);
+                    }
+                }
+            }
+        }
+        throw_uniform_batched(
+            &draws.sampler,
+            &mut draws.streams[0],
+            loads,
+            departures,
+            &mut draws.dests,
+        );
+        departures
+    }
+
+    #[inline]
+    fn arrive(&mut self, bin: u32) {
+        self.config.loads_mut()[bin as usize] += 1;
+    }
+
+    fn remove(&mut self, bin: u32) -> bool {
+        let slot = &mut self.config.loads_mut()[bin as usize];
+        let occupied = *slot > 0;
+        *slot -= u32::from(occupied);
+        occupied
+    }
+
+    fn clear(&mut self) {
+        self.config.loads_mut().fill(0);
+    }
+
+    #[inline]
+    fn load(&self, bin: usize) -> u32 {
+        self.config.loads()[bin]
+    }
+
+    fn max_load(&self) -> u32 {
+        self.config.max_load()
+    }
+
+    fn nonempty(&self) -> usize {
+        self.config.nonempty_bins()
+    }
+
+    fn occupied(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.config
+            .loads()
+            .iter()
+            .zip(0u32..)
+            .filter(|&(&l, _)| l > 0)
+            .map(|(&l, b)| (b, l))
+    }
+
+    fn total(&self) -> u64 {
+        self.config.total_balls()
+    }
+
+    #[inline]
+    fn config(&self) -> &Config {
+        &self.config
+    }
+}
+
+/// Load-only repeated balls-into-bins simulator over dense storage.
 ///
 /// ```
 /// use rbb_core::prelude::*;
@@ -38,28 +137,7 @@ use crate::weights::{Capacities, WeightOverlay, Weights};
 /// assert_eq!(p.config().total_balls(), 64);       // mass conserved
 /// assert!(tracker.window_max() <= 4 * 64u32.ilog2()); // O(log n) loads
 /// ```
-#[derive(Debug, Clone)]
-pub struct LoadProcess {
-    config: Config,
-    rng: Xoshiro256pp,
-    round: u64,
-    balls: u64,
-    /// Destination scratch reused by the batched hot path; empty until the
-    /// first `step_batched` call, so the scalar path pays nothing for it.
-    dests: Vec<u32>,
-    /// Uniform sampler keyed on `n` (the bin count never changes over a
-    /// process's lifetime), so the batched path does not re-pay the
-    /// `2^64 mod n` rejection-threshold division every round.
-    sampler: UniformSampler,
-    /// Weight overlay — `None` in the unit configuration, where every step
-    /// path takes its original branch untouched (the weighted code is never
-    /// on the unit path).
-    weighted: Option<WeightOverlay>,
-    /// Observed capacity bounds ([`Capacities::Unbounded`] by default).
-    capacities: Capacities,
-    /// Scalar-path destination scratch for weighted rounds.
-    dests_scalar: Vec<usize>,
-}
+pub type LoadProcess = LoadEngine<DenseStore>;
 
 impl LoadProcess {
     /// Creates a process from an initial configuration and a seeded RNG.
@@ -68,21 +146,9 @@ impl LoadProcess {
     ///
     /// Takes ownership of `rng` as the engine stream: each round consumes one
     /// uniform destination draw per ball released, in bin order (the contract
-    /// of [`throw_uniform`]).
+    /// of [`crate::load::reference_round`] at one stream).
     pub fn new(config: Config, rng: Xoshiro256pp) -> Self {
-        let balls = config.total_balls();
-        let sampler = UniformSampler::new(config.n() as u64);
-        Self {
-            config,
-            rng,
-            round: 0,
-            balls,
-            dests: Vec::new(),
-            sampler,
-            weighted: None,
-            capacities: Capacities::Unbounded,
-            dests_scalar: Vec::new(),
-        }
+        Self::with_weights(config, rng, Weights::Unit, Capacities::Unbounded)
     }
 
     /// Creates a weighted, capacity-observing process. [`Weights::Unit`]
@@ -101,166 +167,13 @@ impl LoadProcess {
         weights: Weights,
         capacities: Capacities,
     ) -> Self {
-        let weights = weights.normalized();
-        if let Err(e) = weights.validate(config.total_balls()) {
-            // rbb-lint: allow(panic, reason = "constructor contract violation, caught by spec-layer validation first")
-            panic!("invalid weights: {e}");
-        }
-        if let Err(e) = capacities.validate(config.n()) {
-            // rbb-lint: allow(panic, reason = "constructor contract violation, caught by spec-layer validation first")
-            panic!("invalid capacities: {e}");
-        }
-        let mut p = Self::new(config, rng);
-        if let Weights::Explicit(ws) = &weights {
-            let entries = p
-                .config
-                .loads()
-                .iter()
-                .enumerate()
-                .filter(|&(_, &l)| l > 0)
-                // rbb-lint: allow(lossy-cast, reason = "enumerate index < n, which fits the u32 bin-index range")
-                .map(|(b, &l)| (b as u32, l));
-            p.weighted = Some(WeightOverlay::from_entries(entries, ws));
-        }
-        p.capacities = capacities;
-        p
+        Self::from_parts(DenseStore { config }, vec![rng], weights, capacities)
     }
 
     /// Convenience constructor: `n` balls into `n` bins, one per bin.
     pub fn legitimate_start(n: usize, seed: u64) -> Self {
         // rbb-lint: allow(rng-construct, reason = "engine-convention stream for a core convenience constructor; core cannot depend on rbb_sim::seed")
         Self::new(Config::one_per_bin(n), Xoshiro256pp::seed_from(seed))
-    }
-
-    /// Current round index (0 before any step).
-    #[inline]
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Number of bins.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.config.n()
-    }
-
-    /// Total ball count (rounds conserve it; the incremental
-    /// [`Engine::place`]/[`Engine::depart`] surface changes it).
-    #[inline]
-    pub fn balls(&self) -> u64 {
-        self.balls
-    }
-
-    /// Current configuration.
-    #[inline]
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
-    /// Advances one round; returns the number of balls that moved (equal to
-    /// the number of non-empty bins at the start of the round).
-    pub fn step(&mut self) -> usize {
-        if self.weighted.is_some() {
-            return self.step_weighted(false);
-        }
-        let loads = self.config.loads_mut();
-        let mut departures = 0usize;
-        for l in loads.iter_mut() {
-            if *l > 0 {
-                *l -= 1;
-                departures += 1;
-            }
-        }
-        throw_uniform(&mut self.rng, loads, departures);
-        self.round += 1;
-        debug_assert_eq!(self.config.total_balls(), self.balls);
-        departures
-    }
-
-    /// Advances one round through the batched hot path. Semantically (and
-    /// bit-for-bit, given equal starting state) identical to [`step`]: the
-    /// departure scan is branchless and the destination draws are batched
-    /// through [`crate::sampling::UniformSampler`] into a reused scratch
-    /// buffer, but the RNG stream is consumed in exactly the same order, so
-    /// the two paths produce the same trajectory from the same seed.
-    ///
-    /// [`step`]: LoadProcess::step
-    pub fn step_batched(&mut self) -> usize {
-        if self.weighted.is_some() {
-            return self.step_weighted(true);
-        }
-        let loads = self.config.loads_mut();
-        let mut departures = 0usize;
-        for l in loads.iter_mut() {
-            // Branchless: at ~63% occupancy in equilibrium the `l > 0`
-            // branch is close to worst-case unpredictable, so the scalar
-            // path's compare-and-jump stalls the O(n) scan.
-            // rbb-lint: allow(lossy-cast, reason = "bool-to-u32 cast is lossless (0 or 1)")
-            let occupied = (*l > 0) as u32;
-            *l -= occupied;
-            departures += occupied as usize;
-        }
-        throw_uniform_batched(
-            &self.sampler,
-            &mut self.rng,
-            loads,
-            departures,
-            &mut self.dests,
-        );
-        self.round += 1;
-        debug_assert_eq!(self.config.total_balls(), self.balls);
-        departures
-    }
-
-    /// The weighted round: identical departure scan and destination draws
-    /// as the unit paths (same RNG stream, draw for draw), plus the metric
-    /// transport pairing the `k`-th departing bin with the `k`-th draw.
-    fn step_weighted(&mut self, batched: bool) -> usize {
-        let Self {
-            config,
-            rng,
-            dests,
-            sampler,
-            weighted,
-            dests_scalar,
-            ..
-        } = self;
-        // rbb-lint: allow(panic, reason = "only reached behind a weighted.is_some() guard in step/step_batched")
-        let overlay = weighted.as_mut().expect("weighted step needs an overlay");
-        let loads = config.loads_mut();
-        let mut departures = 0usize;
-        overlay.srcs.clear();
-        for (b, l) in loads.iter_mut().enumerate() {
-            if *l > 0 {
-                *l -= 1;
-                departures += 1;
-                // rbb-lint: allow(lossy-cast, reason = "enumerate index < n, which fits the u32 bin-index range")
-                overlay.srcs.push(b as u32);
-            }
-        }
-        if batched {
-            throw_uniform_batched(sampler, rng, loads, departures, dests);
-        } else {
-            throw_uniform_recording(rng, loads, departures, dests_scalar);
-            dests.clear();
-            // rbb-lint: allow(lossy-cast, reason = "destinations are bin indices < n, which fits u32")
-            dests.extend(dests_scalar.iter().map(|&d| d as u32));
-        }
-        overlay.transport(dests);
-        self.round += 1;
-        debug_assert_eq!(self.config.total_balls(), self.balls);
-        debug_assert!(self.weighted.as_ref().is_some_and(|o| o
-            .check_against(
-                self.config
-                    .loads()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &l)| l > 0)
-                    // rbb-lint: allow(lossy-cast, reason = "bin index < n, and n fits u32 by the Config invariant")
-                    .map(|(b, &l)| (b as u32, l)),
-            )
-            .is_ok()));
-        departures
     }
 
     /// Advances one round, recording each mover's destination in `dests`
@@ -270,19 +183,12 @@ impl LoadProcess {
         assert!(
             self.weighted.is_none(),
             "step_recording is a unit-path primitive (the Lemma-3 coupling); \
-             weighted rounds go through step/step_batched"
+             weighted rounds go through step"
         );
-        let loads = self.config.loads_mut();
-        let mut departures = 0usize;
-        for l in loads.iter_mut() {
-            if *l > 0 {
-                *l -= 1;
-                departures += 1;
-            }
-        }
-        throw_uniform_recording(&mut self.rng, loads, departures, dests);
-        self.round += 1;
-        departures
+        let moved = self.step();
+        dests.clear();
+        dests.extend(self.draws.dests.iter().map(|&d| d as usize));
+        moved
     }
 
     /// Replaces the configuration wholesale — the §4.1 adversary's move.
@@ -294,226 +200,8 @@ impl LoadProcess {
             self.balls,
             "adversary must conserve balls"
         );
-        assert_eq!(
-            new_config.n(),
-            self.config.n(),
-            "adversary must keep n bins"
-        );
-        self.config = new_config;
-    }
-
-    /// Captures the complete resumable state — loads, raw RNG stream state,
-    /// round and ball counters. Restoring through [`Self::from_snapshot`]
-    /// resumes the trajectory bit-identically.
-    pub fn snapshot_state(&self) -> SnapshotState {
-        let entries = self
-            .config
-            .loads()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| l > 0)
-            // rbb-lint: allow(lossy-cast, reason = "enumerate index < n, and the constructors assert n fits the u32 index range")
-            .map(|(b, &l)| (b as u32, l))
-            .collect();
-        let weighted = weighted_section(self.weighted.as_ref(), &self.capacities);
-        SnapshotState {
-            version: if weighted.is_some() {
-                SNAPSHOT_VERSION_WEIGHTED
-            } else {
-                SNAPSHOT_VERSION
-            },
-            engine: ENGINE_DENSE.to_string(),
-            n: self.config.n(),
-            shards: 1,
-            round: self.round,
-            balls: self.balls,
-            entries,
-            rng_states: vec![self.rng.state()],
-            weighted,
-        }
-    }
-
-    /// Rebuilds a dense process from a snapshot (validated first); the
-    /// restored process resumes the snapshotted trajectory bit-identically.
-    pub fn from_snapshot(state: &SnapshotState) -> Result<Self, SnapshotError> {
-        state.validate()?;
-        if state.engine != ENGINE_DENSE {
-            return Err(SnapshotError(format!(
-                "expected a {ENGINE_DENSE} snapshot, got '{}'",
-                state.engine
-            )));
-        }
-        // rbb-lint: allow(rng-construct, reason = "restoring a serialized stream state captured from a live engine snapshot, not seeding a new stream")
-        let rng = Xoshiro256pp::from_state(state.rng_states[0]);
-        let mut p = Self::new(Config::from_loads(state.dense_loads()), rng);
-        p.round = state.round;
-        if let Some(w) = &state.weighted {
-            p.capacities = w.capacities()?;
-            if !w.queues.is_empty() {
-                p.weighted = Some(WeightOverlay::from_queues(&w.queues));
-            }
-        }
-        Ok(p)
-    }
-}
-
-/// The snapshot encoding shared by the three load engines: a weighted
-/// section is emitted iff there is anything non-unit to record — an overlay
-/// or non-default capacities (an overlay-less section carries capacities
-/// only; validation rejects the vacuous unbounded-and-empty combination).
-pub(crate) fn weighted_section(
-    overlay: Option<&WeightOverlay>,
-    capacities: &Capacities,
-) -> Option<WeightedSection> {
-    if overlay.is_none() && capacities.is_unbounded() {
-        return None;
-    }
-    Some(WeightedSection {
-        queues: overlay.map_or_else(Vec::new, WeightOverlay::queues_sorted),
-        cap_kind: capacities.kind_str().to_string(),
-        caps: capacities.bounds_vec(),
-    })
-}
-
-/// The run family (`run`, `run_silent`, `run_until`) is provided by
-/// [`Engine`]; both step paths are bit-identical, so the trait's
-/// batched-by-default policy never changes a trajectory.
-impl Engine for LoadProcess {
-    #[inline]
-    fn step(&mut self) -> usize {
-        LoadProcess::step(self)
-    }
-
-    #[inline]
-    fn step_batched(&mut self) -> usize {
-        LoadProcess::step_batched(self)
-    }
-
-    #[inline]
-    fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// The tracked counter, not the trait default's `O(n)` load sum — the
-    /// serve hot path reads this per placement.
-    #[inline]
-    fn balls(&self) -> u64 {
-        self.balls
-    }
-
-    #[inline]
-    fn config(&self) -> &Config {
-        &self.config
-    }
-
-    fn supports_faults(&self) -> bool {
-        true
-    }
-
-    /// Placement-based fault: folds `placement[ball] = bin` into a load
-    /// vector (ball identities are irrelevant to the load-only engine).
-    fn apply_fault(&mut self, placement: &[usize]) {
-        self.adversarial_reassign(placement_to_config(self.n(), placement));
-    }
-
-    fn supports_incremental(&self) -> bool {
-        true
-    }
-
-    /// Incremental arrival: one uniform destination draw from the engine
-    /// stream, exactly the per-ball primitive a round uses.
-    fn place(&mut self) -> usize {
-        self.place_weighted(1)
-    }
-
-    /// Same RNG draw as [`place`](Engine::place) — the weight only feeds
-    /// the overlay. A unit process accepts weight 1 only (it has no overlay
-    /// to record a heavier ball in).
-    fn place_weighted(&mut self, weight: u32) -> usize {
-        assert!(
-            self.balls < u32::MAX as u64,
-            "place would overflow the u32 load bound"
-        );
-        assert!(
-            weight == 1 || self.weighted.is_some(),
-            "this process is unit-weight: only weight-1 placements are supported"
-        );
-        assert!(weight >= 1, "placed weight must be at least 1");
-        let b = self.rng.uniform_usize(self.config.n());
-        self.config.loads_mut()[b] += 1;
-        self.balls += 1;
-        if let Some(o) = &mut self.weighted {
-            // rbb-lint: allow(lossy-cast, reason = "destination is a bin index < n, which fits u32")
-            o.place(b as u32, weight);
-        }
-        b
-    }
-
-    fn depart(&mut self, bin: usize) -> bool {
-        match self.config.loads_mut().get_mut(bin) {
-            Some(slot) if *slot > 0 => {
-                *slot -= 1;
-                self.balls -= 1;
-                if let Some(o) = &mut self.weighted {
-                    // rbb-lint: allow(lossy-cast, reason = "in-range bin index < n, which fits u32")
-                    o.depart(bin as u32);
-                }
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn weighted(&self) -> bool {
-        self.weighted.is_some()
-    }
-
-    fn total_weight(&self) -> u64 {
-        self.weighted
-            .as_ref()
-            .map_or(self.balls, WeightOverlay::total)
-    }
-
-    fn weighted_max_load(&self) -> u64 {
-        match &self.weighted {
-            Some(o) => o.weighted_max_load(),
-            None => u64::from(self.config.max_load()),
-        }
-    }
-
-    fn weighted_bin_load(&self, bin: usize) -> u64 {
-        match &self.weighted {
-            // rbb-lint: allow(lossy-cast, reason = "out-of-range bins read as empty, matching the dense path's 0 load")
-            Some(o) => o.weighted_load(bin as u32),
-            None => u64::from(self.config.loads().get(bin).copied().unwrap_or(0)),
-        }
-    }
-
-    fn capacities(&self) -> &Capacities {
-        &self.capacities
-    }
-
-    /// `O(#occupied)` through the overlay; the capacity-only unit case
-    /// falls back to the dense `O(n)` scan.
-    fn capacity_violations(&self) -> u64 {
-        match &self.weighted {
-            Some(o) => o.capacity_violations(&self.capacities),
-            None => {
-                if self.capacities.is_unbounded() {
-                    return 0;
-                }
-                self.config
-                    .loads()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(b, &l)| self.capacities.bound(b).is_some_and(|c| u64::from(l) > c))
-                    .count() as u64
-            }
-        }
-    }
-
-    fn snapshot(&self) -> Option<SnapshotState> {
-        Some(self.snapshot_state())
+        assert_eq!(new_config.n(), self.n(), "adversary must keep n bins");
+        self.store.config = new_config;
     }
 }
 
@@ -521,7 +209,14 @@ impl Engine for LoadProcess {
 mod tests {
     use super::*;
     use crate::config::LegitimacyThreshold;
+    use crate::engine::{Engine, Incremental};
+    use crate::load::reference_round;
+    use crate::load::tests::{
+        assert_matches_reference, assert_place_and_depart, assert_snapshot_round_trip,
+        assert_unit_weights_build_the_same_engine, assert_weighted_place_and_depart,
+    };
     use crate::metrics::{EmptyBinsTracker, MaxLoadTracker};
+    use crate::snapshot::SNAPSHOT_VERSION_WEIGHTED;
 
     #[test]
     fn step_conserves_balls() {
@@ -644,7 +339,12 @@ mod tests {
         let d = p.step_recording(&mut dests);
         assert_eq!(d, 32);
         assert_eq!(dests.len(), 32);
-        assert!(dests.iter().all(|&b| b < 32));
+        // Every bin released its one ball, so the loads are the arrivals.
+        let mut recount = [0u32; 32];
+        for &b in &dests {
+            recount[b] += 1;
+        }
+        assert_eq!(p.config().loads(), &recount[..]);
     }
 
     #[test]
@@ -665,50 +365,38 @@ mod tests {
 
     #[test]
     fn batched_step_is_bit_identical_to_scalar() {
-        // The batched hot path must be indistinguishable from the scalar
-        // path: same loads and same RNG consumption, round for round.
+        // The one round path must be indistinguishable from the scalar
+        // reference round: same loads and same RNG consumption.
         for n in [1usize, 7, 64, 1000] {
-            let mut scalar = LoadProcess::legitimate_start(n, 21);
-            let mut batched = scalar.clone();
-            for _ in 0..300 {
-                let a = scalar.step();
-                let b = batched.step_batched();
-                assert_eq!(a, b);
-                assert_eq!(scalar.config(), batched.config());
-            }
+            assert_matches_reference(&mut LoadProcess::legitimate_start(n, 21), 300);
         }
     }
 
     #[test]
     fn cached_sampler_keeps_rng_state_bit_identical_to_scalar() {
-        // The cached `UniformSampler` must not change what the batched path
+        // The cached `UniformSampler` must not change what a round
         // consumes: after any number of rounds the loads AND the raw RNG
-        // state match the scalar path exactly.
+        // state match the reference round exactly.
         for n in [2usize, 33, 500] {
-            let mut scalar = LoadProcess::legitimate_start(n, 77);
-            let mut batched = scalar.clone();
-            for _ in 0..250 {
-                scalar.step();
-                batched.step_batched();
-            }
-            assert_eq!(scalar.config, batched.config);
-            assert_eq!(scalar.rng, batched.rng, "RNG state diverged at n={n}");
-            assert_eq!(batched.sampler.bound(), n as u64, "sampler keyed on n");
+            let mut p = LoadProcess::legitimate_start(n, 77);
+            assert_matches_reference(&mut p, 250);
+            assert_eq!(p.draws.sampler.bound(), n as u64, "sampler keyed on n");
         }
     }
 
     #[test]
     fn batched_and_scalar_steps_interleave() {
-        // Because both paths consume the RNG identically, they can be mixed
-        // freely mid-trajectory.
+        // Because the kernel and the reference round consume the stream
+        // identically, they can advance one trajectory in turns.
         let mut reference = LoadProcess::legitimate_start(128, 22);
         let mut mixed = reference.clone();
         for i in 0..200 {
             reference.step();
             if i % 2 == 0 {
-                mixed.step_batched();
-            } else {
                 mixed.step();
+            } else {
+                reference_round(mixed.store.config.loads_mut(), &mut mixed.draws.streams);
+                mixed.round += 1;
             }
         }
         assert_eq!(reference.config(), mixed.config());
@@ -717,15 +405,16 @@ mod tests {
 
     #[test]
     fn run_silent_matches_scalar_stepping() {
-        let mut a = LoadProcess::legitimate_start(256, 23);
-        let mut b = a.clone();
+        let mut p = LoadProcess::legitimate_start(256, 23);
+        let mut loads = p.config().loads().to_vec();
+        let mut streams = p.draws.streams.clone();
+        p.run_silent(500);
         for _ in 0..500 {
-            a.step();
+            reference_round(&mut loads, &mut streams);
         }
-        b.run_silent(500);
-        assert_eq!(a.config(), b.config());
-        assert_eq!(b.round(), 500);
-        assert_eq!(b.config().total_balls(), 256);
+        assert_eq!(p.config().loads(), &loads[..]);
+        assert_eq!(p.round(), 500);
+        assert_eq!(p.config().total_balls(), 256);
     }
 
     #[test]
@@ -745,43 +434,23 @@ mod tests {
 
     #[test]
     fn snapshot_restore_resumes_bit_identically() {
-        let mut p = LoadProcess::legitimate_start(64, 33);
-        p.run_silent(37);
-        let snap = Engine::snapshot(&p).expect("dense engine snapshots");
-        let mut q = LoadProcess::from_snapshot(&snap).unwrap();
-        assert_eq!(q.round(), 37);
-        assert_eq!(q.config(), p.config());
-        for _ in 0..100 {
-            p.step();
-            q.step();
-        }
-        assert_eq!(p.config(), q.config());
-        assert_eq!(Engine::snapshot(&p), Engine::snapshot(&q));
+        assert_snapshot_round_trip(LoadProcess::legitimate_start(64, 33), 37);
     }
 
     #[test]
     fn from_snapshot_rejects_other_kinds() {
-        let mut snap = LoadProcess::legitimate_start(8, 1).snapshot_state();
+        let mut snap = Engine::snapshot(&LoadProcess::legitimate_start(8, 1)).unwrap();
         snap.engine = "sparse".to_string();
         assert!(LoadProcess::from_snapshot(&snap).is_err());
     }
 
     #[test]
     fn place_and_depart_update_loads_and_mass() {
-        let mut p = LoadProcess::legitimate_start(32, 44);
-        assert!(Engine::supports_incremental(&p));
-        let b = Engine::place(&mut p);
-        assert!(b < 32);
-        assert_eq!(p.balls(), 33);
-        assert_eq!(p.config().loads()[b], 2);
-        assert!(Engine::depart(&mut p, b));
-        assert_eq!(p.balls(), 32);
-        assert!(!Engine::depart(&mut p, 99), "out of range is a no-op");
-        assert!(Engine::depart(&mut p, 0));
-        assert!(!Engine::depart(&mut p, 0), "empty bin is a no-op");
-        assert_eq!(p.balls(), 31);
-        p.step();
-        assert_eq!(p.config().total_balls(), 31);
+        assert_place_and_depart(LoadProcess::legitimate_start(32, 44));
+        assert_place_and_depart(LoadProcess::new(
+            Config::all_in_one(32, 5),
+            Xoshiro256pp::seed_from(44),
+        ));
     }
 
     #[test]
@@ -789,7 +458,7 @@ mod tests {
         let mut a = LoadProcess::legitimate_start(64, 9);
         let mut b = a.clone();
         for _ in 0..20 {
-            assert_eq!(Engine::place(&mut a), Engine::place(&mut b));
+            assert_eq!(a.place(), b.place());
         }
         a.run_silent(10);
         b.run_silent(10);
@@ -829,29 +498,16 @@ mod tests {
         // Weights::Unit (and an explicit all-ones vector) must not build an
         // overlay: the weighted constructor returns the *same* engine as
         // `new`, trajectory, stream, and snapshot bytes included.
-        let plain = LoadProcess::legitimate_start(64, 51);
         for weights in [Weights::Unit, Weights::Explicit(vec![1; 64])] {
-            let mut w = LoadProcess::with_weights(
-                Config::one_per_bin(64),
-                Xoshiro256pp::seed_from(51),
-                weights,
-                Capacities::Unbounded,
+            assert_unit_weights_build_the_same_engine(
+                LoadProcess::legitimate_start(64, 51),
+                LoadProcess::with_weights(
+                    Config::one_per_bin(64),
+                    Xoshiro256pp::seed_from(51),
+                    weights,
+                    Capacities::Unbounded,
+                ),
             );
-            assert!(w.weighted.is_none());
-            assert!(!Engine::weighted(&w));
-            let mut reference = plain.clone();
-            for i in 0..120 {
-                if i % 2 == 0 {
-                    reference.step();
-                    w.step();
-                } else {
-                    reference.step_batched();
-                    w.step_batched();
-                }
-                assert_eq!(reference.config(), w.config());
-            }
-            assert_eq!(reference.rng, w.rng);
-            assert_eq!(Engine::snapshot(&reference), Engine::snapshot(&w));
         }
     }
 
@@ -863,17 +519,14 @@ mod tests {
         let mut unit = LoadProcess::legitimate_start(128, 52);
         let mut zipf = zipf_process(128, 52, Capacities::Unbounded);
         assert!(Engine::weighted(&zipf));
-        for i in 0..200 {
-            if i % 2 == 0 {
-                unit.step();
-                zipf.step();
-            } else {
-                unit.step_batched();
-                zipf.step_batched();
-            }
+        for _ in 0..200 {
+            assert_eq!(unit.step(), zipf.step());
             assert_eq!(unit.config(), zipf.config());
         }
-        assert_eq!(unit.rng, zipf.rng, "weights must never touch the RNG");
+        assert_eq!(
+            unit.draws.streams, zipf.draws.streams,
+            "weights must never touch the RNG"
+        );
         assert_eq!(Engine::balls(&zipf), 128);
         assert_eq!(
             Engine::total_weight(&zipf),
@@ -883,19 +536,9 @@ mod tests {
 
     #[test]
     fn weighted_scalar_and_batched_paths_are_bit_identical() {
-        let mut scalar = zipf_process(96, 53, Capacities::Unbounded);
-        let mut batched = scalar.clone();
-        for _ in 0..150 {
-            scalar.step();
-            batched.step_batched();
-            assert_eq!(scalar.config(), batched.config());
-            assert_eq!(
-                Engine::weighted_max_load(&scalar),
-                Engine::weighted_max_load(&batched)
-            );
-        }
-        assert_eq!(scalar.rng, batched.rng);
-        assert_eq!(Engine::snapshot(&scalar), Engine::snapshot(&batched));
+        let mut p = zipf_process(96, 53, Capacities::Unbounded);
+        assert_matches_reference(&mut p, 150);
+        assert!(Engine::weighted(&p));
     }
 
     #[test]
@@ -903,7 +546,7 @@ mod tests {
         let mut p = zipf_process(64, 54, Capacities::Uniform(60));
         let total = Engine::total_weight(&p);
         for _ in 0..100 {
-            p.step_batched();
+            p.step();
             assert_eq!(Engine::total_weight(&p), total);
             assert!(Engine::weighted_max_load(&p) <= total);
         }
@@ -914,21 +557,11 @@ mod tests {
 
     #[test]
     fn weighted_snapshot_round_trips_bit_identically() {
-        let mut p = zipf_process(48, 55, Capacities::Uniform(55));
-        p.run_silent(31);
-        let snap = Engine::snapshot(&p).expect("dense engine snapshots");
+        let p = zipf_process(48, 55, Capacities::Uniform(55));
+        let snap = Engine::snapshot(&p).unwrap();
         assert_eq!(snap.version, SNAPSHOT_VERSION_WEIGHTED);
-        let w = snap.weighted.as_ref().expect("weighted section");
-        assert_eq!(w.cap_kind, "uniform");
-        let mut q = LoadProcess::from_snapshot(&snap).unwrap();
-        assert_eq!(Engine::total_weight(&q), Engine::total_weight(&p));
-        assert_eq!(Engine::capacities(&q), Engine::capacities(&p));
-        for _ in 0..60 {
-            p.step_batched();
-            q.step_batched();
-        }
-        assert_eq!(p.config(), q.config());
-        assert_eq!(Engine::snapshot(&p), Engine::snapshot(&q));
+        assert_eq!(snap.weighted.as_ref().unwrap().cap_kind, "uniform");
+        assert_snapshot_round_trip(p, 31);
     }
 
     #[test]
@@ -955,23 +588,14 @@ mod tests {
 
     #[test]
     fn weighted_place_and_depart_track_the_overlay() {
-        let mut p = zipf_process(32, 57, Capacities::Unbounded);
-        let total = Engine::total_weight(&p);
-        let b = Engine::place_weighted(&mut p, 40);
-        assert_eq!(Engine::total_weight(&p), total + 40);
-        assert_eq!(Engine::balls(&p), 33);
-        assert!(Engine::weighted_bin_load(&p, b) >= 40);
-        assert!(Engine::depart(&mut p, b), "bin just received a ball");
-        assert_eq!(Engine::balls(&p), 32);
-        p.step_batched();
-        assert_eq!(p.config().total_balls(), 32);
+        assert_weighted_place_and_depart(zipf_process(32, 57, Capacities::Unbounded));
     }
 
     #[test]
     #[should_panic(expected = "unit-weight")]
     fn unit_process_rejects_heavy_placements() {
         let mut p = LoadProcess::legitimate_start(8, 58);
-        Engine::place_weighted(&mut p, 2);
+        p.place_weighted(2);
     }
 
     #[test]

@@ -199,30 +199,6 @@ pub fn throw_uniform_batched(
     }
 }
 
-/// Throws `d` balls u.a.r. and records each destination in `dests` (cleared
-/// first). Used by the Lemma-3 coupling, which must *reuse* the original
-/// process's destination choices for the Tetris copy.
-///
-/// # RNG stream
-///
-/// Consumes exactly `d` `uniform_usize` draws, one per ball in throw
-/// order — the same stream contract as [`throw_uniform`].
-pub fn throw_uniform_recording(
-    rng: &mut Xoshiro256pp,
-    loads: &mut [u32],
-    d: usize,
-    dests: &mut Vec<usize>,
-) {
-    dests.clear();
-    let n = loads.len();
-    for _ in 0..d {
-        let b = rng.uniform_usize(n);
-        debug_assert_ne!(loads[b], u32::MAX, "bin {b} load would overflow u32");
-        loads[b] += 1;
-        dests.push(b);
-    }
-}
-
 /// Samples a uniformly random composition: `m` balls into `n` bins, each ball
 /// independent and uniform. Returns the load vector.
 ///
@@ -479,20 +455,6 @@ mod tests {
             // Each bin expects 10_000, sd ≈ 95.
             assert!((l as f64 - 10_000.0).abs() < 500.0, "load {l}");
         }
-    }
-
-    #[test]
-    fn throw_recording_matches_loads() {
-        let mut r = rng(10);
-        let mut loads = vec![0u32; 8];
-        let mut dests = Vec::new();
-        throw_uniform_recording(&mut r, &mut loads, 50, &mut dests);
-        assert_eq!(dests.len(), 50);
-        let mut recount = vec![0u32; 8];
-        for &d in &dests {
-            recount[d] += 1;
-        }
-        assert_eq!(recount, loads);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! [`crate::process::LoadProcess`] runs one trial on one core; at
 //! `n = 10^7+` a single dense trial is the bottleneck of the large-`n`
-//! stability experiments. [`ShardedLoadProcess`] partitions the bins into
-//! `S` fixed shards, each owning a contiguous *column* of the load vector
-//! and its **own RNG stream**, so a round decomposes into two embarrassingly
-//! parallel phases joined by a barrier:
+//! stability experiments. [`ShardedStore`] partitions the bins into `S`
+//! fixed shards, each owning a contiguous *column* of the load vector and
+//! its **own RNG stream**, so a round of [`ShardedLoadProcess`] decomposes
+//! into two embarrassingly parallel phases joined by a barrier:
 //!
 //! 1. **Depart + throw** (per shard): a branchless departure scan over the
 //!    shard's own column, then a batched Lemire draw of that shard's
@@ -28,8 +28,8 @@
 //!   count.** Each shard's draws come from its own stream and depend only
 //!   on its own column; the merge reads outboxes in shard-index order; and
 //!   arrival application is commutative (pure increments). The parallel and
-//!   sequential round bodies therefore produce identical states, which the
-//!   unit tests pin.
+//!   sequential round drivers therefore produce identical states, which the
+//!   unit tests pin; the storage picks one by `n` alone.
 //! * **`S = 1` is bit-identical to the dense engine.** Shard 0 uses the
 //!   engine-convention stream (`seed_from(seed)`), and the single-shard
 //!   round reduces to exactly the dense scan + batched-throw sequence.
@@ -39,13 +39,7 @@
 //!   i.i.d. uniform destinations per round — is unchanged
 //!   (`tests/proptest_sharded.rs` pins the law-level invariants).
 //!
-//! # RNG streams
-//!
-//! Shard 0 draws from the engine-convention stream `seed_from(seed)`;
-//! shard `s ≥ 1` draws from `Xoshiro256pp::stream(seed,
-//! SHARD_STREAM_SALT + s)` — disjoint from the engine stream, from the
-//! adversary stream (`0xADFE`), and from each other by the `stream`
-//! construction.
+//! The per-shard streams are documented at [`SHARD_STREAM_SALT`].
 
 use std::cell::OnceCell;
 use std::sync::Mutex;
@@ -53,28 +47,26 @@ use std::sync::Mutex;
 use rayon::prelude::*;
 
 use crate::config::Config;
-use crate::engine::Engine;
-use crate::process::weighted_section;
+use crate::load::{densify, Draws, LoadEngine, LoadStore};
 use crate::rng::Xoshiro256pp;
 use crate::sampling::UniformSampler;
-use crate::snapshot::{
-    SnapshotError, SnapshotState, ENGINE_SHARDED, SNAPSHOT_VERSION, SNAPSHOT_VERSION_WEIGHTED,
-};
-use crate::weights::{Capacities, WeightOverlay, Weights};
+use crate::snapshot::{SnapshotState, ENGINE_SHARDED};
+use crate::weights::{Capacities, Weights};
 
 /// Base salt of the per-shard RNG streams: shard `s ≥ 1` draws from
-/// `Xoshiro256pp::stream(seed, SHARD_STREAM_SALT + s)`. Shard 0 uses the
-/// salt-free engine-convention stream so a 1-shard process is bit-identical
-/// to the dense engine. Salts `SHARD_STREAM_SALT..SHARD_STREAM_SALT + S`
-/// are reserved; spec-level salts must stay clear of this range (the
-/// adversary's `0xADFE` and the start salts are).
+/// `Xoshiro256pp::stream(seed, SHARD_STREAM_SALT + s)`, disjoint from the
+/// engine stream, the adversary stream (`0xADFE`) and each other. Shard 0
+/// uses the salt-free engine-convention stream so a 1-shard process is
+/// bit-identical to the dense engine. Salts `SHARD_STREAM_SALT..
+/// SHARD_STREAM_SALT + S` are reserved; spec-level salts must stay clear of
+/// this range (the adversary's and the start salts are).
 pub const SHARD_STREAM_SALT: u64 = 0x5AA4_DED0;
 
-/// Bin-count threshold below which `step_batched` runs the two phases
+/// Bin-count threshold below which a round runs the two phases
 /// sequentially instead of through the thread pool: the parallel and
-/// sequential round bodies produce identical states (pinned by unit tests),
-/// so this is purely a scheduling choice — per-round thread spawns only pay
-/// for themselves once a column scan is macroscopic.
+/// sequential round drivers produce identical states (pinned by unit
+/// tests), so this is purely a scheduling choice — per-round thread spawns
+/// only pay for themselves once a column scan is macroscopic.
 const PAR_MIN_N: usize = 1 << 19;
 
 /// Outbox row of one sender shard: `row[t]` holds the *column indices*
@@ -101,7 +93,7 @@ impl Router {
         );
         // rbb-lint: allow(lossy-cast, reason = "shard_count <= u32::MAX is asserted above")
         let count = shard_count as u32;
-        let mask_shift = shard_count
+        let mask_shift = count
             .is_power_of_two()
             .then(|| (count - 1, count.trailing_zeros()));
         Self { count, mask_shift }
@@ -119,66 +111,64 @@ impl Router {
     /// Inverse of [`route`](Router::route): the global bin index of column
     /// slot `idx` in shard `s`.
     #[inline]
-    fn unroute(self, s: usize, idx: usize) -> usize {
-        idx * self.count as usize + s
+    fn unroute(self, s: u32, idx: u32) -> u32 {
+        idx * self.count + s
     }
 }
 
-/// One owned shard: a contiguous column of the (strided) load vector, its
-/// private RNG stream, an incremental non-empty counter, and the batched
-/// draw scratch.
+/// One owned shard: a contiguous column of the (strided) load vector, an
+/// incremental non-empty counter, and the batched draw scratch. Its RNG
+/// stream is the engine's stream of the same index.
 #[derive(Debug, Clone)]
 struct Shard {
     /// Column `loads[idx]` is the load of global bin `idx * S + s`.
     loads: Vec<u32>,
     /// Number of non-empty bins in this column (maintained incrementally).
     nonempty: usize,
-    rng: Xoshiro256pp,
-    /// Destination scratch reused by the batched path.
+    /// This round's raw draws (global bins, draw order).
     dests: Vec<u32>,
 }
 
+impl Shard {
+    /// One arrival at column slot `idx`.
+    #[inline]
+    fn add(&mut self, idx: u32) {
+        let slot = &mut self.loads[idx as usize];
+        debug_assert_ne!(*slot, u32::MAX, "column slot {idx} would overflow u32");
+        self.nonempty += usize::from(*slot == 0);
+        *slot += 1;
+    }
+}
+
 /// Phase 1 for one shard: branchless departure scan over the column, then
-/// the shard's destination draws routed into its outbox row (cleared
-/// first). `batched` selects `fill_u32` vs a scalar `sample` loop — the two
-/// are bit-compatible, so the choice never changes the trajectory. Returns
-/// the departure count.
+/// the shard's batched destination draws from its own stream, routed into
+/// its outbox row (cleared first). Returns the departure count.
 fn depart_and_throw(
     shard: &mut Shard,
     row: &mut OutRow,
+    rng: &mut Xoshiro256pp,
     sampler: &UniformSampler,
     router: Router,
-    batched: bool,
 ) -> usize {
     let mut departures = 0usize;
     let mut still = 0usize;
     for l in shard.loads.iter_mut() {
-        // Branchless, like the dense hot path: at equilibrium occupancy the
+        // Branchless, like the dense kernel: at equilibrium occupancy the
         // `l > 0` branch is close to worst-case unpredictable.
-        // rbb-lint: allow(lossy-cast, reason = "bool-to-u32 cast is lossless (0 or 1)")
-        let occupied = (*l > 0) as u32;
+        let occupied = u32::from(*l > 0);
         *l -= occupied;
         departures += occupied as usize;
-        still += (*l > 0) as usize;
+        still += usize::from(*l > 0);
     }
     shard.nonempty = still;
     for dest in row.iter_mut() {
         dest.clear();
     }
-    if batched {
-        shard.dests.resize(departures, 0);
-        sampler.fill_u32(&mut shard.rng, &mut shard.dests);
-        for &b in &shard.dests {
-            let (t, idx) = router.route(b);
-            row[t].push(idx);
-        }
-    } else {
-        for _ in 0..departures {
-            // rbb-lint: allow(lossy-cast, reason = "draws are < n, and n fits the u32 index range (asserted at construction)")
-            let b = sampler.sample(&mut shard.rng) as u32;
-            let (t, idx) = router.route(b);
-            row[t].push(idx);
-        }
+    shard.dests.resize(departures, 0);
+    sampler.fill_u32(rng, &mut shard.dests);
+    for &b in &shard.dests {
+        let (t, idx) = router.route(b);
+        row[t].push(idx);
     }
     departures
 }
@@ -190,11 +180,229 @@ fn depart_and_throw(
 fn apply_inbound(shard: &mut Shard, rows: &[OutRow], t: usize) {
     for row in rows {
         for &idx in &row[t] {
-            let slot = &mut shard.loads[idx as usize];
-            debug_assert_ne!(*slot, u32::MAX, "column slot {idx} would overflow u32");
-            shard.nonempty += (*slot == 0) as usize;
-            *slot += 1;
+            shard.add(idx);
         }
+    }
+}
+
+/// Sharded load storage: `S` strided columns under the `b mod S` routing, with
+/// the round's outboxes and a sequential and a parallel round driver.
+#[derive(Debug, Clone)]
+pub struct ShardedStore {
+    n: usize,
+    router: Router,
+    shards: Vec<Shard>,
+    /// `outboxes[s][t]`: balls thrown by shard `s` into shard `t` this
+    /// round (column indices, draw order). Buffers are reused across
+    /// rounds.
+    outboxes: Vec<OutRow>,
+    /// Lazily materialized dense view for `Engine::config`; invalidated on
+    /// every mutation.
+    dense: OnceCell<Config>,
+}
+
+impl ShardedStore {
+    /// Scatters `config` into `shards` columns. Panics if `shards` is zero,
+    /// exceeds `n`, or `n` exceeds the `u32` index range.
+    fn new(config: &Config, shards: usize) -> Self {
+        let n = config.n();
+        assert!(shards >= 1, "need at least one shard");
+        assert!(
+            shards <= n,
+            "shard count {shards} exceeds the bin count {n}"
+        );
+        // Bin indices are u32 throughout the workspace; a larger n would
+        // silently truncate destination draws in release builds.
+        assert!(
+            n <= u32::MAX as usize + 1,
+            "bin count {n} exceeds the u32 index range"
+        );
+        let router = Router::of(shards);
+        let mut store = Self {
+            n,
+            router,
+            shards: (0..shards)
+                .map(|s| Shard {
+                    loads: vec![0u32; (n - s).div_ceil(shards)],
+                    nonempty: 0,
+                    dests: Vec::new(),
+                })
+                .collect(),
+            outboxes: vec![vec![Vec::new(); shards]; shards],
+            dense: OnceCell::new(),
+        };
+        for (&l, b) in config.loads().iter().zip(0u32..) {
+            if l > 0 {
+                let (s, idx) = router.route(b);
+                store.shards[s].loads[idx as usize] = l;
+                store.shards[s].nonempty += 1;
+            }
+        }
+        store
+    }
+
+    /// Both phases in shard-index order on the calling thread. With
+    /// `srcs`, each shard's departing bins are recorded in column order and
+    /// its draws appended to `draws.dests` in draw order — at `S = 1`
+    /// exactly the dense scan.
+    fn round_sequential(&mut self, draws: &mut Draws, mut srcs: Option<&mut Vec<u32>>) -> usize {
+        let router = self.router;
+        let mut departures = 0usize;
+        draws.dests.clear();
+        let columns = self.shards.iter_mut().zip(&mut self.outboxes);
+        for (((shard, row), rng), s) in columns.zip(&mut draws.streams).zip(0u32..) {
+            if let Some(srcs) = srcs.as_deref_mut() {
+                let occupied = shard.loads.iter().zip(0u32..).filter(|&(&l, _)| l > 0);
+                srcs.extend(occupied.map(|(_, idx)| router.unroute(s, idx)));
+            }
+            departures += depart_and_throw(shard, row, rng, &draws.sampler, router);
+            if srcs.is_some() {
+                draws.dests.extend_from_slice(&shard.dests);
+            }
+        }
+        for (t, shard) in self.shards.iter_mut().enumerate() {
+            apply_inbound(shard, &self.outboxes, t);
+        }
+        departures
+    }
+
+    /// Both phases through the thread pool, one task per shard, with a
+    /// barrier between them. Each task locks only its own shard's state
+    /// (the mutexes exist to satisfy the `Fn` closure bound; they are
+    /// uncontended by construction), so the result is identical to
+    /// [`round_sequential`](Self::round_sequential) at any worker count.
+    fn round_parallel(&mut self, draws: &mut Draws) -> usize {
+        let (sampler, router) = (draws.sampler, self.router);
+        let columns = self.shards.iter_mut().zip(&mut self.outboxes);
+        let work: Vec<Mutex<_>> = columns
+            .zip(&mut draws.streams)
+            .map(|((shard, row), rng)| Mutex::new((shard, row, rng)))
+            .collect();
+        let departures: usize = (0..work.len())
+            .into_par_iter()
+            .map(|s| {
+                // rbb-lint: allow(panic, unordered-merge, reason = "commutes: task index = shard index, so each task locks only its own uncontended shard and no cross-task state merges; poisoning would mean a sibling panicked, which rayon re-raises anyway")
+                let mut guard = work[s].lock().expect("shard mutex poisoned");
+                let (shard, row, rng) = &mut *guard;
+                // rbb-lint: allow(rng-in-par, reason = "rng is the engine stream of this shard, pre-salted with SHARD_STREAM_SALT at construction; tasks never share a stream")
+                depart_and_throw(shard, row, rng, &sampler, router)
+            })
+            .collect::<Vec<usize>>()
+            .into_iter()
+            .sum();
+        drop(work);
+        let rows = &self.outboxes;
+        let cells: Vec<Mutex<&mut Shard>> = self.shards.iter_mut().map(Mutex::new).collect();
+        let _: Vec<()> = (0..cells.len())
+            .into_par_iter()
+            .map(|t| {
+                // rbb-lint: allow(panic, unordered-merge, reason = "commutes: task index = shard index, so each task locks only its own uncontended shard and no cross-task state merges; poisoning would mean a sibling panicked, which rayon re-raises anyway")
+                let mut shard = cells[t].lock().expect("shard mutex poisoned");
+                apply_inbound(&mut shard, rows, t);
+            })
+            .collect();
+        departures
+    }
+}
+
+impl LoadStore for ShardedStore {
+    const KIND: &'static str = ENGINE_SHARDED;
+
+    fn restore(state: &SnapshotState) -> Self {
+        Self::new(
+            &densify(state.n, state.entries.iter().copied()),
+            state.shards,
+        )
+    }
+
+    #[inline]
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Runs the parallel driver for unit rounds once `n ≥ PAR_MIN_N` (and
+    /// `S > 1`), the sequential one otherwise; weighted rounds always run
+    /// sequentially, which records the transport order.
+    fn round(&mut self, draws: &mut Draws, srcs: Option<&mut Vec<u32>>) -> usize {
+        let moved = if srcs.is_none() && self.shards.len() > 1 && self.n >= PAR_MIN_N {
+            self.round_parallel(draws)
+        } else {
+            self.round_sequential(draws, srcs)
+        };
+        self.dense.take();
+        debug_assert!(self
+            .shards
+            .iter()
+            .all(|s| s.nonempty == s.loads.iter().filter(|&&l| l > 0).count()));
+        moved
+    }
+
+    fn arrive(&mut self, bin: u32) {
+        let (s, idx) = self.router.route(bin);
+        self.shards[s].add(idx);
+        self.dense.take();
+    }
+
+    fn remove(&mut self, bin: u32) -> bool {
+        let (s, idx) = self.router.route(bin);
+        let shard = &mut self.shards[s];
+        let slot = &mut shard.loads[idx as usize];
+        if *slot == 0 {
+            return false;
+        }
+        *slot -= 1;
+        shard.nonempty -= usize::from(*slot == 0);
+        self.dense.take();
+        true
+    }
+
+    fn clear(&mut self) {
+        for shard in &mut self.shards {
+            shard.loads.fill(0);
+            shard.nonempty = 0;
+        }
+        self.dense.take();
+    }
+
+    #[inline]
+    fn load(&self, bin: usize) -> u32 {
+        debug_assert!(bin < self.n);
+        u32::try_from(bin).map_or(0, |b| {
+            let (s, idx) = self.router.route(b);
+            self.shards[s].loads[idx as usize]
+        })
+    }
+
+    fn max_load(&self) -> u32 {
+        let loads = self.shards.iter().flat_map(|s| &s.loads);
+        loads.copied().max().unwrap_or(0)
+    }
+
+    /// `O(S)`: the per-shard counters are maintained incrementally.
+    #[inline]
+    fn nonempty(&self) -> usize {
+        self.shards.iter().map(|s| s.nonempty).sum()
+    }
+
+    fn occupied(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let router = self.router;
+        self.shards.iter().zip(0u32..).flat_map(move |(shard, s)| {
+            let column = shard.loads.iter().zip(0u32..);
+            column
+                .filter(|&(&l, _)| l > 0)
+                .map(move |(&l, idx)| (router.unroute(s, idx), l))
+        })
+    }
+
+    fn total(&self) -> u64 {
+        let loads = self.shards.iter().flat_map(|s| &s.loads);
+        loads.map(|&l| u64::from(l)).sum()
+    }
+
+    /// Materializes (and caches) the dense view — `O(n)`, so per-round
+    /// drivers use the cheap accessors instead.
+    fn config(&self) -> &Config {
+        self.dense.get_or_init(|| densify(self.n, self.occupied()))
     }
 }
 
@@ -213,33 +421,7 @@ fn apply_inbound(shard: &mut Shard, rows: &[OutRow], t: usize) {
 /// assert_eq!(p.balls(), 1024); // mass conserved
 /// assert_eq!(p.round(), 100);
 /// ```
-#[derive(Debug, Clone)]
-pub struct ShardedLoadProcess {
-    n: usize,
-    shard_count: usize,
-    router: Router,
-    shards: Vec<Shard>,
-    /// `outboxes[s][t]`: balls thrown by shard `s` into shard `t` this
-    /// round (column indices, draw order). Buffers are reused across
-    /// rounds.
-    outboxes: Vec<OutRow>,
-    round: u64,
-    balls: u64,
-    /// Uniform sampler keyed on `n`, shared by every shard (draws are
-    /// global destinations).
-    sampler: UniformSampler,
-    /// Lazily materialized dense view for `Engine::config`; invalidated on
-    /// every mutation.
-    dense: OnceCell<Config>,
-    /// Weight overlay — `None` in the unit configuration, where every step
-    /// path takes its original branch untouched.
-    weighted: Option<WeightOverlay>,
-    /// Observed capacity bounds ([`Capacities::Unbounded`] by default).
-    capacities: Capacities,
-    /// Global-destination scratch of the weighted round (per-shard draws
-    /// concatenated in shard order, each in draw order).
-    wdests: Vec<u32>,
-}
+pub type ShardedLoadProcess = LoadEngine<ShardedStore>;
 
 impl ShardedLoadProcess {
     /// Creates a sharded process from an initial configuration, the
@@ -256,60 +438,15 @@ impl ShardedLoadProcess {
     /// `SHARD_STREAM_SALT + s`. Each round, shard `s` consumes one uniform
     /// destination draw per ball it releases, in column order.
     pub fn new(config: Config, seed: u64, shards: usize) -> Self {
-        let n = config.n();
-        assert!(shards >= 1, "need at least one shard");
-        assert!(
-            shards <= n,
-            "shard count {shards} exceeds the bin count {n}"
-        );
-        // Bin indices are u32 throughout the workspace; a larger n would
-        // silently truncate destination draws in release builds.
-        assert!(
-            n <= u32::MAX as usize + 1,
-            "bin count {n} exceeds the u32 index range"
-        );
-        let router = Router::of(shards);
-        let balls = config.total_balls();
-        let mut shard_vec: Vec<Shard> = (0..shards)
-            .map(|s| Shard {
-                loads: vec![0u32; (n - s).div_ceil(shards)],
-                nonempty: 0,
-                rng: shard_rng(seed, s),
-                dests: Vec::new(),
-            })
-            .collect();
-        for (b, &l) in config.loads().iter().enumerate() {
-            if l > 0 {
-                // rbb-lint: allow(lossy-cast, reason = "b < n, and n fits the u32 index range (asserted above)")
-                let (s, idx) = router.route(b as u32);
-                shard_vec[s].loads[idx as usize] = l;
-                shard_vec[s].nonempty += 1;
-            }
-        }
-        Self {
-            n,
-            shard_count: shards,
-            router,
-            shards: shard_vec,
-            outboxes: vec![vec![Vec::new(); shards]; shards],
-            round: 0,
-            balls,
-            sampler: UniformSampler::new(n as u64),
-            dense: OnceCell::new(),
-            weighted: None,
-            capacities: Capacities::Unbounded,
-            wdests: Vec::new(),
-        }
+        Self::with_weights(config, seed, shards, Weights::Unit, Capacities::Unbounded)
     }
 
     /// Creates a weighted, capacity-observing sharded process.
     /// [`Weights::Unit`] (or an explicit all-ones vector) builds no overlay,
     /// so the unit configuration is the same engine as [`Self::new`]. At
     /// `shards = 1` the weighted trajectory — and every weighted metric —
-    /// is bit-identical to [`LoadProcess::with_weights`]; at `shards > 1`
-    /// it is law-equal, exactly as in the unit regime.
-    ///
-    /// [`LoadProcess::with_weights`]: crate::process::LoadProcess::with_weights
+    /// is bit-identical to the dense `with_weights`; at `shards > 1` it is
+    /// law-equal, exactly as in the unit regime.
     pub fn with_weights(
         config: Config,
         seed: u64,
@@ -317,302 +454,14 @@ impl ShardedLoadProcess {
         weights: Weights,
         capacities: Capacities,
     ) -> Self {
-        let weights = weights.normalized();
-        if let Err(e) = weights.validate(config.total_balls()) {
-            // rbb-lint: allow(panic, reason = "constructor contract violation, caught by spec-layer validation first")
-            panic!("invalid weights: {e}");
-        }
-        if let Err(e) = capacities.validate(config.n()) {
-            // rbb-lint: allow(panic, reason = "constructor contract violation, caught by spec-layer validation first")
-            panic!("invalid capacities: {e}");
-        }
-        let overlay = match &weights {
-            Weights::Unit => None,
-            Weights::Explicit(ws) => {
-                let entries = config
-                    .loads()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &l)| l > 0)
-                    // rbb-lint: allow(lossy-cast, reason = "enumerate index < n, which fits the u32 bin-index range")
-                    .map(|(b, &l)| (b as u32, l));
-                Some(WeightOverlay::from_entries(entries, ws))
-            }
-        };
-        let mut p = Self::new(config, seed, shards);
-        p.weighted = overlay;
-        p.capacities = capacities;
-        p
+        let store = ShardedStore::new(&config, shards);
+        let streams = (0..shards).map(|s| shard_rng(seed, s)).collect();
+        Self::from_parts(store, streams, weights, capacities)
     }
 
     /// Convenience constructor: `n` balls into `n` bins, one per bin.
     pub fn legitimate_start(n: usize, seed: u64, shards: usize) -> Self {
         Self::new(Config::one_per_bin(n), seed, shards)
-    }
-
-    /// Current round index (0 before any step).
-    #[inline]
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Number of bins.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Total ball count (rounds conserve it; the incremental
-    /// [`Engine::place`]/[`Engine::depart`] surface changes it).
-    #[inline]
-    pub fn balls(&self) -> u64 {
-        self.balls
-    }
-
-    /// The fixed shard count this process was built with.
-    #[inline]
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    /// Advances one round through the scalar reference path (sequential
-    /// phases, scalar draws). Bit-identical to
-    /// [`step_batched`](Self::step_batched) from equal state.
-    ///
-    /// # RNG stream
-    ///
-    /// Each shard consumes one uniform draw per ball it releases, from its
-    /// own stream — see [`Self::new`].
-    pub fn step(&mut self) -> usize {
-        if self.weighted.is_some() {
-            return self.step_weighted();
-        }
-        self.round_sequential(false)
-    }
-
-    /// Advances one round through the batched hot path: per-shard branchless
-    /// scans and batched Lemire draws, run through the thread pool once the
-    /// columns are large enough to amortize it. Bit-identical to
-    /// [`step`](Self::step) from equal state at any thread count.
-    ///
-    /// # RNG stream
-    ///
-    /// Identical to [`step`](Self::step): the batched sampler is
-    /// draw-for-draw compatible with the scalar one, and the
-    /// sequential-vs-parallel scheduling choice never touches an RNG.
-    pub fn step_batched(&mut self) -> usize {
-        if self.weighted.is_some() {
-            return self.step_weighted();
-        }
-        if self.shard_count == 1 || self.n < PAR_MIN_N {
-            self.round_sequential(true)
-        } else {
-            self.round_parallel()
-        }
-    }
-
-    /// The weighted round — always sequential, always batched draws (the
-    /// batched sampler is draw-for-draw compatible with the scalar one, so
-    /// `step` and `step_batched` stay bit-identical on weighted engines
-    /// too). Each shard's departing columns are recorded in column order
-    /// and paired with that shard's draws in draw order — the canonical
-    /// transport order, which at `shards = 1` is exactly the dense scan.
-    fn step_weighted(&mut self) -> usize {
-        let sampler = self.sampler;
-        let router = self.router;
-        let mut overlay = self
-            .weighted
-            .take()
-            // rbb-lint: allow(panic, reason = "only reached behind a weighted.is_some() guard in step/step_batched")
-            .expect("weighted step needs an overlay");
-        overlay.srcs.clear();
-        let mut dests = std::mem::take(&mut self.wdests);
-        dests.clear();
-        let mut departures = 0usize;
-        for (s, (shard, row)) in self
-            .shards
-            .iter_mut()
-            .zip(self.outboxes.iter_mut())
-            .enumerate()
-        {
-            for (idx, &l) in shard.loads.iter().enumerate() {
-                if l > 0 {
-                    // rbb-lint: allow(lossy-cast, reason = "unroute yields a bin < n, and n fits the u32 index range (asserted at construction)")
-                    overlay.srcs.push(router.unroute(s, idx) as u32);
-                }
-            }
-            departures += depart_and_throw(shard, row, &sampler, router, true);
-            // `shard.dests` still holds this shard's raw draws — global bin
-            // indices in draw order — which the routing above only read.
-            dests.extend_from_slice(&shard.dests);
-        }
-        for (t, shard) in self.shards.iter_mut().enumerate() {
-            apply_inbound(shard, &self.outboxes, t);
-        }
-        overlay.transport(&dests);
-        self.wdests = dests;
-        self.weighted = Some(overlay);
-        self.finish_round(departures)
-    }
-
-    /// Both phases in shard-index order on the calling thread.
-    fn round_sequential(&mut self, batched: bool) -> usize {
-        let sampler = self.sampler;
-        let router = self.router;
-        let mut departures = 0usize;
-        for (shard, row) in self.shards.iter_mut().zip(self.outboxes.iter_mut()) {
-            departures += depart_and_throw(shard, row, &sampler, router, batched);
-        }
-        for (t, shard) in self.shards.iter_mut().enumerate() {
-            apply_inbound(shard, &self.outboxes, t);
-        }
-        self.finish_round(departures)
-    }
-
-    /// Both phases through the thread pool, one task per shard, with a
-    /// barrier between them. Each task locks only its own shard's state
-    /// (the mutexes exist to satisfy the `Fn` closure bound; they are
-    /// uncontended by construction), so the result is identical to
-    /// [`round_sequential`](Self::round_sequential) with `batched = true`
-    /// at any worker count.
-    fn round_parallel(&mut self) -> usize {
-        let sampler = self.sampler;
-        let router = self.router;
-        let shard_count = self.shard_count;
-        let work: Vec<Mutex<(Shard, OutRow)>> = std::mem::take(&mut self.shards)
-            .into_iter()
-            .zip(std::mem::take(&mut self.outboxes))
-            .map(Mutex::new)
-            .collect();
-        let departures: usize = (0..shard_count)
-            .into_par_iter()
-            .map(|s| {
-                // rbb-lint: allow(panic, unordered-merge, reason = "commutes: task index = shard index, so each task locks only its own uncontended shard and no cross-task state merges; poisoning would mean a sibling panicked, which rayon re-raises anyway")
-                let mut guard = work[s].lock().expect("shard mutex poisoned");
-                let (shard, row) = &mut *guard;
-                // rbb-lint: allow(rng-in-par, reason = "shard.rng is the per-shard stream pre-salted with SHARD_STREAM_SALT at construction; tasks never share a stream")
-                depart_and_throw(shard, row, &sampler, router, true)
-            })
-            .collect::<Vec<usize>>()
-            .into_iter()
-            .sum();
-        let (shards, rows): (Vec<Shard>, Vec<OutRow>) = work
-            .into_iter()
-            // rbb-lint: allow(panic, reason = "all tasks have joined; a panicked task would have re-raised before this point")
-            .map(|m| m.into_inner().expect("shard mutex poisoned"))
-            .unzip();
-        let cells: Vec<Mutex<Shard>> = shards.into_iter().map(Mutex::new).collect();
-        let _: Vec<()> = (0..shard_count)
-            .into_par_iter()
-            .map(|t| {
-                // rbb-lint: allow(panic, unordered-merge, reason = "commutes: task index = shard index, so each task locks only its own uncontended shard and no cross-task state merges; poisoning would mean a sibling panicked, which rayon re-raises anyway")
-                let mut shard = cells[t].lock().expect("shard mutex poisoned");
-                apply_inbound(&mut shard, &rows, t);
-            })
-            .collect();
-        self.shards = cells
-            .into_iter()
-            // rbb-lint: allow(panic, reason = "all tasks have joined; a panicked task would have re-raised before this point")
-            .map(|m| m.into_inner().expect("shard mutex poisoned"))
-            .collect();
-        self.outboxes = rows;
-        self.finish_round(departures)
-    }
-
-    /// Closes a round: bumps the counter, invalidates the dense cache, and
-    /// (in debug builds) re-checks mass conservation and the incremental
-    /// non-empty counters.
-    fn finish_round(&mut self, departures: usize) -> usize {
-        self.round += 1;
-        self.dense.take();
-        debug_assert_eq!(
-            self.shards
-                .iter()
-                .flat_map(|s| s.loads.iter())
-                .map(|&l| l as u64)
-                .sum::<u64>(),
-            self.balls,
-            "mass violated"
-        );
-        debug_assert!(self
-            .shards
-            .iter()
-            .all(|s| s.nonempty == s.loads.iter().filter(|&&l| l > 0).count()));
-        debug_assert!(self.weighted.as_ref().is_none_or(|o| {
-            let router = self.router;
-            let occupied = self.shards.iter().enumerate().flat_map(|(s, shard)| {
-                shard
-                    .loads
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &l)| l > 0)
-                    // rbb-lint: allow(lossy-cast, reason = "unroute yields a global bin index < n, and n fits u32")
-                    .map(move |(idx, &l)| (router.unroute(s, idx) as u32, l))
-            });
-            o.check_against(occupied).is_ok()
-        }));
-        departures
-    }
-
-    /// Captures the complete resumable state: the de-strided loads in
-    /// canonical (bin-sorted) order and every shard's raw RNG stream state,
-    /// in shard order. Outboxes and draw scratch are round-scoped and carry
-    /// no state across rounds, so they are not captured.
-    pub fn snapshot_state(&self) -> SnapshotState {
-        let mut entries = Vec::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            for (idx, &l) in shard.loads.iter().enumerate() {
-                if l > 0 {
-                    // rbb-lint: allow(lossy-cast, reason = "unroute yields a bin < n, and n fits the u32 index range (asserted at construction)")
-                    entries.push((self.router.unroute(s, idx) as u32, l));
-                }
-            }
-        }
-        entries.sort_unstable();
-        let weighted = weighted_section(self.weighted.as_ref(), &self.capacities);
-        SnapshotState {
-            version: if weighted.is_some() {
-                SNAPSHOT_VERSION_WEIGHTED
-            } else {
-                SNAPSHOT_VERSION
-            },
-            engine: ENGINE_SHARDED.to_string(),
-            n: self.n,
-            shards: self.shard_count,
-            round: self.round,
-            balls: self.balls,
-            entries,
-            rng_states: self.shards.iter().map(|s| s.rng.state()).collect(),
-            weighted,
-        }
-    }
-
-    /// Rebuilds a sharded process from a snapshot (validated first); the
-    /// restored process resumes the snapshotted trajectory bit-identically
-    /// at the snapshot's shard count.
-    pub fn from_snapshot(state: &SnapshotState) -> Result<Self, SnapshotError> {
-        state.validate()?;
-        if state.engine != ENGINE_SHARDED {
-            return Err(SnapshotError(format!(
-                "expected a {ENGINE_SHARDED} snapshot, got '{}'",
-                state.engine
-            )));
-        }
-        // The seed only feeds the freshly derived streams, which the loop
-        // below overwrites with the captured states.
-        let mut p = Self::new(Config::from_loads(state.dense_loads()), 0, state.shards);
-        for (shard, &captured) in p.shards.iter_mut().zip(&state.rng_states) {
-            // rbb-lint: allow(rng-construct, reason = "restoring serialized stream states captured from a live engine snapshot, not seeding new streams")
-            shard.rng = Xoshiro256pp::from_state(captured);
-        }
-        p.round = state.round;
-        if let Some(w) = &state.weighted {
-            p.capacities = w.capacities()?;
-            if !w.queues.is_empty() {
-                p.weighted = Some(WeightOverlay::from_queues(&w.queues));
-            }
-        }
-        Ok(p)
     }
 }
 
@@ -627,238 +476,25 @@ fn shard_rng(seed: u64, s: usize) -> Xoshiro256pp {
     }
 }
 
-impl Engine for ShardedLoadProcess {
-    #[inline]
-    fn step(&mut self) -> usize {
-        ShardedLoadProcess::step(self)
-    }
-
-    #[inline]
-    fn step_batched(&mut self) -> usize {
-        ShardedLoadProcess::step_batched(self)
-    }
-
-    #[inline]
-    fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Materializes (and caches) the dense snapshot — `O(n)`, so per-round
-    /// drivers use the cheap accessors below instead.
-    fn config(&self) -> &Config {
-        self.dense.get_or_init(|| {
-            let mut loads = vec![0u32; self.n];
-            for (s, shard) in self.shards.iter().enumerate() {
-                for (idx, &l) in shard.loads.iter().enumerate() {
-                    loads[self.router.unroute(s, idx)] = l;
-                }
-            }
-            Config::from_loads(loads)
-        })
-    }
-
-    #[inline]
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn balls(&self) -> u64 {
-        self.balls
-    }
-
-    fn max_load(&self) -> u32 {
-        self.shards
-            .iter()
-            .flat_map(|s| s.loads.iter())
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
-
-    #[inline]
-    fn empty_bins(&self) -> usize {
-        self.n - self.nonempty_bins()
-    }
-
-    /// `O(S)`: the per-shard non-empty counters are maintained
-    /// incrementally.
-    #[inline]
-    fn nonempty_bins(&self) -> usize {
-        self.shards.iter().map(|s| s.nonempty).sum()
-    }
-
-    #[inline]
-    fn bin_load(&self, bin: usize) -> u32 {
-        debug_assert!(bin < self.n);
-        // rbb-lint: allow(lossy-cast, reason = "bin < n, and n fits the u32 index range (asserted at construction)")
-        let (s, idx) = self.router.route(bin as u32);
-        self.shards[s].loads[idx as usize]
-    }
-
-    fn supports_faults(&self) -> bool {
-        true
-    }
-
-    /// Placement-based fault: rebuilds the columns from `placement[ball] =
-    /// bin`. Consumes no engine randomness, exactly like the dense engine's
-    /// fault path, so post-fault trajectories stay law-equal (and, at
-    /// `shards = 1`, bit-identical).
-    fn apply_fault(&mut self, placement: &[usize]) {
-        assert_eq!(
-            placement.len() as u64,
-            self.balls,
-            "adversary must conserve balls"
-        );
-        for shard in self.shards.iter_mut() {
-            shard.loads.fill(0);
-            shard.nonempty = 0;
-        }
-        for &bin in placement {
-            assert!(bin < self.n, "bin {bin} out of range 0..{}", self.n);
-            // rbb-lint: allow(lossy-cast, reason = "bin < n, and n fits the u32 index range (asserted at construction)")
-            let (s, idx) = self.router.route(bin as u32);
-            let shard = &mut self.shards[s];
-            let slot = &mut shard.loads[idx as usize];
-            shard.nonempty += (*slot == 0) as usize;
-            *slot += 1;
-        }
-        self.dense.take();
-    }
-
-    fn supports_incremental(&self) -> bool {
-        true
-    }
-
-    /// Incremental arrival: one uniform destination draw from **shard 0's**
-    /// stream (the engine-convention stream, so at `shards = 1` this is
-    /// bit-compatible with the dense engine's `place`).
-    fn place(&mut self) -> usize {
-        self.place_weighted(1)
-    }
-
-    /// Same shard-0 RNG draw as [`place`](Engine::place) — the weight only
-    /// feeds the overlay. A unit process accepts weight 1 only.
-    fn place_weighted(&mut self, weight: u32) -> usize {
-        assert!(
-            self.balls < u32::MAX as u64,
-            "place would overflow the u32 load bound"
-        );
-        assert!(
-            weight == 1 || self.weighted.is_some(),
-            "this process is unit-weight: only weight-1 placements are supported"
-        );
-        assert!(weight >= 1, "placed weight must be at least 1");
-        let b = self.shards[0].rng.uniform_usize(self.n);
-        // rbb-lint: allow(lossy-cast, reason = "draws are < n, and n fits the u32 index range (asserted at construction)")
-        let (s, idx) = self.router.route(b as u32);
-        let shard = &mut self.shards[s];
-        let slot = &mut shard.loads[idx as usize];
-        shard.nonempty += (*slot == 0) as usize;
-        *slot += 1;
-        self.balls += 1;
-        if let Some(o) = &mut self.weighted {
-            // rbb-lint: allow(lossy-cast, reason = "draws are < n, and n fits the u32 index range (asserted at construction)")
-            o.place(b as u32, weight);
-        }
-        self.dense.take();
-        b
-    }
-
-    fn depart(&mut self, bin: usize) -> bool {
-        if bin >= self.n {
-            return false;
-        }
-        // rbb-lint: allow(lossy-cast, reason = "bin < n, and n fits the u32 index range (asserted at construction)")
-        let (s, idx) = self.router.route(bin as u32);
-        let shard = &mut self.shards[s];
-        let slot = &mut shard.loads[idx as usize];
-        if *slot == 0 {
-            return false;
-        }
-        *slot -= 1;
-        shard.nonempty -= (*slot == 0) as usize;
-        self.balls -= 1;
-        if let Some(o) = &mut self.weighted {
-            // rbb-lint: allow(lossy-cast, reason = "bin < n, and n fits the u32 index range (asserted at construction)")
-            o.depart(bin as u32);
-        }
-        self.dense.take();
-        true
-    }
-
-    fn weighted(&self) -> bool {
-        self.weighted.is_some()
-    }
-
-    fn total_weight(&self) -> u64 {
-        self.weighted
-            .as_ref()
-            .map_or(self.balls, WeightOverlay::total)
-    }
-
-    fn weighted_max_load(&self) -> u64 {
-        match &self.weighted {
-            Some(o) => o.weighted_max_load(),
-            None => u64::from(Engine::max_load(self)),
-        }
-    }
-
-    fn weighted_bin_load(&self, bin: usize) -> u64 {
-        match &self.weighted {
-            // rbb-lint: allow(lossy-cast, reason = "out-of-range bins read as empty, matching the unit path's 0 load")
-            Some(o) => o.weighted_load(bin as u32),
-            None => {
-                if bin >= self.n {
-                    return 0;
-                }
-                u64::from(Engine::bin_load(self, bin))
-            }
-        }
-    }
-
-    fn capacities(&self) -> &Capacities {
-        &self.capacities
-    }
-
-    fn capacity_violations(&self) -> u64 {
-        match &self.weighted {
-            Some(o) => o.capacity_violations(&self.capacities),
-            None => {
-                if self.capacities.is_unbounded() {
-                    return 0;
-                }
-                (0..self.n)
-                    .filter(|&b| {
-                        self.capacities
-                            .bound(b)
-                            .is_some_and(|c| u64::from(Engine::bin_load(self, b)) > c)
-                    })
-                    .count() as u64
-            }
-        }
-    }
-
-    fn snapshot(&self) -> Option<SnapshotState> {
-        Some(self.snapshot_state())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, Incremental};
+    use crate::load::tests::{
+        assert_matches_reference, assert_place_and_depart, assert_snapshot_round_trip,
+        assert_unit_weights_build_the_same_engine, assert_weighted_place_and_depart,
+    };
     use crate::process::LoadProcess;
 
     /// Steps a dense/sharded pair in lockstep, asserting full agreement —
     /// only meaningful at `shards = 1` (the bit-identity case).
     fn assert_twins(mut dense: LoadProcess, mut sharded: ShardedLoadProcess, rounds: u64) {
         for r in 0..rounds {
-            let (a, b) = if r % 3 == 0 {
-                (dense.step(), sharded.step())
-            } else {
-                (Engine::step_batched(&mut dense), sharded.step_batched())
-            };
-            assert_eq!(a, b, "departure count diverged at round {r}");
+            assert_eq!(
+                dense.step(),
+                sharded.step(),
+                "departure count diverged at round {r}"
+            );
             assert_eq!(Engine::max_load(&dense), Engine::max_load(&sharded));
             assert_eq!(Engine::empty_bins(&dense), Engine::empty_bins(&sharded));
             assert_eq!(dense.config(), Engine::config(&sharded), "round {r}");
@@ -890,38 +526,29 @@ mod tests {
     #[test]
     fn scalar_and_batched_are_bit_identical_at_every_shard_count() {
         for shards in [1usize, 2, 3, 4, 7] {
-            let mut scalar = ShardedLoadProcess::legitimate_start(96, 21, shards);
-            let mut batched = scalar.clone();
-            for r in 0..200 {
-                let a = scalar.step();
-                let b = batched.step_batched();
-                assert_eq!(a, b, "shards={shards} round {r}");
-                assert_eq!(
-                    Engine::config(&scalar),
-                    Engine::config(&batched),
-                    "shards={shards} round {r}"
-                );
-            }
+            let mut p = ShardedLoadProcess::legitimate_start(96, 21, shards);
+            assert_matches_reference(&mut p, 200);
         }
     }
 
     #[test]
     fn parallel_round_matches_sequential_round() {
-        // The mutex-and-barrier parallel body must produce exactly the
-        // sequential body's state, shard count and start regardless.
+        // The mutex-and-barrier parallel driver must produce exactly the
+        // sequential driver's state, shard count and start regardless.
         for shards in [2usize, 4, 7] {
             let mut seq = ShardedLoadProcess::new(Config::all_in_one(257, 300), 3, shards);
             let mut par = seq.clone();
             for r in 0..120 {
-                let a = seq.round_sequential(true);
-                let b = par.round_parallel();
+                let a = seq.store.round_sequential(&mut seq.draws, None);
+                let b = par.store.round_parallel(&mut par.draws);
                 assert_eq!(a, b, "shards={shards} round {r}");
                 assert_eq!(
-                    Engine::config(&seq),
-                    Engine::config(&par),
+                    seq.store.entries(),
+                    par.store.entries(),
                     "shards={shards} round {r}"
                 );
             }
+            assert_eq!(seq.draws.streams, par.draws.streams, "shards={shards}");
         }
     }
 
@@ -954,7 +581,7 @@ mod tests {
         let mut p = ShardedLoadProcess::new(Config::all_in_one(64, 40), 11, 4);
         for _ in 0..100 {
             let before = Engine::nonempty_bins(&p);
-            let moved = p.step_batched();
+            let moved = p.step();
             assert_eq!(moved, before);
         }
     }
@@ -989,8 +616,7 @@ mod tests {
         let mut dense = LoadProcess::legitimate_start(32, 21);
         let mut sharded = ShardedLoadProcess::legitimate_start(32, 21, 1);
         for _ in 0..40 {
-            dense.step();
-            sharded.step();
+            assert_eq!(dense.step(), sharded.step());
         }
         let placement: Vec<usize> = (0..32).map(|i| i % 5).collect();
         Engine::apply_fault(&mut dense, &placement);
@@ -1035,39 +661,19 @@ mod tests {
     #[test]
     fn snapshot_restore_resumes_bit_identically_at_any_shard_count() {
         for shards in [1usize, 3, 4] {
-            let mut p = ShardedLoadProcess::new(Config::all_in_one(96, 120), 27, shards);
-            p.run_silent(30);
-            let snap = Engine::snapshot(&p).expect("sharded engine snapshots");
-            assert_eq!(snap.rng_states.len(), shards);
-            assert!(
-                snap.entries.windows(2).all(|w| w[0].0 < w[1].0),
-                "entries must be in canonical bin order"
-            );
-            let mut q = ShardedLoadProcess::from_snapshot(&snap).unwrap();
-            assert_eq!(Engine::round(&q), 30);
-            for _ in 0..50 {
-                // Mixing the paths is fine: they are bit-identical.
-                p.step();
-                q.step_batched();
-            }
-            assert_eq!(Engine::config(&p), Engine::config(&q), "shards={shards}");
-            assert_eq!(Engine::snapshot(&p), Engine::snapshot(&q));
+            let p = ShardedLoadProcess::new(Config::all_in_one(96, 120), 27, shards);
+            assert_eq!(Engine::snapshot(&p).unwrap().rng_states.len(), shards);
+            assert_snapshot_round_trip(p, 30);
         }
     }
 
     #[test]
     fn place_and_depart_maintain_shard_counters() {
         let mut p = ShardedLoadProcess::legitimate_start(60, 19, 7);
-        assert!(Engine::supports_incremental(&p));
-        let b = Engine::place(&mut p);
-        assert!(b < 60);
-        assert_eq!(p.balls(), 61);
-        assert_eq!(Engine::bin_load(&p, b), 2);
-        assert!(Engine::depart(&mut p, b));
-        assert!(Engine::depart(&mut p, b));
-        assert!(!Engine::depart(&mut p, b), "bin drained");
-        assert!(!Engine::depart(&mut p, 60), "out of range is a no-op");
-        assert_eq!(p.balls(), 59);
+        assert_place_and_depart(p.clone());
+        let b = p.place();
+        assert!(p.depart(b) && p.depart(b));
+        assert!(!p.depart(b), "bin drained");
         assert_eq!(Engine::nonempty_bins(&p), 59);
         // Debug builds recount the incremental counters every round.
         p.run_silent(20);
@@ -1079,7 +685,7 @@ mod tests {
         let mut dense = LoadProcess::legitimate_start(64, 51);
         let mut sharded = ShardedLoadProcess::legitimate_start(64, 51, 1);
         for _ in 0..30 {
-            assert_eq!(Engine::place(&mut dense), Engine::place(&mut sharded));
+            assert_eq!(dense.place(), sharded.place());
         }
         assert_twins(dense, sharded, 40);
     }
@@ -1093,10 +699,10 @@ mod tests {
             for b in 0..n as u32 {
                 let (s, idx) = router.route(b);
                 assert!(s < shards);
-                let back = router.unroute(s, idx as usize);
-                assert_eq!(back, b as usize);
-                assert!(!seen[back]);
-                seen[back] = true;
+                let back = router.unroute(s as u32, idx);
+                assert_eq!(back, b);
+                assert!(!seen[back as usize]);
+                seen[back as usize] = true;
             }
             assert!(seen.iter().all(|&v| v));
         }
@@ -1144,9 +750,11 @@ mod tests {
             ShardedLoadProcess::with_weights(Config::one_per_bin(n), 81, 1, weights, caps);
         assert!(Engine::weighted(&sharded));
         for r in 0..160 {
-            let a = dense.step_batched();
-            let b = sharded.step_batched();
-            assert_eq!(a, b, "departure count diverged at round {r}");
+            assert_eq!(
+                dense.step(),
+                sharded.step(),
+                "departure count diverged at round {r}"
+            );
             assert_eq!(
                 Engine::weighted_max_load(&dense),
                 Engine::weighted_max_load(&sharded),
@@ -1181,9 +789,7 @@ mod tests {
         let mut b = make();
         let total = Engine::total_weight(&a);
         for _ in 0..120 {
-            // step and step_batched share the weighted round body.
-            a.step();
-            b.step_batched();
+            assert_eq!(a.step(), b.step());
             assert_eq!(Engine::total_weight(&a), total);
         }
         assert_eq!(Engine::config(&a), Engine::config(&b));
@@ -1191,66 +797,41 @@ mod tests {
         assert!(Engine::weighted_max_load(&a) >= u64::from(Engine::max_load(&a)));
     }
 
+    fn zipf_process(n: usize, seed: u64, shards: usize, caps: Capacities) -> ShardedLoadProcess {
+        let weights = Weights::zipf(n as u64, 1.0, 20);
+        ShardedLoadProcess::with_weights(Config::one_per_bin(n), seed, shards, weights, caps)
+    }
+
     #[test]
     fn weighted_snapshot_round_trips_at_any_shard_count() {
         for shards in [1usize, 3, 4] {
-            let mut p = ShardedLoadProcess::with_weights(
-                Config::one_per_bin(60),
-                83,
-                shards,
-                Weights::zipf(60, 1.0, 20),
-                Capacities::Uniform(25),
-            );
-            p.run_silent(21);
-            let snap = Engine::snapshot(&p).expect("sharded engine snapshots");
-            assert_eq!(snap.version, SNAPSHOT_VERSION_WEIGHTED);
-            let mut q = ShardedLoadProcess::from_snapshot(&snap).unwrap();
-            assert_eq!(Engine::total_weight(&q), Engine::total_weight(&p));
-            assert_eq!(Engine::capacities(&q), &Capacities::Uniform(25));
-            for _ in 0..40 {
-                p.step_batched();
-                q.step_batched();
-            }
-            assert_eq!(Engine::config(&p), Engine::config(&q), "shards={shards}");
-            assert_eq!(Engine::snapshot(&p), Engine::snapshot(&q));
+            let p = zipf_process(60, 83, shards, Capacities::Uniform(25));
+            assert_snapshot_round_trip(p, 21);
         }
     }
 
     #[test]
     fn unit_weights_build_the_same_sharded_engine() {
-        let mut plain = ShardedLoadProcess::legitimate_start(64, 84, 4);
-        let mut unit = ShardedLoadProcess::with_weights(
+        let unit = ShardedLoadProcess::with_weights(
             Config::one_per_bin(64),
             84,
             4,
             Weights::Explicit(vec![1; 64]),
             Capacities::Unbounded,
         );
-        assert!(unit.weighted.is_none(), "all-ones collapses to no overlay");
-        for _ in 0..80 {
-            plain.step_batched();
-            unit.step_batched();
-        }
-        assert_eq!(Engine::snapshot(&plain), Engine::snapshot(&unit));
+        assert_unit_weights_build_the_same_engine(
+            ShardedLoadProcess::legitimate_start(64, 84, 4),
+            unit,
+        );
     }
 
     #[test]
     fn weighted_place_draws_from_shard_zero() {
-        let mut p = ShardedLoadProcess::with_weights(
-            Config::one_per_bin(32),
-            85,
-            2,
-            Weights::zipf(32, 1.0, 20),
-            Capacities::Unbounded,
-        );
-        let total = Engine::total_weight(&p);
-        let b = Engine::place_weighted(&mut p, 9);
-        assert_eq!(Engine::total_weight(&p), total + 9);
-        assert!(Engine::weighted_bin_load(&p, b) >= 9);
-        assert!(Engine::depart(&mut p, b));
-        assert_eq!(p.balls(), 32);
-        p.run_silent(10);
-        assert_eq!(p.balls(), 32);
+        let p = zipf_process(32, 85, 2, Capacities::Unbounded);
+        let mut shard_zero = p.draws.streams[0].clone();
+        assert_weighted_place_and_depart(p.clone());
+        let mut q = p;
+        assert_eq!(q.place_weighted(9), shard_zero.uniform_usize(32));
     }
 
     #[test]

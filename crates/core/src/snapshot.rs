@@ -3,7 +3,7 @@
 //! A [`SnapshotState`] captures everything a load engine needs to resume a
 //! trajectory *exactly*: the occupied-bin loads, the raw 256-bit state of
 //! every RNG stream the engine owns, and the round/ball counters. Restoring
-//! through [`restore`] (or the per-engine `from_snapshot` constructors)
+//! through [`restore`] (or [`crate::load::LoadEngine::from_snapshot`])
 //! yields an engine whose remaining trajectory is bit-identical to the
 //! uninterrupted run — the contract `tests/proptest_snapshot.rs` and the
 //! `ci.sh` serve stage pin for the dense, sparse, and sharded engines.
@@ -307,24 +307,17 @@ impl SnapshotState {
         Ok(())
     }
 
-    /// The dense load vector encoded by `entries`. Call after
-    /// [`Self::validate`]; entries out of range are ignored here.
+    /// The dense load vector encoded by `entries` (validated first).
+    #[cfg(test)]
     pub(crate) fn dense_loads(&self) -> Vec<u32> {
-        let mut loads = vec![0u32; self.n];
-        for &(bin, load) in &self.entries {
-            if let Some(slot) = loads.get_mut(bin as usize) {
-                *slot = load;
-            }
-        }
-        loads
+        crate::load::densify(self.n, self.entries.iter().copied()).into_loads()
     }
 }
 
 /// Validates `state` and rebuilds the engine it came from, boxed behind the
 /// [`Engine`] trait — the daemon-side restore entry point. Dispatches on the
-/// `engine` kind tag to [`LoadProcess::from_snapshot`],
-/// [`SparseLoadProcess::from_snapshot`], or
-/// [`ShardedLoadProcess::from_snapshot`].
+/// `engine` kind tag to the matching storage's
+/// [`LoadEngine::from_snapshot`](crate::load::LoadEngine::from_snapshot).
 pub fn restore(state: &SnapshotState) -> Result<Box<dyn Engine>, SnapshotError> {
     state.validate()?;
     match state.engine.as_str() {

@@ -3,13 +3,13 @@
 //!
 //! [`crate::process::LoadProcess`] scans a dense `Vec<u32>` of all `n` bins
 //! every round, so a round costs `O(n)` even when only a few thousand bins
-//! are ever occupied. [`SparseLoadProcess`] stores **only the occupied
-//! bins** — an index→load hash map plus an unordered worklist of occupied
-//! indices — so one round costs `O(#non-empty bins + departures)` and
-//! resident memory is `O(m)`, independent of `n`. That unlocks the regime
-//! the paper's stability claims are most interesting in at scale
-//! (`n = 10^8`, `m = 10^3..10^5`), where the dense engine cannot even
-//! afford its own load vector comfortably.
+//! are ever occupied. [`SparseStore`] holds **only the occupied bins** — an
+//! index→load hash map plus an unordered worklist of occupied indices — so
+//! one round of [`SparseLoadProcess`] costs `O(#non-empty bins +
+//! departures)` and resident memory is `O(m)`, independent of `n`. That
+//! unlocks the regime the paper's stability claims are most interesting in
+//! at scale (`n = 10^8`, `m = 10^3..10^5`), where the dense engine cannot
+//! even afford its own load vector comfortably.
 //!
 //! # Why the two engines are bit-identical
 //!
@@ -18,50 +18,200 @@
 //! i.i.d. uniform destination over `[0, n)`. The *number* of draws depends
 //! only on how many bins are non-empty — never on how the loads are stored
 //! — and both engines draw through the same primitive
-//! ([`Xoshiro256pp::uniform_usize`] scalar / [`UniformSampler`] batched,
-//! themselves bit-compatible). So from the same seed and the same starting
-//! configuration, the dense and sparse engines consume identical RNG
-//! streams and traverse identical configuration trajectories, round for
-//! round — including across `apply_fault` reassignments, which consume no
-//! engine randomness. The cross-engine proptests (`tests/proptest_sparse.rs`)
-//! pin this over the full factory matrix, fault injection included.
+//! ([`UniformSampler`](crate::sampling::UniformSampler), draw-for-draw
+//! compatible with `Xoshiro256pp::uniform_usize`). So from the same seed
+//! and the same starting configuration, the dense and sparse engines
+//! consume identical RNG streams and traverse identical configuration
+//! trajectories, round for round — including across `apply_fault`
+//! reassignments, which consume no engine randomness. The cross-engine
+//! proptests (`tests/proptest_sparse.rs`) pin this over the full factory
+//! matrix, fault injection and weights included.
 //!
 //! # Observing without densifying
 //!
-//! [`Engine::config`] must hand out a dense [`Config`]; the sparse engine
+//! [`Engine::config`] must hand out a dense [`Config`]; the sparse storage
 //! materializes one lazily into a [`OnceCell`] cache (invalidated by every
 //! mutation), so callers that genuinely need the dense view — final
 //! inspection, the adversary's `placement(…, &Config, …)`, equivalence
 //! tests — pay `O(n)` only when they ask. The per-round driver surface
-//! ([`Engine::max_load`], [`Engine::empty_bins`], [`Engine::nonempty_bins`],
-//! [`Engine::bin_load`], [`Engine::nonempty_bins_list`]) is overridden with
-//! `O(#occupied)`-or-better implementations, and the `rbb_sim` scenario
-//! loop and [`crate::metrics::ObserverStack::observe_engine`] read only
-//! that surface.
+//! (`max_load`, `empty_bins`, `nonempty_bins`, `bin_load`,
+//! `nonempty_bins_list`) is answered in `O(#occupied)` or better, and the
+//! `rbb_sim` scenario loop and
+//! [`crate::metrics::ObserverStack::observe_engine`] read only that
+//! surface.
+//!
+//! [`Engine::config`]: crate::engine::Engine::config
 
 use std::cell::OnceCell;
-use std::collections::hash_map::Entry;
 
 use crate::config::Config;
 use crate::det_hash::DetHashMap;
-use crate::engine::Engine;
-use crate::process::weighted_section;
+use crate::load::{densify, Draws, LoadEngine, LoadStore};
 use crate::rng::Xoshiro256pp;
-use crate::sampling::UniformSampler;
-use crate::snapshot::{
-    SnapshotError, SnapshotState, ENGINE_SPARSE, SNAPSHOT_VERSION, SNAPSHOT_VERSION_WEIGHTED,
-};
-use crate::weights::{Capacities, WeightOverlay, Weights};
+use crate::snapshot::{SnapshotState, ENGINE_SPARSE};
+use crate::weights::{Capacities, Weights};
 
-/// Occupancy map type of the sparse engine: bin index → load, keyed through
-/// the workspace-wide deterministic hasher ([`crate::det_hash`] — formerly
-/// this module's private `BinHasher`, hoisted so every result-affecting map
-/// shares one implementation). The std default (`RandomState`/SipHash)
-/// would be several times slower on 4-byte keys *and* randomly seeded per
-/// process, making map layout — and therefore debugging — non-reproducible.
-/// Bin indices are uniform random draws, so no adversarial-key defense is
-/// needed here.
+/// Occupancy map of the sparse storage: bin index → load, keyed through the
+/// workspace-wide deterministic hasher ([`crate::det_hash`]). The std
+/// default (SipHash, randomly seeded) would be several times slower on
+/// 4-byte keys and make map layout non-reproducible; bin indices are
+/// uniform draws, so no adversarial-key defense is needed.
 type LoadMap = DetHashMap<u32, u32>;
+
+/// Sparse load storage: the occupied bins only.
+#[derive(Debug, Clone)]
+pub struct SparseStore {
+    n: usize,
+    /// Occupied bins only: `loads[&b]` ≥ 1 always.
+    loads: LoadMap,
+    /// Unordered worklist of the occupied bin indices — the round's
+    /// departure scan iterates this, never `[0, n)`.
+    occupied: Vec<u32>,
+    /// Lazily materialized dense view for `Engine::config`; invalidated on
+    /// every mutation, so steady-state stepping never allocates `O(n)`.
+    dense: OnceCell<Config>,
+}
+
+impl SparseStore {
+    /// Builds from `(bin, load)` entries: duplicate bins merge, zero loads
+    /// are ignored. Panics if `n == 0`, a bin is out of range, or the total
+    /// exceeds `u32::MAX` (the per-bin capacity — see [`Config::from_loads`]).
+    fn from_entries(n: usize, entries: impl IntoIterator<Item = (u32, u32)>) -> Self {
+        assert!(n > 0, "a configuration needs at least one bin");
+        // Bin indices are u32 throughout the workspace; a larger n would
+        // silently truncate destination draws in release builds.
+        assert!(
+            n <= u32::MAX as usize + 1,
+            "bin count {n} exceeds the u32 index range"
+        );
+        let mut store = Self {
+            n,
+            loads: LoadMap::default(),
+            occupied: Vec::new(),
+            dense: OnceCell::new(),
+        };
+        let mut balls = 0u64;
+        for (bin, load) in entries {
+            assert!((bin as usize) < n, "bin {bin} out of range 0..{n}");
+            if load > 0 {
+                balls += u64::from(load);
+                store.add(bin, load);
+            }
+        }
+        assert!(
+            balls <= u64::from(u32::MAX),
+            "total ball count {balls} exceeds u32::MAX and could overflow a single bin"
+        );
+        store
+    }
+
+    /// Adds `load` balls to bin `b`, without invalidating the dense view.
+    #[inline]
+    fn add(&mut self, b: u32, load: u32) {
+        let occupied = &mut self.occupied;
+        *self.loads.entry(b).or_insert_with(|| {
+            occupied.push(b);
+            0
+        }) += load;
+    }
+}
+
+impl LoadStore for SparseStore {
+    const KIND: &'static str = ENGINE_SPARSE;
+
+    fn restore(state: &SnapshotState) -> Self {
+        Self::from_entries(state.n, state.entries.iter().copied())
+    }
+
+    #[inline]
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Every occupied bin releases one ball (bins reaching zero leave the
+    /// map and the worklist), then the departures draw their destinations
+    /// in one batch. Departing bins enter `srcs` in **ascending bin
+    /// order** — the dense scan's order — so the weighted sparse engine is
+    /// bit-identical to the weighted dense engine although the worklist is
+    /// unordered.
+    fn round(&mut self, draws: &mut Draws, srcs: Option<&mut Vec<u32>>) -> usize {
+        if let Some(srcs) = srcs {
+            srcs.extend_from_slice(&self.occupied);
+            srcs.sort_unstable();
+        }
+        let loads = &mut self.loads;
+        let departures = self.occupied.len();
+        self.occupied.retain(|&b| match loads.get_mut(&b) {
+            Some(slot) if *slot > 1 => {
+                *slot -= 1;
+                true
+            }
+            _ => {
+                loads.remove(&b);
+                false
+            }
+        });
+        draws.dests.resize(departures, 0);
+        draws
+            .sampler
+            .fill_u32(&mut draws.streams[0], &mut draws.dests);
+        for &b in &draws.dests {
+            self.add(b, 1);
+        }
+        self.dense.take();
+        debug_assert_eq!(self.loads.len(), self.occupied.len());
+        departures
+    }
+
+    fn arrive(&mut self, bin: u32) {
+        self.add(bin, 1);
+        self.dense.take();
+    }
+
+    fn remove(&mut self, bin: u32) -> bool {
+        let Some(slot) = self.loads.get_mut(&bin) else {
+            return false;
+        };
+        *slot -= 1;
+        if *slot == 0 {
+            self.loads.remove(&bin);
+            self.occupied.retain(|&x| x != bin);
+        }
+        self.dense.take();
+        true
+    }
+
+    fn clear(&mut self) {
+        self.loads.clear();
+        self.occupied.clear();
+        self.dense.take();
+    }
+
+    #[inline]
+    fn load(&self, bin: usize) -> u32 {
+        u32::try_from(bin)
+            .ok()
+            .and_then(|b| self.loads.get(&b))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    #[inline]
+    fn nonempty(&self) -> usize {
+        self.loads.len()
+    }
+
+    fn occupied(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        // rbb-lint: allow(unordered-iter, reason = "callers fold order-independently (max, sum, count, check) or sort (entries)")
+        self.loads.iter().map(|(&b, &l)| (b, l))
+    }
+
+    /// Materializes (and caches) the dense view — `O(n)`, so per-round
+    /// drivers use the cheap accessors instead (see the module docs).
+    fn config(&self) -> &Config {
+        self.dense.get_or_init(|| densify(self.n, self.occupied()))
+    }
+}
 
 /// Sparse load-only repeated balls-into-bins simulator: bit-identical in
 /// trajectory to [`LoadProcess`](crate::process::LoadProcess) from the same
@@ -82,30 +232,7 @@ type LoadMap = DetHashMap<u32, u32>;
 /// assert_eq!(p.balls(), 1_000);
 /// assert!(Engine::max_load(&p) >= 1);
 /// ```
-#[derive(Debug, Clone)]
-pub struct SparseLoadProcess {
-    n: usize,
-    rng: Xoshiro256pp,
-    round: u64,
-    balls: u64,
-    /// Occupied bins only: `loads[&b]` ≥ 1 always.
-    loads: LoadMap,
-    /// Unordered worklist of the occupied bin indices — the round's
-    /// departure scan iterates this, never `[0, n)`.
-    occupied: Vec<u32>,
-    /// Uniform sampler keyed on `n` (cached, like the dense engine's).
-    sampler: UniformSampler,
-    /// Destination scratch for the batched path.
-    dests: Vec<u32>,
-    /// Lazily materialized dense view for `Engine::config`; invalidated on
-    /// every mutation, so steady-state stepping never allocates `O(n)`.
-    dense: OnceCell<Config>,
-    /// Weight overlay — `None` in the unit configuration, where every step
-    /// path takes its original branch untouched.
-    weighted: Option<WeightOverlay>,
-    /// Observed capacity bounds ([`Capacities::Unbounded`] by default).
-    capacities: Capacities,
-}
+pub type SparseLoadProcess = LoadEngine<SparseStore>;
 
 impl SparseLoadProcess {
     /// Creates a sparse process from occupied-bin `(bin, load)` entries —
@@ -126,94 +253,25 @@ impl SparseLoadProcess {
         entries: impl IntoIterator<Item = (u32, u32)>,
         rng: Xoshiro256pp,
     ) -> Self {
-        assert!(n > 0, "a configuration needs at least one bin");
-        // Bin indices are u32 throughout the workspace; a larger n would
-        // silently truncate destination draws (`as u32`) in release builds.
-        assert!(
-            n <= u32::MAX as usize + 1,
-            "bin count {n} exceeds the u32 index range"
-        );
-        let mut loads = LoadMap::default();
-        let mut occupied = Vec::new();
-        let mut balls = 0u64;
-        for (bin, load) in entries {
-            assert!((bin as usize) < n, "bin {bin} out of range 0..{n}");
-            if load == 0 {
-                continue;
-            }
-            balls += load as u64;
-            match loads.entry(bin) {
-                Entry::Occupied(mut e) => *e.get_mut() += load,
-                Entry::Vacant(e) => {
-                    e.insert(load);
-                    occupied.push(bin);
-                }
-            }
-        }
-        assert!(
-            balls <= u32::MAX as u64,
-            "total ball count {balls} exceeds u32::MAX and could overflow a single bin"
-        );
-        Self {
-            n,
-            rng,
-            round: 0,
-            balls,
-            loads,
-            occupied,
-            sampler: UniformSampler::new(n as u64),
-            dests: Vec::new(),
-            dense: OnceCell::new(),
-            weighted: None,
-            capacities: Capacities::Unbounded,
-        }
+        Self::with_weights(n, entries, rng, Weights::Unit, Capacities::Unbounded)
     }
 
-    /// Creates a weighted, capacity-observing sparse process — the sparse
-    /// counterpart of [`LoadProcess::with_weights`], bit-identical to it in
-    /// trajectory, RNG stream, and weighted metrics from the same seed and
-    /// start. [`Weights::Unit`] (or an explicit all-ones vector) builds no
-    /// overlay, so the unit configuration is the same engine as
-    /// [`Self::new`].
+    /// The weighted, capacity-observing form of [`Self::from_entries`],
+    /// bit-identical to the dense `with_weights` from the same seed and
+    /// start, weighted metrics included. Unit weights build no overlay.
     ///
     /// # RNG stream
     ///
-    /// Identical to [`Self::new`]: weights never touch the RNG — each round
-    /// still consumes one uniform draw per departing bin, in bin order.
-    ///
-    /// [`LoadProcess::with_weights`]: crate::process::LoadProcess::with_weights
+    /// Identical to [`Self::from_entries`]: weights never touch the RNG.
     pub fn with_weights(
-        config: Config,
+        n: usize,
+        entries: impl IntoIterator<Item = (u32, u32)>,
         rng: Xoshiro256pp,
         weights: Weights,
         capacities: Capacities,
     ) -> Self {
-        let weights = weights.normalized();
-        if let Err(e) = weights.validate(config.total_balls()) {
-            // rbb-lint: allow(panic, reason = "constructor contract violation, caught by spec-layer validation first")
-            panic!("invalid weights: {e}");
-        }
-        if let Err(e) = capacities.validate(config.n()) {
-            // rbb-lint: allow(panic, reason = "constructor contract violation, caught by spec-layer validation first")
-            panic!("invalid capacities: {e}");
-        }
-        let overlay = match &weights {
-            Weights::Unit => None,
-            Weights::Explicit(ws) => {
-                let entries = config
-                    .loads()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &l)| l > 0)
-                    // rbb-lint: allow(lossy-cast, reason = "enumerate index < n, which fits the u32 bin-index range")
-                    .map(|(b, &l)| (b as u32, l));
-                Some(WeightOverlay::from_entries(entries, ws))
-            }
-        };
-        let mut p = Self::new(config, rng);
-        p.weighted = overlay;
-        p.capacities = capacities;
-        p
+        let store = SparseStore::from_entries(n, entries);
+        Self::from_parts(store, vec![rng], weights, capacities)
     }
 
     /// Creates a sparse process from a dense configuration (collecting its
@@ -225,442 +283,25 @@ impl SparseLoadProcess {
     /// Takes ownership of `rng` as the engine stream — see
     /// [`Self::from_entries`] for the per-round draw contract.
     pub fn new(config: Config, rng: Xoshiro256pp) -> Self {
-        let entries = config
-            .loads()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| l > 0)
-            // rbb-lint: allow(lossy-cast, reason = "enumerate index < n, and from_entries asserts n fits the u32 index range")
-            .map(|(b, &l)| (b as u32, l));
+        let entries = config.loads().iter().zip(0u32..).map(|(&l, b)| (b, l));
         Self::from_entries(config.n(), entries, rng)
     }
 
     /// Convenience constructor: `n` balls into `n` bins, one per bin.
     pub fn legitimate_start(n: usize, seed: u64) -> Self {
-        Self::from_entries(
-            n,
-            // rbb-lint: allow(lossy-cast, reason = "from_entries asserts n fits the u32 index range")
-            (0..n as u32).map(|b| (b, 1)),
-            // rbb-lint: allow(rng-construct, reason = "engine-convention stream for a core convenience constructor; core cannot depend on rbb_sim::seed")
-            Xoshiro256pp::seed_from(seed),
-        )
-    }
-
-    /// Current round index (0 before any step).
-    #[inline]
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Number of bins.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Total ball count (rounds conserve it; the incremental
-    /// [`Engine::place`]/[`Engine::depart`] surface changes it).
-    #[inline]
-    pub fn balls(&self) -> u64 {
-        self.balls
-    }
-
-    /// Number of occupied (non-empty) bins.
-    #[inline]
-    pub fn occupied_bins(&self) -> usize {
-        self.loads.len()
-    }
-
-    /// Drops the dense snapshot cache; every mutation must call this.
-    #[inline]
-    fn invalidate(&mut self) {
-        self.dense.take();
-    }
-
-    /// Departure phase: every occupied bin releases one ball; bins reaching
-    /// zero leave the map and the worklist. Returns the departure count.
-    fn depart_all(&mut self) -> usize {
-        let loads = &mut self.loads;
-        let before = self.occupied.len();
-        self.occupied.retain(|&b| {
-            // rbb-lint: allow(panic, reason = "worklist entries are occupied by construction")
-            let slot = loads.get_mut(&b).expect("worklist entries are occupied");
-            *slot -= 1;
-            if *slot == 0 {
-                loads.remove(&b);
-                false
-            } else {
-                true
-            }
-        });
-        before
-    }
-
-    /// Arrival of one ball in bin `b`.
-    #[inline]
-    fn arrive(&mut self, b: u32) {
-        match self.loads.entry(b) {
-            Entry::Occupied(mut e) => {
-                let slot = e.get_mut();
-                debug_assert_ne!(*slot, u32::MAX, "bin {b} load would overflow u32");
-                *slot += 1;
-            }
-            Entry::Vacant(e) => {
-                e.insert(1);
-                self.occupied.push(b);
-            }
-        }
-    }
-
-    /// Closes a round: bumps the counter, invalidates the dense cache, and
-    /// (in debug builds) re-checks mass conservation.
-    fn finish_round(&mut self, departures: usize) -> usize {
-        self.round += 1;
-        self.invalidate();
-        debug_assert_eq!(
-            // rbb-lint: allow(unordered-iter, reason = "integer sum is order-independent")
-            self.loads.values().map(|&l| l as u64).sum::<u64>(),
-            self.balls,
-            "mass violated"
-        );
-        debug_assert_eq!(self.loads.len(), self.occupied.len());
-        debug_assert!(self.weighted.as_ref().is_none_or(|o| o
-            // rbb-lint: allow(unordered-iter, reason = "check_against counts and compares per-bin; order-independent")
-            .check_against(self.loads.iter().map(|(&b, &l)| (b, l)))
-            .is_ok()));
-        departures
-    }
-
-    /// The weighted round: same draws as the unit paths, plus the metric
-    /// transport. Departing bins enter the transport in **ascending bin
-    /// order** — the canonical order the dense engine's scan produces — so
-    /// the weighted sparse engine stays bit-identical to the weighted dense
-    /// engine even though the unit worklist is unordered.
-    fn step_weighted(&mut self, batched: bool) -> usize {
-        {
-            let overlay = self
-                .weighted
-                .as_mut()
-                // rbb-lint: allow(panic, reason = "only reached behind a weighted.is_some() guard in step/step_batched")
-                .expect("weighted step needs an overlay");
-            overlay.srcs.clear();
-            overlay.srcs.extend_from_slice(&self.occupied);
-            overlay.srcs.sort_unstable();
-        }
-        let departures = self.depart_all();
-        let mut dests = std::mem::take(&mut self.dests);
-        if batched {
-            dests.resize(departures, 0);
-            self.sampler.fill_u32(&mut self.rng, &mut dests);
-        } else {
-            dests.clear();
-            for _ in 0..departures {
-                // rbb-lint: allow(lossy-cast, reason = "n fits the u32 index range (asserted at construction); draws are < n")
-                dests.push(self.rng.uniform_usize(self.n) as u32);
-            }
-        }
-        for &b in &dests {
-            self.arrive(b);
-        }
-        let overlay = self.weighted.as_mut();
-        overlay
-            // rbb-lint: allow(panic, reason = "the overlay checked above cannot vanish mid-round")
-            .expect("weighted step needs an overlay")
-            .transport(&dests);
-        self.dests = dests;
-        self.finish_round(departures)
-    }
-
-    /// Advances one round through the scalar path; returns the number of
-    /// balls that moved. Consumes the RNG exactly like
-    /// [`LoadProcess::step`](crate::process::LoadProcess::step): `d` scalar
-    /// uniform draws, where `d` is the number of non-empty bins.
-    pub fn step(&mut self) -> usize {
-        if self.weighted.is_some() {
-            return self.step_weighted(false);
-        }
-        let departures = self.depart_all();
-        for _ in 0..departures {
-            // rbb-lint: allow(lossy-cast, reason = "n fits the u32 index range (asserted at construction); draws are < n")
-            let b = self.rng.uniform_usize(self.n) as u32;
-            self.arrive(b);
-        }
-        self.finish_round(departures)
-    }
-
-    /// Advances one round through the batched path (destinations drawn
-    /// through the cached [`UniformSampler`] into a reused scratch buffer).
-    /// Bit-identical to [`step`](SparseLoadProcess::step) — and to the dense
-    /// engine's batched path — from equal state.
-    pub fn step_batched(&mut self) -> usize {
-        if self.weighted.is_some() {
-            return self.step_weighted(true);
-        }
-        let departures = self.depart_all();
-        self.dests.resize(departures, 0);
-        let mut dests = std::mem::take(&mut self.dests);
-        self.sampler.fill_u32(&mut self.rng, &mut dests);
-        for &b in &dests {
-            self.arrive(b);
-        }
-        self.dests = dests;
-        self.finish_round(departures)
-    }
-
-    /// Captures the complete resumable state, with entries in canonical
-    /// (bin-sorted) order. The occupied-worklist *order* is not trajectory
-    /// state: a round's draw count depends only on how many bins are
-    /// occupied and the destinations are i.i.d., so restoring with a sorted
-    /// worklist resumes the same load trajectory the snapshotted process
-    /// would have taken.
-    pub fn snapshot_state(&self) -> SnapshotState {
-        let mut entries: Vec<(u32, u32)> = self.loads.iter().map(|(&b, &l)| (b, l)).collect();
-        entries.sort_unstable();
-        let weighted = weighted_section(self.weighted.as_ref(), &self.capacities);
-        SnapshotState {
-            version: if weighted.is_some() {
-                SNAPSHOT_VERSION_WEIGHTED
-            } else {
-                SNAPSHOT_VERSION
-            },
-            engine: ENGINE_SPARSE.to_string(),
-            n: self.n,
-            shards: 1,
-            round: self.round,
-            balls: self.balls,
-            entries,
-            rng_states: vec![self.rng.state()],
-            weighted,
-        }
-    }
-
-    /// Rebuilds a sparse process from a snapshot (validated first); the
-    /// restored process resumes the snapshotted trajectory bit-identically.
-    pub fn from_snapshot(state: &SnapshotState) -> Result<Self, SnapshotError> {
-        state.validate()?;
-        if state.engine != ENGINE_SPARSE {
-            return Err(SnapshotError(format!(
-                "expected a {ENGINE_SPARSE} snapshot, got '{}'",
-                state.engine
-            )));
-        }
-        // rbb-lint: allow(rng-construct, reason = "restoring a serialized stream state captured from a live engine snapshot, not seeding a new stream")
-        let rng = Xoshiro256pp::from_state(state.rng_states[0]);
-        let mut p = Self::from_entries(state.n, state.entries.iter().copied(), rng);
-        p.round = state.round;
-        if let Some(w) = &state.weighted {
-            p.capacities = w.capacities()?;
-            if !w.queues.is_empty() {
-                p.weighted = Some(WeightOverlay::from_queues(&w.queues));
-            }
-        }
-        Ok(p)
-    }
-}
-
-impl Engine for SparseLoadProcess {
-    #[inline]
-    fn step(&mut self) -> usize {
-        SparseLoadProcess::step(self)
-    }
-
-    #[inline]
-    fn step_batched(&mut self) -> usize {
-        SparseLoadProcess::step_batched(self)
-    }
-
-    #[inline]
-    fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Materializes (and caches) the dense snapshot — `O(n)`, so per-round
-    /// drivers use the cheap accessors below instead (see the module docs).
-    fn config(&self) -> &Config {
-        self.dense.get_or_init(|| {
-            let mut loads = vec![0u32; self.n];
-            // rbb-lint: allow(unordered-iter, reason = "scatter into a dense per-bin vector is order-independent")
-            for (&b, &l) in &self.loads {
-                loads[b as usize] = l;
-            }
-            Config::from_loads(loads)
-        })
-    }
-
-    #[inline]
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn balls(&self) -> u64 {
-        self.balls
-    }
-
-    fn max_load(&self) -> u32 {
-        // rbb-lint: allow(unordered-iter, reason = "max over values is order-independent")
-        self.loads.values().copied().max().unwrap_or(0)
-    }
-
-    #[inline]
-    fn empty_bins(&self) -> usize {
-        self.n - self.loads.len()
-    }
-
-    #[inline]
-    fn nonempty_bins(&self) -> usize {
-        self.loads.len()
-    }
-
-    #[inline]
-    fn bin_load(&self, bin: usize) -> u32 {
-        // rbb-lint: allow(lossy-cast, reason = "bin < n, and n fits the u32 index range (asserted at construction)")
-        self.loads.get(&(bin as u32)).copied().unwrap_or(0)
-    }
-
-    fn nonempty_bins_list(&self) -> Option<Vec<u32>> {
-        Some(self.occupied.clone())
-    }
-
-    fn supports_faults(&self) -> bool {
-        true
-    }
-
-    /// Placement-based fault, `O(m)`: rebuilds the occupancy map from
-    /// `placement[ball] = bin` without a dense detour. Consumes no engine
-    /// randomness, exactly like the dense engine's fault path, so faulty
-    /// trajectories stay bit-identical too.
-    fn apply_fault(&mut self, placement: &[usize]) {
-        assert_eq!(
-            placement.len() as u64,
-            self.balls,
-            "adversary must conserve balls"
-        );
-        self.loads.clear();
-        self.occupied.clear();
-        for &bin in placement {
-            assert!(bin < self.n, "bin {bin} out of range 0..{}", self.n);
-            // rbb-lint: allow(lossy-cast, reason = "bin < n, and n fits the u32 index range (asserted at construction)")
-            self.arrive(bin as u32);
-        }
-        self.invalidate();
-    }
-
-    fn supports_incremental(&self) -> bool {
-        true
-    }
-
-    /// Incremental arrival: one uniform destination draw from the engine
-    /// stream — bit-compatible with the dense engine's `place`.
-    fn place(&mut self) -> usize {
-        self.place_weighted(1)
-    }
-
-    /// Same RNG draw as [`place`](Engine::place) — the weight only feeds
-    /// the overlay. A unit process accepts weight 1 only.
-    fn place_weighted(&mut self, weight: u32) -> usize {
-        assert!(
-            self.balls < u32::MAX as u64,
-            "place would overflow the u32 load bound"
-        );
-        assert!(
-            weight == 1 || self.weighted.is_some(),
-            "this process is unit-weight: only weight-1 placements are supported"
-        );
-        assert!(weight >= 1, "placed weight must be at least 1");
-        // rbb-lint: allow(lossy-cast, reason = "n fits the u32 index range (asserted at construction); draws are < n")
-        let b = self.rng.uniform_usize(self.n) as u32;
-        self.arrive(b);
-        self.balls += 1;
-        if let Some(o) = &mut self.weighted {
-            o.place(b, weight);
-        }
-        self.invalidate();
-        b as usize
-    }
-
-    fn depart(&mut self, bin: usize) -> bool {
-        if bin >= self.n {
-            return false;
-        }
-        // rbb-lint: allow(lossy-cast, reason = "bin < n, and n fits the u32 index range (asserted at construction)")
-        let b = bin as u32;
-        let Some(slot) = self.loads.get_mut(&b) else {
-            return false;
-        };
-        *slot -= 1;
-        if *slot == 0 {
-            self.loads.remove(&b);
-            self.occupied.retain(|&x| x != b);
-        }
-        self.balls -= 1;
-        if let Some(o) = &mut self.weighted {
-            o.depart(b);
-        }
-        self.invalidate();
-        true
-    }
-
-    fn weighted(&self) -> bool {
-        self.weighted.is_some()
-    }
-
-    fn total_weight(&self) -> u64 {
-        self.weighted
-            .as_ref()
-            .map_or(self.balls, WeightOverlay::total)
-    }
-
-    fn weighted_max_load(&self) -> u64 {
-        match &self.weighted {
-            Some(o) => o.weighted_max_load(),
-            None => u64::from(Engine::max_load(self)),
-        }
-    }
-
-    fn weighted_bin_load(&self, bin: usize) -> u64 {
-        match &self.weighted {
-            // rbb-lint: allow(lossy-cast, reason = "out-of-range bins read as empty, matching the unit path's 0 load")
-            Some(o) => o.weighted_load(bin as u32),
-            None => u64::from(Engine::bin_load(self, bin)),
-        }
-    }
-
-    fn capacities(&self) -> &Capacities {
-        &self.capacities
-    }
-
-    /// `O(#occupied)` in every mode — the overlay map for weighted runs,
-    /// the occupancy map for capacity-only unit runs (empty bins never
-    /// violate, so the trait default's `O(n)` scan is never needed here).
-    fn capacity_violations(&self) -> u64 {
-        match &self.weighted {
-            Some(o) => o.capacity_violations(&self.capacities),
-            None => {
-                if self.capacities.is_unbounded() {
-                    return 0;
-                }
-                // rbb-lint: allow(unordered-iter, reason = "counting violators is order-independent")
-                self.loads
-                    .iter()
-                    .filter(|(&b, &l)| {
-                        self.capacities
-                            .bound(b as usize)
-                            .is_some_and(|c| u64::from(l) > c)
-                    })
-                    .count() as u64
-            }
-        }
-    }
-
-    fn snapshot(&self) -> Option<SnapshotState> {
-        Some(self.snapshot_state())
+        // rbb-lint: allow(rng-construct, reason = "engine-convention stream for a core convenience constructor; core cannot depend on rbb_sim::seed")
+        Self::new(Config::one_per_bin(n), Xoshiro256pp::seed_from(seed))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, Incremental};
+    use crate::load::tests::{
+        assert_matches_reference, assert_place_and_depart, assert_snapshot_round_trip,
+        assert_unit_weights_build_the_same_engine, assert_weighted_place_and_depart,
+    };
     use crate::process::LoadProcess;
 
     fn rng(seed: u64) -> Xoshiro256pp {
@@ -670,12 +311,11 @@ mod tests {
     /// Steps a dense/sparse pair in lockstep, asserting full agreement.
     fn assert_twins(mut dense: LoadProcess, mut sparse: SparseLoadProcess, rounds: u64) {
         for r in 0..rounds {
-            let (a, b) = if r % 3 == 0 {
-                (dense.step(), sparse.step())
-            } else {
-                (Engine::step_batched(&mut dense), sparse.step_batched())
-            };
-            assert_eq!(a, b, "departure count diverged at round {r}");
+            assert_eq!(
+                dense.step(),
+                sparse.step(),
+                "departure count diverged at round {r}"
+            );
             assert_eq!(Engine::max_load(&dense), Engine::max_load(&sparse));
             assert_eq!(Engine::empty_bins(&dense), Engine::empty_bins(&sparse));
             assert_eq!(dense.config(), Engine::config(&sparse), "round {r}");
@@ -697,6 +337,7 @@ mod tests {
 
     #[test]
     fn legitimate_start_matches_dense() {
+        assert_matches_reference(&mut SparseLoadProcess::legitimate_start(128, 5), 100);
         assert_twins(
             LoadProcess::legitimate_start(128, 5),
             SparseLoadProcess::legitimate_start(128, 5),
@@ -708,7 +349,7 @@ mod tests {
     fn from_entries_merges_and_validates() {
         let p = SparseLoadProcess::from_entries(10, vec![(3, 2), (3, 1), (9, 5), (0, 0)], rng(1));
         assert_eq!(p.balls(), 8);
-        assert_eq!(p.occupied_bins(), 2);
+        assert_eq!(Engine::nonempty_bins(&p), 2);
         assert_eq!(Engine::bin_load(&p, 3), 3);
         assert_eq!(Engine::bin_load(&p, 9), 5);
         assert_eq!(Engine::bin_load(&p, 0), 0);
@@ -785,39 +426,19 @@ mod tests {
 
     #[test]
     fn snapshot_restore_resumes_bit_identically() {
-        let mut p = SparseLoadProcess::from_entries(1000, vec![(3, 40), (700, 2)], rng(31));
-        p.run_silent(25);
-        let snap = Engine::snapshot(&p).expect("sparse engine snapshots");
-        assert!(
-            snap.entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "entries must be in canonical bin order"
-        );
-        let mut q = SparseLoadProcess::from_snapshot(&snap).unwrap();
-        assert_eq!(Engine::round(&q), 25);
-        for _ in 0..60 {
-            p.step();
-            q.step();
-        }
-        assert_eq!(Engine::config(&p), Engine::config(&q));
-        assert_eq!(Engine::snapshot(&p), Engine::snapshot(&q));
+        let p = SparseLoadProcess::from_entries(1000, vec![(3, 40), (700, 2)], rng(31));
+        assert_snapshot_round_trip(p, 25);
     }
 
     #[test]
     fn place_and_depart_track_occupancy() {
         let mut p = SparseLoadProcess::from_entries(50, vec![(10, 2)], rng(41));
-        assert!(Engine::supports_incremental(&p));
-        let b = Engine::place(&mut p);
-        assert!(b < 50);
-        assert_eq!(p.balls(), 3);
-        assert_eq!(Engine::bin_load(&p, b), if b == 10 { 3 } else { 1 });
-        assert!(Engine::depart(&mut p, 10));
-        assert!(Engine::depart(&mut p, 10) || b == 10, "bin 10 had 2 balls");
-        assert!(!Engine::depart(&mut p, 50), "out of range is a no-op");
-        assert!(!Engine::depart(&mut p, 49), "empty bin is a no-op");
-        assert_eq!(p.occupied.len(), p.loads.len());
-        assert!(p.loads.values().all(|&l| l > 0));
-        p.step();
-        assert_eq!(p.balls(), p.loads.values().map(|&l| l as u64).sum::<u64>());
+        assert_place_and_depart(p.clone());
+        let b = p.place();
+        assert!(p.depart(10));
+        assert!(p.depart(10) || b == 10, "bin 10 had 2 balls");
+        assert_eq!(p.store.occupied.len(), p.store.loads.len());
+        assert!(p.store.loads.values().all(|&l| l > 0));
     }
 
     #[test]
@@ -825,7 +446,7 @@ mod tests {
         let mut dense = LoadProcess::legitimate_start(64, 51);
         let mut sparse = SparseLoadProcess::legitimate_start(64, 51);
         for _ in 0..30 {
-            assert_eq!(Engine::place(&mut dense), Engine::place(&mut sparse));
+            assert_eq!(dense.place(), sparse.place());
         }
         assert_twins(dense, sparse, 40);
     }
@@ -838,7 +459,7 @@ mod tests {
         let mut p = SparseLoadProcess::from_entries(10_000_000, vec![(0, 500)], rng(2));
         p.run_silent(1_000);
         assert_eq!(p.balls(), 500);
-        assert!(p.occupied_bins() <= 500);
+        assert!(Engine::nonempty_bins(&p) <= 500);
         assert!(Engine::empty_bins(&p) >= 10_000_000 - 500);
     }
 
@@ -849,7 +470,7 @@ mod tests {
         assert!(hit.is_some());
         let mut q = SparseLoadProcess::from_entries(64, vec![(0, 64)], rng(11));
         q.run_silent(100);
-        assert_eq!(q.round, 100);
+        assert_eq!(q.round(), 100);
         assert_eq!(q.balls(), 64);
     }
 
@@ -858,9 +479,10 @@ mod tests {
         let mut p = SparseLoadProcess::from_entries(50, vec![(10, 40)], rng(13));
         for _ in 0..300 {
             p.step();
-            assert_eq!(p.occupied.len(), p.loads.len());
-            assert!(p.occupied.iter().all(|b| p.loads.contains_key(b)));
-            assert!(p.loads.values().all(|&l| l > 0));
+            let store = &p.store;
+            assert_eq!(store.occupied.len(), store.loads.len());
+            assert!(store.occupied.iter().all(|b| store.loads.contains_key(b)));
+            assert!(store.loads.values().all(|&l| l > 0));
         }
     }
 
@@ -880,16 +502,15 @@ mod tests {
             weights.clone(),
             caps.clone(),
         );
-        let mut sparse =
-            SparseLoadProcess::with_weights(Config::one_per_bin(n), rng(71), weights, caps);
+        let entries = (0..n as u32).map(|b| (b, 1));
+        let mut sparse = SparseLoadProcess::with_weights(n, entries, rng(71), weights, caps);
         assert!(Engine::weighted(&sparse));
         for r in 0..160 {
-            let (a, b) = if r % 3 == 0 {
-                (dense.step(), sparse.step())
-            } else {
-                (dense.step_batched(), sparse.step_batched())
-            };
-            assert_eq!(a, b, "departure count diverged at round {r}");
+            assert_eq!(
+                dense.step(),
+                sparse.step(),
+                "departure count diverged at round {r}"
+            );
             assert_eq!(
                 Engine::weighted_max_load(&dense),
                 Engine::weighted_max_load(&sparse),
@@ -915,62 +536,35 @@ mod tests {
         assert_eq!(a.entries, b.entries);
     }
 
+    fn zipf_process(n: usize, seed: u64, w_max: u32, caps: Capacities) -> SparseLoadProcess {
+        let entries = (0..n as u32).map(|b| (b, 1));
+        let weights = Weights::zipf(n as u64, 1.0, w_max);
+        SparseLoadProcess::with_weights(n, entries, rng(seed), weights, caps)
+    }
+
     #[test]
     fn weighted_snapshot_round_trips_bit_identically() {
-        let mut p = SparseLoadProcess::with_weights(
-            Config::one_per_bin(48),
-            rng(72),
-            Weights::zipf(48, 1.0, 30),
-            Capacities::Uniform(25),
-        );
-        p.run_silent(19);
-        let snap = Engine::snapshot(&p).expect("sparse engine snapshots");
-        assert_eq!(snap.version, SNAPSHOT_VERSION_WEIGHTED);
-        let mut q = SparseLoadProcess::from_snapshot(&snap).unwrap();
-        assert_eq!(Engine::total_weight(&q), Engine::total_weight(&p));
-        assert_eq!(Engine::capacities(&q), &Capacities::Uniform(25));
-        for _ in 0..50 {
-            p.step_batched();
-            q.step_batched();
-        }
-        assert_eq!(Engine::config(&p), Engine::config(&q));
-        assert_eq!(Engine::snapshot(&p), Engine::snapshot(&q));
+        assert_snapshot_round_trip(zipf_process(48, 72, 30, Capacities::Uniform(25)), 19);
     }
 
     #[test]
     fn unit_weights_build_the_same_sparse_engine() {
-        let mut plain = SparseLoadProcess::legitimate_start(64, 73);
-        let mut unit = SparseLoadProcess::with_weights(
-            Config::one_per_bin(64),
+        let unit = SparseLoadProcess::with_weights(
+            64,
+            (0..64).map(|b| (b, 1)),
             rng(73),
             Weights::Explicit(vec![1; 64]),
             Capacities::Unbounded,
         );
-        assert!(unit.weighted.is_none(), "all-ones collapses to no overlay");
-        for _ in 0..80 {
-            plain.step_batched();
-            unit.step_batched();
-        }
-        assert_eq!(plain.rng, unit.rng);
-        assert_eq!(Engine::snapshot(&plain), Engine::snapshot(&unit));
+        assert_unit_weights_build_the_same_engine(
+            SparseLoadProcess::legitimate_start(64, 73),
+            unit,
+        );
     }
 
     #[test]
     fn weighted_place_and_depart_track_the_overlay() {
-        let mut p = SparseLoadProcess::with_weights(
-            Config::one_per_bin(32),
-            rng(74),
-            Weights::zipf(32, 1.0, 20),
-            Capacities::Unbounded,
-        );
-        let total = Engine::total_weight(&p);
-        let b = Engine::place_weighted(&mut p, 15);
-        assert_eq!(Engine::total_weight(&p), total + 15);
-        assert!(Engine::weighted_bin_load(&p, b) >= 15);
-        assert!(Engine::depart(&mut p, b));
-        assert_eq!(p.balls(), 32);
-        p.step();
-        assert_eq!(p.balls(), 32);
+        assert_weighted_place_and_depart(zipf_process(32, 74, 20, Capacities::Unbounded));
     }
 
     #[test]

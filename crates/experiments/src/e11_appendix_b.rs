@@ -7,6 +7,7 @@
 //! kernel) and by Monte Carlo with Wilson confidence intervals.
 
 use rbb_core::config::Config;
+use rbb_core::engine::Engine;
 use rbb_core::exact::{appendix_b_exact, AppendixB};
 use rbb_core::process::LoadProcess;
 use rbb_core::rng::Xoshiro256pp;

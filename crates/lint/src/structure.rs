@@ -352,9 +352,9 @@ fn parse_mod(v: &View, start: usize, kw: usize, hi: usize, out: &mut Vec<Node>) 
 }
 
 /// Parses `impl<…> Trait for Type { … }` / `impl Type { … }` /
-/// `trait Name: Bounds { … }`. Falls back to skipping the keyword when the
-/// header does not reach a `{` (e.g. `impl Trait` in type position that
-/// escaped the signature scans).
+/// `trait Name: Bounds { … }`, each optionally with a `where` clause. Falls
+/// back to skipping the keyword when the header does not reach a `{` (e.g.
+/// `impl Trait` in type position that escaped the signature scans).
 fn parse_impl_or_trait(
     v: &View,
     start: usize,
@@ -375,6 +375,19 @@ fn parse_impl_or_trait(
             "for" => {
                 trait_name = last_ident.take();
                 j += 1;
+            }
+            // The self type is complete; skip the clause, whose bounds may
+            // hold `,` and `(…)`, up to the body.
+            "where" => {
+                while j < hi && v.s(j) != "{" {
+                    j = match v.s(j) {
+                        ";" => return kw + 1,
+                        "<" => skip_angles(v, j, hi),
+                        "(" => (match_group(v, j, hi, "(", ")") + 1).min(hi),
+                        _ => j + 1,
+                    };
+                }
+                break;
             }
             _ => {
                 if v.kind(j) == TokKind::Ident {
@@ -781,6 +794,40 @@ mod tests {
         assert!(matches!(&decl.kind, NodeKind::Fn(f) if f.name == "decl"));
         assert!(decl.body.is_none());
         assert!(matches!(&s.root.children[1].kind, NodeKind::Mod(n) if n == "stub"));
+    }
+
+    /// The self type (or trait name) of the first impl/trait node of `src`.
+    fn header_name(src: &str) -> Option<(String, Option<String>)> {
+        let s = tree(src);
+        all_nodes(&s).into_iter().find_map(|n| match &n.kind {
+            NodeKind::Impl {
+                type_name,
+                trait_name,
+            } => Some((type_name.clone(), trait_name.clone())),
+            NodeKind::Trait(name) => Some((name.clone(), None)),
+            _ => None,
+        })
+    }
+
+    #[test]
+    fn impl_headers_with_where_clauses() {
+        let engine = Some(("LoadEngine".to_string(), Some("Engine".to_string())));
+        assert_eq!(
+            header_name("impl<S> Engine for LoadEngine<S> where S: LoadStore { fn f() {} }"),
+            engine
+        );
+        // The rustfmt layout: `where` on its own line, the bound ending in `,`.
+        assert_eq!(
+            header_name(
+                "impl<S, F> Engine for LoadEngine<S>\nwhere\n    S: LoadStore + Clone,\n    \
+                 F: Fn(u32) -> Vec<u32>,\n{\n    fn f() {}\n}\n"
+            ),
+            engine
+        );
+        assert_eq!(
+            header_name("trait T where Self: Sized {}"),
+            Some(("T".to_string(), None))
+        );
     }
 
     #[test]

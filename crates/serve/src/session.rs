@@ -28,7 +28,7 @@
 
 use std::io::{BufRead, Write};
 
-use rbb_core::engine::Engine;
+use rbb_core::engine::{Engine, Incremental};
 use rbb_core::prelude::LegitimacyThreshold;
 use rbb_core::snapshot::{restore, SnapshotState};
 use serde::{Deserialize as _, Serialize as _, Value};
@@ -85,7 +85,7 @@ impl Session {
         // Fast path for the bare hot-loop request: skips the generic JSON
         // parse (same semantics as the general path below).
         if line == r#"{"op":"place"}"# {
-            return match self.place_one() {
+            return match self.place_one(1) {
                 Ok(resp) => resp,
                 Err(e) => self.fail(e),
             };
@@ -129,23 +129,25 @@ impl Session {
         ]))
     }
 
-    /// Checks the incremental-surface guards shared by `place` and
+    /// The engine's incremental surface: the guard shared by `place` and
     /// `depart`.
-    fn guard_incremental(&self) -> Result<(), String> {
-        if !self.engine.supports_incremental() {
-            return Err("this engine does not support incremental place/depart".to_string());
+    fn guard_incremental(engine: &mut dyn Engine) -> Result<&mut dyn Incremental, String> {
+        match engine.incremental() {
+            Some(inc) => Ok(inc),
+            None => Err("this engine does not support incremental place/depart".to_string()),
         }
-        Ok(())
     }
 
-    /// One timed placement, with the hot-path response rendered by hand.
-    fn place_one(&mut self) -> Result<String, String> {
-        self.guard_incremental()?;
-        if self.engine.balls() >= u32::MAX as u64 {
+    /// One timed placement of a ball of weight `weight`, with the hot-path
+    /// response rendered by hand.
+    fn place_one(&mut self, weight: u32) -> Result<String, String> {
+        let balls = self.engine.balls();
+        let inc = Self::guard_incremental(self.engine.as_mut())?;
+        if balls >= u32::MAX as u64 {
             return Err("ball count is at the u32 load bound".to_string());
         }
         let t0 = self.clock.now_nanos();
-        let bin = self.engine.place();
+        let bin = inc.place_weighted(weight);
         let t1 = self.clock.now_nanos();
         self.stats.place_latency.record(t1.saturating_sub(t0));
         self.stats.placements += 1;
@@ -176,45 +178,23 @@ impl Session {
         Ok(Some(w))
     }
 
-    /// One timed weighted placement; response shape matches `place_one`.
-    fn place_one_weighted(&mut self, weight: u32) -> Result<String, String> {
-        self.guard_incremental()?;
-        if self.engine.balls() >= u32::MAX as u64 {
-            return Err("ball count is at the u32 load bound".to_string());
-        }
-        let t0 = self.clock.now_nanos();
-        let bin = self.engine.place_weighted(weight);
-        let t1 = self.clock.now_nanos();
-        self.stats.place_latency.record(t1.saturating_sub(t0));
-        self.stats.placements += 1;
-        let load = self.engine.bin_load(bin);
-        let balls = self.engine.balls();
-        Ok(format!(
-            r#"{{"ok":true,"bin":{bin},"load":{load},"balls":{balls}}}"#
-        ))
-    }
-
     fn op_place(&mut self, req: &Value) -> Result<String, String> {
         let weight = self.opt_weight(req)?;
-        let count = match (opt_u64(req, "count")?, weight) {
-            (None, None) => return self.place_one(),
-            (None, Some(w)) => return self.place_one_weighted(w),
-            (Some(c), _) => c,
+        let Some(count) = opt_u64(req, "count")? else {
+            return self.place_one(weight.unwrap_or(1));
         };
         if count == 0 || count > MAX_PLACE_BATCH {
             return Err(format!("count must be in 1..={MAX_PLACE_BATCH}"));
         }
-        self.guard_incremental()?;
+        let start = self.engine.balls();
+        let inc = Self::guard_incremental(self.engine.as_mut())?;
         let mut bins = Vec::with_capacity(count.min(4096) as usize);
-        for _ in 0..count {
-            if self.engine.balls() >= u32::MAX as u64 {
+        for placed in 0..count {
+            if start + placed >= u32::MAX as u64 {
                 return Err("ball count reached the u32 load bound mid-batch".to_string());
             }
             let t0 = self.clock.now_nanos();
-            let bin = match weight {
-                Some(w) => self.engine.place_weighted(w),
-                None => self.engine.place(),
-            };
+            let bin = inc.place_weighted(weight.unwrap_or(1));
             let t1 = self.clock.now_nanos();
             self.stats.place_latency.record(t1.saturating_sub(t0));
             self.stats.placements += 1;
@@ -228,9 +208,9 @@ impl Session {
     }
 
     fn op_depart(&mut self, req: &Value) -> Result<String, String> {
-        self.guard_incremental()?;
+        let inc = Self::guard_incremental(self.engine.as_mut())?;
         let bin = opt_u64(req, "bin")?.ok_or("depart needs a \"bin\" field")? as usize;
-        let removed = self.engine.depart(bin);
+        let removed = inc.depart(bin);
         if removed {
             self.stats.departures += 1;
         }

@@ -5,9 +5,9 @@
 //! optional adversary, and returns a [`Scenario`] whose run loop replays
 //! exactly the semantics of the historical per-engine run families:
 //!
-//! * every round: `step_batched` (bit-identical to the scalar path for the
-//!   engines that override it), then observers, then — on fault rounds,
-//!   if the stop condition has not yet been met — the adversary;
+//! * every round: `step_batched` (the engine's round; see
+//!   [`Engine::step_batched`]), then observers, then — on fault rounds, if
+//!   the stop condition has not yet been met — the adversary;
 //! * stop conditions are checked before the first step (an immediately
 //!   satisfied condition stops at round 0, like `run_until` and
 //!   `run_until_all_emptied` did) and after each round.
@@ -52,13 +52,14 @@ use crate::spec::{
 /// | graph | uniform | — | any but covered | [`GraphLoadProcess`] |
 /// | graph | uniform | set | any | [`GraphTokenProcess`] |
 ///
-/// The load-only cell resolves dense vs sparse vs sharded through
-/// [`ScenarioSpec::resolved_engine`] (dense and sparse are bit-identical;
-/// sharded is bit-identical at `shards: 1` and law-equal above — see the
-/// spec module docs); the sparse engine is built from
-/// [`StartSpec::build_entries`] without ever allocating a dense `O(n)`
-/// start vector, and the sharded engine derives its per-shard streams from
-/// the spec seed inside [`ShardedLoadProcess::new`].
+/// The load-only cell is one arm: it resolves dense vs sparse vs sharded
+/// through [`ScenarioSpec::resolved_engine`] (dense and sparse are
+/// bit-identical; sharded is bit-identical at `shards: 1` and law-equal
+/// above — see the spec module docs) and hands the spec's weights and
+/// capacities to that storage's `with_weights` constructor. The sparse
+/// engine is built from [`StartSpec::build_entries`] without ever
+/// allocating a dense `O(n)` start vector, weighted or not; the sharded
+/// engine derives its per-shard streams from the spec seed.
 ///
 /// [`StartSpec::build_entries`]: crate::spec::StartSpec::build_entries
 pub fn build_engine(spec: &ScenarioSpec) -> Result<Box<dyn Engine>, SpecError> {
@@ -89,59 +90,36 @@ pub fn build_engine(spec: &ScenarioSpec) -> Result<Box<dyn Engine>, SpecError> {
 
     match spec.arrival {
         ArrivalSpec::Uniform => match (spec.strategy, spec.stop) {
-            (None, _) if spec.weights.is_some() || spec.capacities.is_some() => {
-                // The weighted/capacity-observing constructors. Weight
-                // assignment is defined in bin order over the dense start
-                // configuration, so all three engines build from the dense
-                // config; the unit/unbounded configuration of each is the
-                // same engine as the plain arm below, bit for bit.
-                let config = spec.start.build(spec.n, m, seed)?;
-                let weights = spec.core_weights();
-                let capacities = spec.core_capacities();
-                match spec.resolved_engine() {
-                    EngineSpec::Sparse => Ok(Box::new(SparseLoadProcess::with_weights(
-                        config,
-                        engine_rng(seed),
-                        weights,
-                        capacities,
-                    ))),
-                    EngineSpec::Sharded => Ok(Box::new(ShardedLoadProcess::with_weights(
-                        config,
-                        seed,
-                        spec.resolved_shards(),
-                        weights,
-                        capacities,
-                    ))),
-                    _ => Ok(Box::new(LoadProcess::with_weights(
-                        config,
-                        engine_rng(seed),
-                        weights,
-                        capacities,
-                    ))),
-                }
-            }
-            (None, _) => match spec.resolved_engine() {
-                EngineSpec::Sparse => {
-                    let entries = spec.start.build_entries(spec.n, m, seed)?;
-                    Ok(Box::new(SparseLoadProcess::from_entries(
+            (None, _) => {
+                // Unit weights and unbounded capacities build no overlay,
+                // so every load engine is the same one a plain constructor
+                // builds, bit for bit. Weights are assigned in bin order
+                // over the start, the order `build_entries` yields.
+                let (weights, capacities) = (spec.core_weights(), spec.core_capacities());
+                let engine: Box<dyn Engine> = match spec.resolved_engine() {
+                    EngineSpec::Sparse => Box::new(SparseLoadProcess::with_weights(
                         spec.n,
-                        entries,
+                        spec.start.build_entries(spec.n, m, seed)?,
                         engine_rng(seed),
-                    )))
-                }
-                EngineSpec::Sharded => {
-                    let config = spec.start.build(spec.n, m, seed)?;
-                    Ok(Box::new(ShardedLoadProcess::new(
-                        config,
+                        weights,
+                        capacities,
+                    )),
+                    EngineSpec::Sharded => Box::new(ShardedLoadProcess::with_weights(
+                        spec.start.build(spec.n, m, seed)?,
                         seed,
                         spec.resolved_shards(),
-                    )))
-                }
-                _ => {
-                    let config = spec.start.build(spec.n, m, seed)?;
-                    Ok(Box::new(LoadProcess::new(config, engine_rng(seed))))
-                }
-            },
+                        weights,
+                        capacities,
+                    )),
+                    _ => Box::new(LoadProcess::with_weights(
+                        spec.start.build(spec.n, m, seed)?,
+                        engine_rng(seed),
+                        weights,
+                        capacities,
+                    )),
+                };
+                Ok(engine)
+            }
             (Some(s), StopSpec::Covered) => {
                 let config = spec.start.build(spec.n, m, seed)?;
                 Ok(Box::new(Traversal::from_config(config, s.to_core(), seed)))

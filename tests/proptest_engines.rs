@@ -1,10 +1,11 @@
-//! Cross-engine equivalence: `step` and `step_batched` produce
-//! bit-identical trajectories for **every** [`Engine`] implementation the
-//! scenario factory can build — not just the load/ball engines whose unit
-//! tests already pin it. Engines without a dedicated batched kernel default
-//! `step_batched` to `step`; this suite keeps that contract honest as
-//! kernels get added, and it pins the mover counts as well as the
-//! configurations.
+//! Cross-engine equivalence for **every** [`Engine`] implementation the
+//! scenario factory can build. The load engine's rows (dense, sparse and
+//! sharded storage, unit and weighted) step against the scalar
+//! `rbb_core::load::reference_round`, seeded from the engine's own
+//! snapshot; every other row checks that `step` and `step_batched` produce
+//! bit-identical trajectories (engines without a dedicated batched kernel
+//! default `step_batched` to `step`), so the contract stays honest as
+//! kernels get added. Mover counts are pinned as well as configurations.
 //!
 //! Engines are built in pairs through `rbb_sim::build_engine` from one
 //! spec, so the matrix automatically tracks the factory table (clique
@@ -12,6 +13,9 @@
 
 use proptest::prelude::*;
 
+use rbb_core::engine::Engine;
+use rbb_core::load::reference_round;
+use rbb_core::rng::Xoshiro256pp;
 use rbb_sim::{ArrivalSpec, ScenarioSpec, StopSpec, StrategySpec, TopologySpec};
 
 /// Every `impl Engine` type the matrix below drives (indirectly, through
@@ -19,11 +23,13 @@ use rbb_sim::{ArrivalSpec, ScenarioSpec, StopSpec, StrategySpec, TopologySpec};
 /// cross-references the workspace's Engine impls against this file, so a
 /// new engine must be added both to [`engine_matrix`] and to this list.
 ///
-/// The load engines are covered in both their unit and their **weighted**
+/// The load engine ([`rbb_core::load::LoadEngine`], behind the three
+/// storage aliases) is covered in both its unit and its **weighted**
 /// configurations (the `*-weighted` matrix labels); the weighted-specific
 /// laws — unit degeneration, weight obliviousness, snapshot round-trip —
 /// live in `tests/proptest_weighted.rs`.
 const COVERED_ENGINES: &[&str] = &[
+    "LoadEngine",
     "LoadProcess",
     "LoadProcess (weighted)",
     "SparseLoadProcess",
@@ -59,8 +65,8 @@ fn engine_matrix() -> Vec<Combo> {
             StopSpec::Horizon,
         ),
         (
-            // The sparse occupancy engine (spec_for forces engine: sparse
-            // for this label); scalar and batched kernels both exist.
+            // The sparse occupancy storage (spec_for forces engine: sparse
+            // for this label).
             "load-sparse",
             ArrivalSpec::Uniform,
             None,
@@ -68,8 +74,8 @@ fn engine_matrix() -> Vec<Combo> {
             StopSpec::Horizon,
         ),
         (
-            // The sharded engine at 4 shards (spec_for forces engine:
-            // sharded); scalar and batched round bodies both exist.
+            // The sharded storage at 4 shards (spec_for forces engine:
+            // sharded), so the reference runs four streams.
             "load-sharded",
             ArrivalSpec::Uniform,
             None,
@@ -79,8 +85,8 @@ fn engine_matrix() -> Vec<Combo> {
         (
             // The dense engine carrying the weighted overlay (spec_for
             // adds zipf weights + a uniform capacity for `*-weighted`
-            // labels): the scalar/batched law must hold with the overlay
-            // in play, not just on the unit fast path.
+            // labels): the reference law must hold with the overlay in
+            // play, not just on the unit fast path.
             "load-weighted",
             ArrivalSpec::Uniform,
             None,
@@ -210,11 +216,17 @@ fn spec_for(combo: &Combo, n: usize, seed: u64) -> ScenarioSpec {
     b.build()
 }
 
-/// Steps one engine scalar and its twin batched, comparing every round.
+/// Steps one engine scalar and its twin batched — or, for the load rows,
+/// the engine against the reference round — comparing every round.
 fn assert_paths_identical(combo: &Combo, n: usize, seed: u64, rounds: u64) {
     let spec = spec_for(combo, n, seed);
     spec.validate()
         .unwrap_or_else(|e| panic!("matrix combo '{}' must be a valid spec: {e}", combo.0));
+    if combo.0.starts_with("load") {
+        let mut engine = rbb_sim::build_engine(&spec).expect("factory");
+        assert_matches_reference(engine.as_mut(), combo.0, seed, rounds);
+        return;
+    }
     let mut scalar = rbb_sim::build_engine(&spec).expect("factory");
     let mut batched = rbb_sim::build_engine(&spec).expect("factory");
     for r in 0..rounds {
@@ -236,6 +248,39 @@ fn assert_paths_identical(combo: &Combo, n: usize, seed: u64, rounds: u64) {
         assert_eq!(scalar.covered(), batched.covered());
         assert_eq!(scalar.min_progress(), batched.min_progress());
     }
+}
+
+/// Steps a load engine against the reference round seeded from its own
+/// snapshot (entries → loads, `rng_states` → streams), so one helper
+/// covers every storage at every shard count, weighted or not: mover
+/// counts and loads every round, stream states at the end.
+fn assert_matches_reference(engine: &mut dyn Engine, label: &str, seed: u64, rounds: u64) {
+    let snap = engine.snapshot().expect("load engines snapshot");
+    let mut loads = vec![0u32; snap.n];
+    for &(bin, load) in &snap.entries {
+        loads[bin as usize] = load;
+    }
+    let mut streams: Vec<Xoshiro256pp> = snap
+        .rng_states
+        .iter()
+        .map(|&s| Xoshiro256pp::from_state(s))
+        .collect();
+    for r in 0..rounds {
+        assert_eq!(
+            engine.step(),
+            reference_round(&mut loads, &mut streams),
+            "{label}: mover count diverged at round {r} (seed = {seed})"
+        );
+        assert_eq!(
+            engine.config().loads(),
+            &loads[..],
+            "{label}: trajectory diverged at round {r} (seed = {seed})"
+        );
+    }
+    let states: Vec<[u64; 4]> = streams.iter().map(Xoshiro256pp::state).collect();
+    let snap = engine.snapshot().expect("load engines snapshot");
+    assert_eq!(snap.rng_states, states, "{label}: stream states diverged");
+    assert_eq!(snap.round, rounds);
 }
 
 proptest! {

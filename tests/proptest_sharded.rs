@@ -5,9 +5,9 @@
 //!    round is exactly the dense scan + batched throw, so the factory-built
 //!    pair must agree on the full metric surface, faults included — the
 //!    same discipline `proptest_sparse.rs` pins for the sparse engine.
-//! 2. **A fixed shard count is exactly reproducible** — across rebuilds,
-//!    across scalar/batched stepping mixes, and (by construction; the unit
-//!    tests pin the parallel round body) across thread counts.
+//! 2. **A fixed shard count is exactly reproducible** — across rebuilds
+//!    and (by construction; the unit tests pin the parallel round driver)
+//!    across thread counts.
 //! 3. **Every shard count obeys the process law.** The round's departure
 //!    count equals the previous non-empty count, mass is conserved, and the
 //!    cheap accessors match the dense snapshot — the trajectory-level
@@ -59,9 +59,9 @@ fn build(spec: &ScenarioSpec, engine: EngineSpec, shards: Option<usize>) -> Box<
     .expect("factory")
 }
 
-/// Lockstep bit-identity comparison (meaningful at shard count 1), with a
-/// scalar/batched mix and an optional mid-run fault — mirrors the sparse
-/// suite's `assert_pair_identical`.
+/// Lockstep bit-identity comparison (meaningful at shard count 1), with an
+/// optional mid-run fault — mirrors the sparse suite's
+/// `assert_pair_identical`.
 fn assert_pair_identical(
     dense: &mut dyn Engine,
     sharded: &mut dyn Engine,
@@ -69,12 +69,11 @@ fn assert_pair_identical(
     fault_at: Option<u64>,
 ) {
     for r in 0..rounds {
-        let (a, b) = if r % 2 == 0 {
-            (dense.step(), sharded.step())
-        } else {
-            (dense.step_batched(), sharded.step_batched())
-        };
-        assert_eq!(a, b, "departure count diverged at round {r}");
+        assert_eq!(
+            dense.step(),
+            sharded.step(),
+            "departure count diverged at round {r}"
+        );
         assert_eq!(dense.round(), sharded.round());
         assert_eq!(dense.balls(), sharded.balls());
         assert_eq!(dense.max_load(), sharded.max_load(), "round {r}");
@@ -102,11 +101,7 @@ fn assert_pair_identical(
 fn assert_law_invariants(engine: &mut dyn Engine, balls: u64, rounds: u64) {
     for r in 0..rounds {
         let nonempty_before = engine.nonempty_bins();
-        let moved = if r % 2 == 0 {
-            engine.step()
-        } else {
-            engine.step_batched()
-        };
+        let moved = engine.step();
         assert_eq!(moved, nonempty_before, "release law violated at round {r}");
         let config = engine.config().clone();
         assert_eq!(config.total_balls(), balls, "mass violated at round {r}");
@@ -158,11 +153,10 @@ proptest! {
             let mut b = build(&spec, EngineSpec::Sharded, Some(shards));
             assert_law_invariants(a.as_mut(), m, rounds);
             for _ in 0..rounds {
-                b.step_batched();
+                b.step();
             }
-            // Scalar/batched-mixed `a` and batched-only `b` land on the
-            // same state: the paths are bit-compatible and the build is
-            // deterministic.
+            // `a` (stepped under the law checks) and `b` land on the same
+            // state: the build is deterministic.
             prop_assert_eq!(a.config(), b.config(), "shards = {}", shards);
         }
     }

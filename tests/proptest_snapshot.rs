@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use rbb_core::engine::Engine;
+use rbb_core::engine::{Engine, Incremental};
 use rbb_core::snapshot::{restore, SnapshotState};
 use rbb_sim::{EngineSpec, ScenarioSpec, StartSpec};
 use serde::Deserialize as _;
@@ -42,6 +42,11 @@ fn build(
     let spec = b.build();
     spec.validate().expect("axis specs must validate");
     rbb_sim::build_engine(&spec).expect("factory")
+}
+
+/// The incremental surface every load engine has.
+fn inc(e: &mut dyn Engine) -> &mut dyn Incremental {
+    e.incremental().expect("load engines place and depart")
 }
 
 /// Asserts two engines agree on every cheap observable.
@@ -92,9 +97,9 @@ fn assert_roundtrip(
     }
     // Incremental traffic before the snapshot: arrivals and departures are
     // part of the state the checkpoint must carry.
-    let b0 = original.place();
-    original.depart(b0);
-    original.place();
+    let b0 = inc(original.as_mut()).place();
+    inc(original.as_mut()).depart(b0);
+    inc(original.as_mut()).place();
 
     let state = original
         .snapshot()
@@ -116,12 +121,12 @@ fn assert_roundtrip(
             moved_a, moved_b,
             "{label}: movers diverged at resume round {r}"
         );
-        let pa = original.place();
-        let pb = restored.place();
+        let pa = inc(original.as_mut()).place();
+        let pb = inc(restored.as_mut()).place();
         assert_eq!(pa, pb, "{label}: placement diverged at resume round {r}");
         assert_eq!(
-            original.depart(pa),
-            restored.depart(pb),
+            inc(original.as_mut()).depart(pa),
+            inc(restored.as_mut()).depart(pb),
             "{label}: departure diverged at resume round {r}"
         );
         assert_twins(original.as_ref(), restored.as_ref(), &label);
@@ -171,7 +176,7 @@ fn one_snapshot_restores_many_identical_engines() {
     let mut b = restore(&state).expect("restore b");
     for _ in 0..15 {
         assert_eq!(a.step_batched(), b.step_batched());
-        assert_eq!(a.place(), b.place());
+        assert_eq!(inc(a.as_mut()).place(), inc(b.as_mut()).place());
     }
     assert_twins(a.as_ref(), b.as_ref(), "(twin restores)");
 }

@@ -1,17 +1,21 @@
 //! Sparse-vs-dense bit-identity: `SparseLoadProcess` must be
 //! indistinguishable from `LoadProcess` — same trajectory, same round
-//! counter, same departures, same metric surface, same fault behavior —
-//! from any seed, any start, and any mix of scalar/batched stepping,
-//! because the process consumes randomness only through the round's
-//! departure-count-many uniform draws (see `rbb_core::sparse` for the
-//! argument). Both engines are built through the scenario factory from one
-//! spec that differs only in the `engine` field, so the property also pins
-//! the spec-layer wiring (`StartSpec::build_entries`, `resolved_engine`).
+//! counter, same departures, same metric surface, same fault behavior,
+//! and under weights the same weighted metrics and snapshot — from any
+//! seed and any start, because the process consumes randomness only
+//! through the round's departure-count-many uniform draws (see
+//! `rbb_core::sparse` for the argument). Both engines are built through
+//! the scenario factory from one spec that differs only in the `engine`
+//! field, so the property also pins the spec-layer wiring
+//! (`StartSpec::build_entries`, `resolved_engine`).
 
 use proptest::prelude::*;
 
 use rbb_core::engine::Engine;
-use rbb_sim::{AdversaryKindSpec, EngineSpec, ScenarioSpec, ScheduleSpec, StartSpec, StopSpec};
+use rbb_sim::{
+    AdversaryKindSpec, CapacitiesSpec, EngineSpec, ScenarioSpec, ScheduleSpec, StartSpec, StopSpec,
+    WeightsSpec,
+};
 
 fn arb_start() -> impl Strategy<Value = StartSpec> {
     (0usize..5, 1usize..6, any::<u64>()).prop_map(|(pick, k, salt)| match pick {
@@ -24,23 +28,33 @@ fn arb_start() -> impl Strategy<Value = StartSpec> {
 }
 
 /// Builds the dense/sparse engine pair from one spec (differing only in
-/// the `engine` field). Packed starts are clamped to `k ≤ n`.
+/// the `engine` field), with Zipf weights and a uniform capacity when
+/// `weighted`. Packed starts are clamped to `k ≤ n`.
 fn engine_pair(
     n: usize,
     m: u64,
     start: StartSpec,
     seed: u64,
+    weighted: bool,
 ) -> (Box<dyn Engine>, Box<dyn Engine>) {
     let start = match start {
         StartSpec::Packed { k } => StartSpec::Packed { k: k.min(n) },
         other => other,
     };
-    let spec = ScenarioSpec::builder(n)
+    let mut b = ScenarioSpec::builder(n)
         .balls(m)
         .start(start)
         .horizon_rounds(1)
-        .seed(seed)
-        .build();
+        .seed(seed);
+    if weighted {
+        b = b
+            .weights(WeightsSpec::Zipf {
+                s: 1.0,
+                w_max: Some(8),
+            })
+            .capacities(CapacitiesSpec::Uniform { c: 3 });
+    }
+    let spec = b.build();
     let dense = rbb_sim::build_engine(&ScenarioSpec {
         engine: Some(EngineSpec::Dense),
         ..spec.clone()
@@ -54,8 +68,9 @@ fn engine_pair(
     (dense, sparse)
 }
 
-/// Lockstep comparison over `rounds` rounds with a scalar/batched mix and a
-/// mid-run fault.
+/// Lockstep comparison over `rounds` rounds with an optional mid-run
+/// fault; the weighted surface and, at the end, the snapshot bytes (but
+/// for the engine tag) must agree too.
 fn assert_pair_identical(
     dense: &mut dyn Engine,
     sparse: &mut dyn Engine,
@@ -63,12 +78,11 @@ fn assert_pair_identical(
     fault_at: Option<u64>,
 ) {
     for r in 0..rounds {
-        let (a, b) = if r % 2 == 0 {
-            (dense.step(), sparse.step())
-        } else {
-            (dense.step_batched(), sparse.step_batched())
-        };
-        assert_eq!(a, b, "departure count diverged at round {r}");
+        assert_eq!(
+            dense.step(),
+            sparse.step(),
+            "departure count diverged at round {r}"
+        );
         assert_eq!(dense.round(), sparse.round());
         assert_eq!(dense.balls(), sparse.balls());
         assert_eq!(dense.max_load(), sparse.max_load(), "round {r}");
@@ -76,6 +90,9 @@ fn assert_pair_identical(
         assert_eq!(dense.nonempty_bins(), sparse.nonempty_bins());
         assert_eq!(dense.covered(), sparse.covered());
         assert_eq!(dense.min_progress(), sparse.min_progress());
+        assert_eq!(dense.total_weight(), sparse.total_weight());
+        assert_eq!(dense.weighted_max_load(), sparse.weighted_max_load());
+        assert_eq!(dense.capacity_violations(), sparse.capacity_violations());
         assert_eq!(
             dense.config(),
             sparse.config(),
@@ -93,13 +110,23 @@ fn assert_pair_identical(
             assert_eq!(dense.config(), sparse.config(), "fault diverged");
         }
     }
+    let dense_snap = dense.snapshot().expect("dense snapshots");
+    let mut sparse_snap = sparse.snapshot().expect("sparse snapshots");
+    assert_eq!(sparse_snap.engine, "sparse");
+    sparse_snap.engine = dense_snap.engine.clone();
+    assert_eq!(
+        serde_json::to_string(&dense_snap).expect("serializes"),
+        serde_json::to_string(&sparse_snap).expect("serializes"),
+        "snapshot bytes diverged"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random (n, m, start, seed): identical trajectories, metric surfaces,
-    /// and fault handling across a scalar/batched stepping mix.
+    /// Random (n, m, start, seed, weighted): identical trajectories,
+    /// metric surfaces (weighted ones included) and snapshots, and fault
+    /// handling on unit engines (weighted specs carry no adversary).
     #[test]
     fn sparse_engine_is_bit_identical_to_dense(
         n in 2usize..257,
@@ -109,10 +136,13 @@ proptest! {
         rounds in 10u64..50,
         with_fault in any::<bool>(),
         fault_round in 0u64..40,
+        weighted in any::<bool>(),
     ) {
-        let (mut dense, mut sparse) = engine_pair(n, m, start, seed);
+        let (mut dense, mut sparse) = engine_pair(n, m, start, seed, weighted);
         prop_assert!(dense.supports_faults() && sparse.supports_faults());
-        let fault = with_fault.then_some(fault_round);
+        prop_assert_eq!(dense.weighted(), weighted);
+        prop_assert_eq!(sparse.weighted(), weighted);
+        let fault = (with_fault && !weighted).then_some(fault_round);
         assert_pair_identical(dense.as_mut(), sparse.as_mut(), rounds, fault);
     }
 
@@ -122,7 +152,7 @@ proptest! {
         n in 2usize..200,
         seed in any::<u64>(),
     ) {
-        let (mut dense, mut sparse) = engine_pair(n, n as u64, StartSpec::OnePerBin, seed);
+        let (mut dense, mut sparse) = engine_pair(n, n as u64, StartSpec::OnePerBin, seed, false);
         assert_pair_identical(dense.as_mut(), sparse.as_mut(), 60, None);
     }
 
@@ -172,8 +202,10 @@ fn sparse_pinned_seeds() {
             (128, 300, StartSpec::Random { salt: 0xFEED }),
             (4096, 17, StartSpec::RandomMultinomial { salt: 1 }),
         ] {
-            let (mut dense, mut sparse) = engine_pair(n, m, start, seed);
+            let (mut dense, mut sparse) = engine_pair(n, m, start, seed, false);
             assert_pair_identical(dense.as_mut(), sparse.as_mut(), 150, Some(75));
+            let (mut dense, mut sparse) = engine_pair(n, m, start, seed, true);
+            assert_pair_identical(dense.as_mut(), sparse.as_mut(), 150, None);
         }
     }
 }

@@ -251,8 +251,8 @@ fn spec_engines_match_hand_built_for_all_strategy_arrival_combos() {
     }
 }
 
-/// The scenario driver's batched-by-default loop equals scalar stepping for
-/// the engines that guarantee bit-identical paths.
+/// The scenario driver's loop equals the scalar reference round from the
+/// same seed and start.
 #[test]
 fn scenario_run_equals_scalar_reference() {
     let spec = ScenarioSpec::builder(96)
@@ -262,9 +262,10 @@ fn scenario_run_equals_scalar_reference() {
     let mut scenario = spec.scenario().unwrap();
     scenario.run();
 
-    let mut reference = LoadProcess::new(Config::one_per_bin(96), Xoshiro256pp::seed_from(5));
+    let mut loads = vec![1u32; 96];
+    let mut streams = [Xoshiro256pp::seed_from(5)];
     for _ in 0..300 {
-        reference.step(); // scalar path
+        rbb_core::load::reference_round(&mut loads, &mut streams);
     }
-    assert_eq!(scenario.engine().config(), reference.config());
+    assert_eq!(scenario.engine().config().loads(), &loads[..]);
 }

@@ -12,8 +12,8 @@
 //! 3. **Weighted snapshot round-trip** — a version-2 snapshot restores to
 //!    an engine that continues bit-identically, weighted surface included.
 //!
-//! Together with `tests/proptest_engines.rs` (whose matrix carries the
-//! weighted combos through the scalar/batched law) this pins the tentpole
+//! Together with `tests/proptest_engines.rs` (whose matrix steps the
+//! weighted combos against the reference round) this pins the tentpole
 //! guarantee: pre-weighted behavior is unchanged wherever weights are not
 //! in play.
 
