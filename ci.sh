@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, docs, release build, full test suite, bench
-# compile smoke, examples, spec validation (scenario + ensemble, including
-# the sparse-regime and sharded specs), the sparse-vs-dense and sharded
-# equivalence proptests, the ensemble and sharded thread-count determinism
-# diffs, the theory-conformance suite (budgeted, at two thread counts),
-# experiment smoke, and the perf gates (batched-vs-scalar, sparse-vs-dense,
-# and sharded-vs-dense).
+# CI gate: formatting, lints, docs, release build, examples, the full test
+# suite plus perfbench's own tests, spec validation (scenario + ensemble,
+# including the sparse-regime and sharded specs), the sparse-vs-dense and
+# sharded equivalence proptests, the ensemble and sharded thread-count
+# determinism diffs, the theory-conformance suite (budgeted, at two thread
+# counts), experiment smoke, and rbb-bench's four ratio gates
+# (batched-vs-scalar, sparse-vs-dense, sharded-vs-dense, weighted-unit),
+# each pair timed interleaved.
 # Run from the repository root. Mirrors the tier-1 verify
 # (`cargo build --release && cargo test -q`) plus conformance checks.
 # Fully offline: all external dependencies are vendored under `vendor/`.
@@ -13,15 +14,16 @@
 # Stages (each wall-clock timed; summary table at the end):
 #   fmt          cargo fmt --check
 #   lint         clippy, rbb-lint (self-check + gate + JSON artifact), rustdoc
-#   build        release build, bench compile smoke, examples
-#   test         cargo test -q, engine-equivalence proptests, rbb-exp smoke
+#   build        release build, examples
+#   test         cargo test -q, perfbench's tests, engine-equivalence
+#                proptests, rbb-exp smoke
 #   specs        committed specs run; ensemble + sharded determinism diffs
 #   weighted     weighted regime: specs/weighted-*.json byte-diffed against
 #                their goldens; unit-degeneration/obliviousness proptests
 #   serve        rbb-serve daemon end to end: socket session, snapshot →
 #                restore → resume byte-diffed against an uninterrupted run
 #   conformance  theory-conformance suite at 1 and 4 threads (300s budget)
-#   bench        rbb-bench perf gates
+#   bench        rbb-bench ratio gates
 #
 # `./ci.sh --stage <name>` runs one stage in isolation — e.g.
 # `./ci.sh --stage bench` re-runs just the perf gates locally.
@@ -95,9 +97,6 @@ stage_build() {
     echo "==> cargo build --release"
     cargo build --release
 
-    echo "==> cargo bench --no-run (compile smoke)"
-    cargo bench --workspace --no-run -q
-
     echo "==> examples"
     for example in quickstart process_zoo topology_tour adversarial_recovery token_scheduler exact_analysis; do
         echo "--> cargo run --release --example ${example}"
@@ -108,6 +107,12 @@ stage_build() {
 stage_test() {
     echo "==> cargo test -q"
     cargo test -q
+
+    echo "==> perfbench's own tests (unit tests + a reduced-size smoke run of every workload)"
+    # perfbench is a package of its own, outside the workspace; this catches
+    # a change to a public API it calls here rather than in the benchmark
+    # run. --locked keeps perfbench/Cargo.lock from being rewritten.
+    cargo test --offline --locked --manifest-path perfbench/Cargo.toml
 
     echo "==> engine equivalence proptests (sparse-vs-dense, sharded)"
     cargo test -q -p rbb --test proptest_sparse --test proptest_sharded
@@ -304,7 +309,9 @@ stage_bench() {
     # The gate writes its quick-profile report to an untracked path so it never
     # clobbers the committed full-profile BENCH.json snapshot (refresh that one
     # deliberately with `cargo run --release --bin rbb-bench -- --json BENCH.json`).
-    # Sparse gate: measured ~30x at m/n = 1/1024 (quick profile); 3x leaves a wide
+    # Every gate reads the paired ratio of two kernels timed interleaved, so
+    # drift on a shared machine hits both sides of a pair alike.
+    # Sparse gate: measured ~21x at m/n = 1/1024 (quick profile); 3x leaves a wide
     # margin for noisy machines while still failing on any real regression.
     # Sharded gate: a parallel-scaling assertion (4 shards, n = 10^7); rbb-bench
     # enforces the 2x threshold when the machine has >= 4 cores and otherwise

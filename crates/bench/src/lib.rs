@@ -1,17 +1,12 @@
-//! # rbb-bench — throughput measurement
+//! # rbb-bench — the ratio gates behind `ci.sh`
 //!
-//! Two entry points:
-//!
-//! * **`rbb-bench` binary** (`src/main.rs`) — the repo's perf gate: warmup +
-//!   repetition + median-throughput measurements of the hot paths (engines,
-//!   Tetris, traversal, graph walks, trial scheduler), emitted as a
-//!   machine-readable `BENCH.json` (see [`BenchReport`]) and consumed by
-//!   `ci.sh` as a compile-and-smoke gate with a minimum engine-speedup
-//!   threshold.
-//! * **criterion bench targets** (`benches/`): `engine` (load vs identity
-//!   engines), `tetris`, `samplers` (+ PRNG ablation),
-//!   `graphs`, `traversal` (+ bitset ablation), `baselines`, `strategies`
-//!   (FIFO/LIFO/random ablation). Run with `cargo bench -p rbb-bench`.
+//! The `rbb-bench` binary (`src/main.rs`) times four pairs of load-engine
+//! kernels, each pair interleaved by [`measure_paired`], and gates on their
+//! paired ratios: the dense round against the scalar reference round,
+//! sparse against dense storage at `m ≪ n`, sharded against dense storage
+//! at large `n`, and the unit-weight path of the weighted constructor
+//! against the plain engine. It writes a machine-readable `BENCH.json` (see
+//! [`BenchReport`]). End-to-end and per-layer numbers live in `perfbench/`.
 //!
 //! This library holds the measurement harness and the `BENCH.json` schema so
 //! both stay unit-testable.
@@ -24,10 +19,10 @@ use std::time::Instant;
 /// Version of the `BENCH.json` schema emitted by [`BenchReport::to_json`].
 /// Bump on any breaking change to the report shape.
 /// v2: added the interleaved `engine/weighted-unit` /
-/// `engine/weighted-unit-baseline` pair and the
-/// `engine_rounds_per_sec_weighted_unit{,_baseline}` +
-/// `engine_ratio_weighted_unit_vs_batched` derived fields.
-pub const SCHEMA_VERSION: u32 = 2;
+/// `engine/weighted-unit-baseline` pair and its derived ratio.
+/// v3: `benchmarks[]` holds exactly the four gated pairs, each timed
+/// interleaved; `derived` holds only their four paired ratios.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// One measured benchmark: `reps` timed iterations after `warmup` untimed
 /// ones, summarized by min/median/mean nanoseconds per iteration and the
@@ -36,11 +31,11 @@ pub const SCHEMA_VERSION: u32 = 2;
 pub struct BenchResult {
     /// Unique benchmark name, `group/variant` by convention.
     pub name: String,
-    /// Logical group (e.g. `engine`), used for derived cross-variant ratios.
+    /// Logical group (e.g. `engine`).
     pub group: String,
-    /// Problem size (bins, vertices, or grid width — see `unit`).
+    /// Problem size (bins).
     pub n: u64,
-    /// Work items performed per timed iteration (rounds, steps, trials).
+    /// Work items performed per timed iteration (rounds).
     pub items_per_iter: u64,
     /// What one work item is: the throughput unit is `<unit>/s`.
     pub unit: String,
@@ -48,19 +43,17 @@ pub struct BenchResult {
     pub reps: usize,
     /// Fastest repetition, in nanoseconds per iteration.
     pub min_ns: f64,
-    /// Median repetition, in nanoseconds per iteration — the headline
-    /// number (robust to one-off scheduling noise).
+    /// Median repetition, in nanoseconds per iteration.
     pub median_ns: f64,
     /// Mean over repetitions, in nanoseconds per iteration.
     pub mean_ns: f64,
-    /// `items_per_iter / median_seconds` — the headline throughput.
+    /// `items_per_iter / median_seconds`.
     pub throughput_per_sec: f64,
-    /// For the primary side of a [`measure_paired`] run: the median over
-    /// reps of the per-rep throughput ratio against the partner routine
-    /// (`partner_ns[i] / self_ns[i]`). Adjacent-in-time reps see the same
-    /// machine drift, so this is far tighter than the ratio of the two
-    /// medians; tight gates read this. `None` for single measurements and
-    /// for the partner side.
+    /// For the primary side of a pair: the median over reps of the per-rep
+    /// throughput ratio against the partner routine (`partner_ns[i] /
+    /// self_ns[i]`). Adjacent-in-time reps see the same machine drift, so
+    /// this is far tighter than the ratio of the two medians; the gates
+    /// read this. `None` for the partner side.
     pub paired_ratio: Option<f64>,
 }
 
@@ -75,7 +68,7 @@ pub struct Spec {
     pub n: u64,
     /// Work items per timed iteration.
     pub items_per_iter: u64,
-    /// Throughput unit (`rounds`, `steps`, `trials`, ...).
+    /// Throughput unit (`rounds`).
     pub unit: String,
 }
 
@@ -98,18 +91,10 @@ impl Spec {
     }
 }
 
-/// Median of a non-empty sample (mean of the middle two for even sizes).
-/// Thin wrapper over [`rbb_stats::median`] so the bench summary can never
-/// diverge from the stats crate's definition.
-pub fn median(samples: &[f64]) -> f64 {
-    assert!(!samples.is_empty(), "median of an empty sample");
-    rbb_stats::median(samples)
-}
-
 /// Summarizes timed samples into a [`BenchResult`] (median-derived
 /// throughput, min/median/mean ns).
 fn summarize(spec: Spec, samples_ns: &[f64]) -> BenchResult {
-    let median_ns = median(samples_ns);
+    let median_ns = rbb_stats::median(samples_ns);
     let min_ns = samples_ns.iter().copied().fold(f64::INFINITY, f64::min);
     let mean_ns = samples_ns.iter().sum::<f64>() / samples_ns.len() as f64;
     BenchResult {
@@ -131,32 +116,15 @@ fn summarize(spec: Spec, samples_ns: &[f64]) -> BenchResult {
     }
 }
 
-/// Times `routine`: `warmup` untimed iterations (cache/branch-predictor
-/// warm-up and, for the engines, burn-in to the stationary load profile),
-/// then `reps` timed iterations summarized into a [`BenchResult`].
-pub fn measure(spec: Spec, warmup: usize, reps: usize, mut routine: impl FnMut()) -> BenchResult {
-    let reps = reps.max(1);
-    for _ in 0..warmup {
-        routine();
-    }
-    let mut samples_ns = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = Instant::now();
-        routine();
-        samples_ns.push(start.elapsed().as_secs_f64() * 1e9);
-    }
-    summarize(spec, &samples_ns)
-}
-
-/// Times two routines interleaved (a, b, a, b, …), warmup and timed reps
-/// alike, summarizing each side as its own [`BenchResult`].
+/// Times two routines interleaved (a, b, a, b, …): `warmup` untimed pairs
+/// (cache warm-up and, for the engines, burn-in to the stationary load
+/// profile), then `reps` timed pairs (at least one), each side summarized
+/// as its own [`BenchResult`]. The first carries the paired ratio.
 ///
 /// On a machine with drifting background load, two *separately* measured
 /// medians can disagree by tens of percent even for identical code, which
-/// swamps any tight ratio gate. Interleaving exposes both sides to the same
-/// drift, so their median ratio stays meaningful at the few-percent scale.
-/// Use this for neutrality gates (e.g. the weighted-unit ≤ 5% budget);
-/// independent [`measure`] calls are fine for order-of-magnitude speedups.
+/// swamps a ratio gate. Interleaving exposes both sides to the same drift,
+/// and the per-rep ratio cancels it rep by rep.
 pub fn measure_paired(
     spec_a: Spec,
     spec_b: Spec,
@@ -180,119 +148,63 @@ pub fn measure_paired(
         routine_b();
         samples_b.push(start.elapsed().as_secs_f64() * 1e9);
     }
-    // Per-rep ratios pair each timing with its in-time neighbor, so machine
-    // drift cancels rep by rep instead of only in aggregate.
     let ratios: Vec<f64> = samples_a
         .iter()
         .zip(&samples_b)
         .map(|(&a, &b)| if a > 0.0 { b / a } else { 0.0 })
         .collect();
     let mut result_a = summarize(spec_a, &samples_a);
-    result_a.paired_ratio = Some(median(&ratios));
+    result_a.paired_ratio = Some(rbb_stats::median(&ratios));
     (result_a, summarize(spec_b, &samples_b))
 }
 
-/// Cross-benchmark numbers derived from the raw measurements. `None` fields
-/// render as JSON `null` when the contributing benchmarks were filtered out.
+/// The four gated ratios, each the [`BenchResult::paired_ratio`] of one
+/// pair's primary side. A field renders as JSON `null` when `--only`
+/// filtered its pair out.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct Derived {
-    /// Median throughput of `engine/scalar` (the scalar reference round,
-    /// `rbb_core::load::reference_round`, at one stream), in rounds/sec.
-    pub engine_rounds_per_sec_scalar: Option<f64>,
-    /// Median throughput of `engine/batched` (the dense engine's round), in
-    /// rounds/sec.
-    pub engine_rounds_per_sec_batched: Option<f64>,
-    /// `batched / scalar` — the perf-gate headline; `ci.sh` enforces a
-    /// minimum via `--min-engine-speedup`.
+    /// `engine/batched` (the dense engine's round) vs `engine/scalar` (the
+    /// scalar reference round, `rbb_core::load::reference_round`, at one
+    /// stream); `ci.sh` enforces `--min-engine-speedup`.
     pub engine_speedup_batched_vs_scalar: Option<f64>,
-    /// Median throughput of `engine/sparse` (the sparse occupancy engine at
-    /// `m/n ≤ 1/64`), in rounds/sec.
-    pub engine_rounds_per_sec_sparse: Option<f64>,
-    /// Median throughput of `engine/sparse-baseline` (the dense engine on
-    /// the same `(n, m)` workload), in rounds/sec.
-    pub engine_rounds_per_sec_sparse_baseline: Option<f64>,
-    /// `sparse / sparse-baseline` — the sparse-regime gate; `ci.sh`
-    /// enforces a minimum via `--min-sparse-speedup`.
+    /// `engine/sparse` (sparse storage at `m/n ≤ 1/64`) vs
+    /// `engine/sparse-baseline` (dense storage, same workload); `ci.sh`
+    /// enforces `--min-sparse-speedup`.
     pub engine_speedup_sparse_vs_dense: Option<f64>,
-    /// Median throughput of `engine/sharded` (the sharded engine, large
-    /// dense regime), in rounds/sec.
-    pub engine_rounds_per_sec_sharded: Option<f64>,
-    /// Median throughput of `engine/sharded-baseline` (the dense engine on
-    /// the same workload), in rounds/sec.
-    pub engine_rounds_per_sec_sharded_baseline: Option<f64>,
-    /// `sharded / sharded-baseline` — the sharded-engine gate; `ci.sh`
-    /// enforces a minimum via `--min-sharded-speedup` when the machine has
-    /// at least as many cores as the benchmark has shards (the ratio is
-    /// always recorded, so single-core CI still tracks the trajectory).
+    /// `engine/sharded` (sharded storage, large dense regime) vs
+    /// `engine/sharded-baseline` (dense storage, same workload); `ci.sh`
+    /// enforces `--min-sharded-speedup` when the machine has at least as
+    /// many cores as the pair has shards.
     pub engine_speedup_sharded_vs_dense: Option<f64>,
-    /// Median throughput of `engine/weighted-unit` (the dense engine built
-    /// through the weighted constructor with all-ones weights — the unit
-    /// fast path), in rounds/sec.
-    pub engine_rounds_per_sec_weighted_unit: Option<f64>,
-    /// Median throughput of `engine/weighted-unit-baseline` (the plain
-    /// batched engine on the identical workload, measured interleaved with
-    /// `engine/weighted-unit` via [`measure_paired`]), in rounds/sec.
-    pub engine_rounds_per_sec_weighted_unit_baseline: Option<f64>,
-    /// `weighted-unit / weighted-unit-baseline` — the weighted-layer
-    /// neutrality gate; `ci.sh` enforces a minimum via
-    /// `--min-weighted-unit-ratio` (0.95 ⇒ the unit-weight fast path may
-    /// regress at most 5% against the batched kernel). The baseline is the
-    /// `engine/batched` kernel re-measured interleaved with the weighted
-    /// side, and the ratio is the per-rep paired median
-    /// ([`BenchResult::paired_ratio`]), falling back to the ratio of the
-    /// two medians — two independently measured medians drift by far more
-    /// than the 5% budget on a shared machine.
+    /// `engine/weighted-unit` (the dense engine built through the weighted
+    /// constructor with all-ones weights) vs `engine/weighted-unit-baseline`
+    /// (the plain engine, same workload); `ci.sh` enforces
+    /// `--min-weighted-unit-ratio` (0.95 ⇒ at most 5% overhead).
     pub engine_ratio_weighted_unit_vs_batched: Option<f64>,
 }
 
 impl Derived {
-    /// Computes the derived metrics from the measured set.
+    /// Reads each pair's paired ratio off its primary side.
     pub fn from_results(results: &[BenchResult]) -> Self {
-        let throughput = |name: &str| {
+        let paired = |name: &str| {
             results
                 .iter()
                 .find(|r| r.name == name)
-                .map(|r| r.throughput_per_sec)
+                .and_then(|r| r.paired_ratio)
         };
-        let ratio = |num: Option<f64>, den: Option<f64>| match (num, den) {
-            (Some(x), Some(y)) if y > 0.0 => Some(x / y),
-            _ => None,
-        };
-        let scalar = throughput("engine/scalar");
-        let batched = throughput("engine/batched");
-        let sparse = throughput("engine/sparse");
-        let sparse_baseline = throughput("engine/sparse-baseline");
-        let sharded = throughput("engine/sharded");
-        let sharded_baseline = throughput("engine/sharded-baseline");
-        let weighted_unit = throughput("engine/weighted-unit");
-        let weighted_unit_baseline = throughput("engine/weighted-unit-baseline");
-        let weighted_unit_paired = results
-            .iter()
-            .find(|r| r.name == "engine/weighted-unit")
-            .and_then(|r| r.paired_ratio);
         Self {
-            engine_rounds_per_sec_scalar: scalar,
-            engine_rounds_per_sec_batched: batched,
-            engine_speedup_batched_vs_scalar: ratio(batched, scalar),
-            engine_rounds_per_sec_sparse: sparse,
-            engine_rounds_per_sec_sparse_baseline: sparse_baseline,
-            engine_speedup_sparse_vs_dense: ratio(sparse, sparse_baseline),
-            engine_rounds_per_sec_sharded: sharded,
-            engine_rounds_per_sec_sharded_baseline: sharded_baseline,
-            engine_speedup_sharded_vs_dense: ratio(sharded, sharded_baseline),
-            engine_rounds_per_sec_weighted_unit: weighted_unit,
-            engine_rounds_per_sec_weighted_unit_baseline: weighted_unit_baseline,
-            engine_ratio_weighted_unit_vs_batched: weighted_unit_paired
-                .or_else(|| ratio(weighted_unit, weighted_unit_baseline)),
+            engine_speedup_batched_vs_scalar: paired("engine/batched"),
+            engine_speedup_sparse_vs_dense: paired("engine/sparse"),
+            engine_speedup_sharded_vs_dense: paired("engine/sharded"),
+            engine_ratio_weighted_unit_vs_batched: paired("engine/weighted-unit"),
         }
     }
 }
 
 /// The `BENCH.json` document: schema version, run configuration, raw
-/// measurements, and derived ratios. Timings are wall-clock and
-/// machine-dependent; comparisons are only meaningful against a baseline
-/// captured on the same machine (which is exactly how `ci.sh` uses the
-/// batched-vs-scalar speedup — both sides run in the same process).
+/// measurements, and the gated ratios. Timings are wall-clock and
+/// machine-dependent; the ratios compare two kernels timed interleaved in
+/// one process, so they travel better than the raw numbers.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct BenchReport {
     /// Schema version ([`SCHEMA_VERSION`]).
@@ -301,17 +213,17 @@ pub struct BenchReport {
     pub generated_unix: u64,
     /// Whether this was a `--quick` smoke run (smaller sizes, fewer reps).
     pub quick: bool,
-    /// Worker threads the scheduler benchmarks used.
+    /// Worker threads available to the sharded engine's round driver.
     pub threads: usize,
-    /// Untimed warmup iterations per benchmark.
+    /// Untimed warmup pairs per benchmark pair.
     pub warmup_iters: usize,
     /// Timed repetitions per benchmark.
     pub reps: usize,
     /// Master seed the benchmark processes were constructed from.
     pub seed: u64,
-    /// The raw measurements.
+    /// The raw measurements, two per pair.
     pub benchmarks: Vec<BenchResult>,
-    /// Cross-benchmark ratios.
+    /// The gated ratios.
     pub derived: Derived,
 }
 
@@ -327,105 +239,101 @@ mod tests {
     use super::*;
 
     fn spec() -> Spec {
+        Spec::new("engine/batched", "engine", 64, 10, "rounds")
+    }
+
+    fn partner() -> Spec {
         Spec::new("engine/scalar", "engine", 64, 10, "rounds")
     }
 
-    #[test]
-    fn median_odd_even_and_unsorted() {
-        assert_eq!(median(&[3.0]), 3.0);
-        assert_eq!(median(&[5.0, 1.0, 3.0]), 3.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+    /// A measured primary side renamed to `name`, with its paired ratio
+    /// overwritten.
+    fn primary(name: &str, paired_ratio: f64) -> BenchResult {
+        let (mut r, _) = measure_paired(spec(), partner(), 0, 1, || {}, || {});
+        r.name = name.into();
+        r.paired_ratio = Some(paired_ratio);
+        r
     }
 
     #[test]
     fn measure_runs_warmup_plus_reps_and_is_positive() {
-        let mut calls = 0usize;
-        let r = measure(spec(), 3, 7, || {
-            calls += 1;
-            std::hint::black_box((0..100).sum::<u64>());
-        });
-        assert_eq!(calls, 10);
-        assert_eq!(r.reps, 7);
-        assert!(r.min_ns > 0.0 && r.min_ns <= r.median_ns);
-        assert!(r.throughput_per_sec > 0.0);
-        assert_eq!(r.items_per_iter, 10);
+        let (mut calls_a, mut calls_b) = (0usize, 0usize);
+        let work = || std::hint::black_box((0..100).sum::<u64>());
+        let (a, b) = measure_paired(
+            spec(),
+            partner(),
+            3,
+            7,
+            || {
+                calls_a += 1;
+                work();
+            },
+            || {
+                calls_b += 1;
+                work();
+            },
+        );
+        assert_eq!((calls_a, calls_b), (10, 10));
+        for r in [&a, &b] {
+            assert_eq!(r.reps, 7);
+            assert!(r.min_ns > 0.0 && r.min_ns <= r.median_ns);
+            assert!(r.throughput_per_sec > 0.0);
+            assert_eq!(r.items_per_iter, 10);
+        }
     }
 
     #[test]
     fn measure_clamps_zero_reps_to_one() {
-        let r = measure(spec(), 0, 0, || {});
-        assert_eq!(r.reps, 1);
+        let (a, b) = measure_paired(spec(), partner(), 0, 0, || {}, || {});
+        assert_eq!((a.reps, b.reps), (1, 1));
     }
 
     #[test]
     fn derived_speedup_from_engine_pair() {
-        let mut scalar = measure(spec(), 0, 1, || {});
-        scalar.throughput_per_sec = 100.0;
-        let mut batched = scalar.clone();
-        batched.name = "engine/batched".into();
-        batched.throughput_per_sec = 250.0;
-        let d = Derived::from_results(&[scalar, batched]);
-        assert_eq!(d.engine_rounds_per_sec_scalar, Some(100.0));
+        let batched = primary("engine/batched", 2.5);
+        let d = Derived::from_results(&[batched]);
         assert_eq!(d.engine_speedup_batched_vs_scalar, Some(2.5));
+        assert_eq!(d.engine_speedup_sparse_vs_dense, None);
     }
 
     #[test]
     fn derived_sparse_speedup_from_pair() {
-        let mut sparse = measure(spec(), 0, 1, || {});
-        sparse.name = "engine/sparse".into();
-        sparse.throughput_per_sec = 900.0;
-        let mut baseline = sparse.clone();
-        baseline.name = "engine/sparse-baseline".into();
-        baseline.throughput_per_sec = 100.0;
-        let d = Derived::from_results(&[sparse, baseline]);
+        let sparse = primary("engine/sparse", 9.0);
+        let d = Derived::from_results(&[sparse]);
         assert_eq!(d.engine_speedup_sparse_vs_dense, Some(9.0));
         assert_eq!(d.engine_speedup_batched_vs_scalar, None);
     }
 
     #[test]
     fn derived_sharded_speedup_from_pair() {
-        let mut sharded = measure(spec(), 0, 1, || {});
-        sharded.name = "engine/sharded".into();
-        sharded.throughput_per_sec = 300.0;
-        let mut baseline = sharded.clone();
-        baseline.name = "engine/sharded-baseline".into();
-        baseline.throughput_per_sec = 100.0;
-        let d = Derived::from_results(&[sharded, baseline]);
+        let sharded = primary("engine/sharded", 3.0);
+        let d = Derived::from_results(&[sharded]);
         assert_eq!(d.engine_speedup_sharded_vs_dense, Some(3.0));
-        assert_eq!(d.engine_rounds_per_sec_sharded, Some(300.0));
         assert_eq!(d.engine_speedup_sparse_vs_dense, None);
     }
 
     #[test]
     fn derived_weighted_unit_ratio_from_pair() {
-        let mut baseline = measure(spec(), 0, 1, || {});
+        let weighted = primary("engine/weighted-unit", 0.99);
+        let mut baseline = weighted.clone();
         baseline.name = "engine/weighted-unit-baseline".into();
-        baseline.throughput_per_sec = 200.0;
-        let mut weighted = baseline.clone();
-        weighted.name = "engine/weighted-unit".into();
-        weighted.throughput_per_sec = 190.0;
-        assert_eq!(weighted.paired_ratio, None);
-        let d = Derived::from_results(&[baseline.clone(), weighted.clone()]);
-        assert_eq!(d.engine_rounds_per_sec_weighted_unit, Some(190.0));
-        assert_eq!(d.engine_rounds_per_sec_weighted_unit_baseline, Some(200.0));
-        // No per-rep paired ratio recorded → fall back to the median ratio.
-        assert_eq!(d.engine_ratio_weighted_unit_vs_batched, Some(0.95));
-        // The pair is independent of both the scalar side and the
-        // standalone engine/batched entry.
-        assert_eq!(d.engine_speedup_batched_vs_scalar, None);
-        // A recorded paired ratio wins over the ratio of medians.
-        weighted.paired_ratio = Some(0.99);
-        let d = Derived::from_results(&[baseline, weighted]);
+        baseline.paired_ratio = None;
+        let d = Derived::from_results(&[weighted.clone(), baseline.clone()]);
         assert_eq!(d.engine_ratio_weighted_unit_vs_batched, Some(0.99));
+        // Only the primary side's paired ratio counts: a result without one
+        // reports nothing rather than a ratio of two medians.
+        let mut unpaired = weighted;
+        unpaired.paired_ratio = None;
+        let d = Derived::from_results(&[unpaired, baseline]);
+        assert_eq!(d.engine_ratio_weighted_unit_vs_batched, None);
     }
 
     #[test]
     fn measure_paired_interleaves_and_summarizes_both_sides() {
         let order = std::cell::RefCell::new(String::new());
-        let spec_b = Spec::new("engine/b", "engine", 64, 10, "rounds");
         let (ra, rb) = measure_paired(
             spec(),
-            spec_b,
+            partner(),
             2,
             5,
             || order.borrow_mut().push('a'),
@@ -434,7 +342,7 @@ mod tests {
         assert_eq!(ra.reps, 5);
         assert_eq!(rb.reps, 5);
         assert!(ra.min_ns >= 0.0 && rb.min_ns >= 0.0);
-        assert_eq!(rb.name, "engine/b");
+        assert_eq!(rb.name, "engine/scalar");
         // The primary side carries the per-rep paired ratio, the partner
         // side does not.
         assert!(ra.paired_ratio.is_some_and(|r| r > 0.0));
@@ -449,6 +357,7 @@ mod tests {
         assert_eq!(d.engine_speedup_batched_vs_scalar, None);
         assert_eq!(d.engine_speedup_sparse_vs_dense, None);
         assert_eq!(d.engine_speedup_sharded_vs_dense, None);
+        assert_eq!(d.engine_ratio_weighted_unit_vs_batched, None);
         // ...and the nulls survive serialization.
         let v = serde::Serialize::serialize(&d);
         let text = serde_json::to_string(&v).unwrap();
@@ -457,7 +366,8 @@ mod tests {
 
     #[test]
     fn report_renders_schema_fields() {
-        let results = vec![measure(spec(), 0, 2, || {})];
+        let (a, b) = measure_paired(spec(), partner(), 0, 2, || {}, || {});
+        let results = vec![a, b];
         let report = BenchReport {
             schema_version: SCHEMA_VERSION,
             generated_unix: 0,
@@ -471,11 +381,13 @@ mod tests {
         };
         let json = report.to_json();
         for key in [
-            "\"schema_version\": 2",
+            "\"schema_version\": 3",
             "\"benchmarks\"",
             "\"median_ns\"",
             "\"throughput_per_sec\"",
+            "\"paired_ratio\"",
             "\"derived\"",
+            "\"engine_speedup_batched_vs_scalar\"",
             "\"unit\": \"rounds\"",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");

@@ -18,9 +18,12 @@
 //! The daemon answers one line-JSON response per request line; see
 //! `rbb_serve::session` for the protocol. Socket modes accept connections
 //! sequentially (one session at a time — the engine is single-threaded
-//! state) and exit after a connection issues `shutdown`.
+//! state) and exit after a connection issues `shutdown`. A failure inside
+//! one connection is reported on stderr and the daemon accepts the next.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 
 use rbb_serve::clock::{Clock, MockClock, MonotonicClock};
 use rbb_serve::session::{serve_lines, Session};
@@ -67,34 +70,56 @@ fn run() -> Result<(), String> {
             let mut session = build_session(&args)?;
             // A stale socket file from a previous daemon would make bind fail.
             let _ = std::fs::remove_file(path);
-            let listener = std::os::unix::net::UnixListener::bind(path)
-                .map_err(|e| format!("binding {path}: {e}"))?;
-            for conn in listener.incoming() {
-                let conn = conn.map_err(|e| format!("accept on {path}: {e}"))?;
-                let reader =
-                    BufReader::new(conn.try_clone().map_err(|e| format!("socket clone: {e}"))?);
-                serve_lines(&mut session, reader, BufWriter::new(conn))
-                    .map_err(|e| format!("socket session: {e}"))?;
-                if session.is_shutdown() {
-                    break;
-                }
-            }
+            let listener = UnixListener::bind(path).map_err(|e| format!("binding {path}: {e}"))?;
+            let served = accept_loop(&mut session, listener.incoming(), std::io::stderr());
             let _ = std::fs::remove_file(path);
+            served.map_err(|e| format!("accept on {path}: {e}"))?;
         }
         Mode::Tcp(addr) => {
             let mut session = build_session(&args)?;
-            let listener =
-                std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
-            for conn in listener.incoming() {
-                let conn = conn.map_err(|e| format!("accept on {addr}: {e}"))?;
-                let reader =
-                    BufReader::new(conn.try_clone().map_err(|e| format!("socket clone: {e}"))?);
-                serve_lines(&mut session, reader, BufWriter::new(conn))
-                    .map_err(|e| format!("tcp session: {e}"))?;
-                if session.is_shutdown() {
-                    break;
-                }
-            }
+            let listener = TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
+            accept_loop(&mut session, listener.incoming(), std::io::stderr())
+                .map_err(|e| format!("accept on {addr}: {e}"))?;
+        }
+    }
+    Ok(())
+}
+
+/// An accepted connection, split into its request reader and its response
+/// writer.
+trait Connection {
+    fn split(self) -> std::io::Result<(impl BufRead, impl Write)>;
+}
+
+impl Connection for UnixStream {
+    fn split(self) -> std::io::Result<(impl BufRead, impl Write)> {
+        Ok((BufReader::new(self.try_clone()?), BufWriter::new(self)))
+    }
+}
+
+impl Connection for TcpStream {
+    fn split(self) -> std::io::Result<(impl BufRead, impl Write)> {
+        Ok((BufReader::new(self.try_clone()?), BufWriter::new(self)))
+    }
+}
+
+/// Serves accepted connections one after another until one of them issues
+/// `shutdown`. An error inside one connection goes to `log` and the loop
+/// accepts the next; only a failed accept ends it.
+fn accept_loop<C: Connection>(
+    session: &mut Session,
+    conns: impl IntoIterator<Item = std::io::Result<C>>,
+    mut log: impl Write,
+) -> std::io::Result<()> {
+    for conn in conns {
+        let served = conn?
+            .split()
+            .and_then(|(reader, writer)| serve_lines(session, reader, writer));
+        if let Err(e) = served {
+            let _ = writeln!(log, "rbb-serve: connection dropped: {e}");
+        }
+        if session.is_shutdown() {
+            break;
         }
     }
     Ok(())
@@ -104,9 +129,7 @@ fn run() -> Result<(), String> {
 /// (like the `ci.sh` serve stage) can talk to a Unix-socket daemon with
 /// nothing but this binary.
 fn client(path: &str) -> Result<(), String> {
-    use std::io::BufRead;
-    let stream = std::os::unix::net::UnixStream::connect(path)
-        .map_err(|e| format!("connecting to {path}: {e}"))?;
+    let stream = UnixStream::connect(path).map_err(|e| format!("connecting to {path}: {e}"))?;
     let mut reader = BufReader::new(
         stream
             .try_clone()
@@ -245,4 +268,77 @@ fn build_session(args: &Args) -> Result<Session, String> {
         Box::new(MonotonicClock::new())
     };
     Ok(Session::new(engine, clock))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// A scripted connection: fixed request bytes in, responses into a
+    /// shared buffer, or a writer that fails every write.
+    struct Scripted {
+        requests: &'static [u8],
+        responses: Option<Rc<RefCell<Vec<u8>>>>,
+    }
+
+    struct Sink(Option<Rc<RefCell<Vec<u8>>>>);
+
+    impl Write for Sink {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            match &self.0 {
+                Some(out) => out.borrow_mut().write(bytes),
+                None => Err(std::io::ErrorKind::BrokenPipe.into()),
+            }
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Connection for Scripted {
+        fn split(self) -> std::io::Result<(impl BufRead, impl Write)> {
+            Ok((self.requests, Sink(self.responses)))
+        }
+    }
+
+    #[test]
+    fn a_failing_connection_is_logged_and_the_next_is_served() {
+        let mut session = Session::new(
+            Box::new(rbb_core::process::LoadProcess::legitimate_start(16, 1)),
+            Box::new(MockClock::new(1)),
+        );
+        let good = Rc::new(RefCell::new(Vec::new()));
+        let after = Rc::new(RefCell::new(Vec::new()));
+        let conns = [
+            Scripted {
+                requests: b"{\"op\":\"place\"}\n",
+                responses: None,
+            },
+            Scripted {
+                requests: b"{\"op\":\"query\"}\n{\"op\":\"shutdown\"}\n",
+                responses: Some(good.clone()),
+            },
+            Scripted {
+                requests: b"{\"op\":\"query\"}\n",
+                responses: Some(after.clone()),
+            },
+        ];
+        let mut log = Vec::new();
+        accept_loop(&mut session, conns.map(Ok), &mut log).unwrap();
+        let log = String::from_utf8(log).unwrap();
+        assert_eq!(log.lines().count(), 1, "{log}");
+        assert!(log.contains("connection dropped"), "{log}");
+        let good = String::from_utf8(good.take()).unwrap();
+        let lines: Vec<&str> = good.lines().collect();
+        assert_eq!(lines.len(), 2, "{good}");
+        // The failed connection's placement happened before its write.
+        assert!(lines[0].contains(r#""balls":17"#), "{good}");
+        assert!(lines[1].contains("shutting_down"), "{good}");
+        assert!(
+            after.borrow().is_empty(),
+            "served a connection after shutdown"
+        );
+    }
 }

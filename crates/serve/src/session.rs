@@ -368,19 +368,34 @@ fn render(value: &Value) -> String {
 }
 
 /// Drives a session over a line stream: one response line per request
-/// line, flushed immediately; blank lines are skipped; the loop ends at EOF
-/// or after a `shutdown` request is answered.
+/// line, flushed immediately; a trailing `\n` or `\r\n` is stripped, blank
+/// lines are skipped, and a line that is not UTF-8 gets an error response;
+/// the loop ends at EOF or after a `shutdown` request is answered.
 pub fn serve_lines(
     session: &mut Session,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     mut writer: impl Write,
 ) -> std::io::Result<()> {
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if reader.read_until(b'\n', &mut buf)? == 0 {
+            break;
         }
-        let response = session.handle_line(&line);
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        let response = match std::str::from_utf8(&buf) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => session.handle_line(line),
+            Err(e) => {
+                session.stats.requests += 1;
+                session.fail(format!("bad request: not UTF-8 ({e})"))
+            }
+        };
         writer.write_all(response.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
@@ -667,5 +682,42 @@ mod tests {
         assert_eq!(lines.len(), 2, "stops after shutdown: {text}");
         assert!(lines[1].contains("shutting_down"));
         assert!(s.is_shutdown());
+    }
+
+    #[test]
+    fn serve_lines_answers_a_non_utf8_line_and_keeps_serving() {
+        let mut s = session(64, 2);
+        let input: &[u8] = b"{\"op\":\"place\"}\r\n\n\xff\xfe\n{\"op\":\"query\"}\n";
+        let mut out = Vec::new();
+        serve_lines(&mut s, input, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert!(lines[0].starts_with(r#"{"ok":true,"bin":"#), "{text}");
+        assert!(lines[1].contains(r#""ok":false"#), "{text}");
+        assert!(lines[1].contains("not UTF-8"), "{text}");
+        assert!(lines[2].contains(r#""balls":65"#), "{text}");
+        assert_eq!(s.stats().errors, 1);
+        assert_eq!(s.stats().requests, 3);
+    }
+
+    #[test]
+    fn deep_request_gets_an_error_and_the_next_is_answered() {
+        let mut s = session(16, 2);
+        let depth = 100_000;
+        let deep = format!(
+            r#"{{"op":"place","x":{}{}}}"#,
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        let input = format!("{deep}\n{{\"op\":\"query\"}}\n");
+        let mut out = Vec::new();
+        serve_lines(&mut s, input.as_bytes(), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(lines[0].starts_with(r#"{"ok":false"#), "{}", lines[0]);
+        assert!(lines[1].contains(r#""n":16"#), "{}", lines[1]);
+        assert_eq!(s.stats().errors, 1);
     }
 }

@@ -47,7 +47,7 @@ pub use ensemble::{
     EnsembleReport, EnsembleSpec, MetricKind, MetricReport, MetricSpec, ReportSpec,
 };
 pub use output::{OutputSink, RESULTS_DIR};
-pub use runner::{run_trials, run_trials_seeded, sweep, sweep_par, sweep_par_seeded};
+pub use runner::{run_trials_seeded, sweep_par, sweep_par_seeded};
 pub use scenario::{build_engine, Scenario, ScenarioOutcome};
 pub use seed::{SeedTree, DEFAULT_MASTER_SEED};
 pub use spec::{

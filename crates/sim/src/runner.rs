@@ -11,34 +11,22 @@
 //! index)` — never from thread ids, scheduling order, or worker count — and
 //! the scheduler's collect is order-preserving. Consequently every function
 //! in this module returns bit-identical results for `RAYON_NUM_THREADS=1`
-//! and any other thread count, and the parallel grid functions match their
-//! sequential counterparts exactly.
+//! and any other thread count, and the grid functions match a plain
+//! parameter-by-parameter loop over the same scopes exactly.
 
 use rayon::prelude::*;
 
 use crate::seed::SeedTree;
 use rbb_core::rng::Xoshiro256pp;
 
-/// Runs `trials` independent trials in parallel. `f(trial_index, rng)`
-/// receives a dedicated RNG; results are returned in trial order.
+/// Runs `trials` independent trials in parallel. `f(trial_index, seed)`
+/// receives a dedicated raw seed (a trial body derives whatever streams it
+/// needs from it); results are returned in trial order.
 ///
 /// # RNG stream
 ///
-/// Trial `i` receives `seeds.trial_rng(i)` — streams disjoint across
-/// trials and independent of thread count or scheduling.
-pub fn run_trials<T: Send>(
-    seeds: SeedTree,
-    trials: usize,
-    f: impl Fn(usize, Xoshiro256pp) -> T + Sync,
-) -> Vec<T> {
-    (0..trials)
-        .into_par_iter()
-        .map(|i| f(i, seeds.trial_rng(i as u64)))
-        .collect()
-}
-
-/// Like [`run_trials`], but hands each trial a raw seed instead of an RNG
-/// (for trial bodies that need several derived streams).
+/// Trial `i` receives `seeds.trial(i)` — seeds disjoint across trials and
+/// independent of thread count or scheduling.
 pub fn run_trials_seeded<T: Send>(
     seeds: SeedTree,
     trials: usize,
@@ -50,52 +38,18 @@ pub fn run_trials_seeded<T: Send>(
         .collect()
 }
 
-/// Runs a keyed parameter sweep with one parallel fan-out *per parameter*:
-/// parameters are visited one after another, each running its `trials`
-/// trials in parallel. Prefer [`sweep_par`], which parallelizes the whole
-/// (parameter × trial) grid; this variant only remains for callers that
-/// interleave per-parameter side effects (e.g. printing a table row as soon
-/// as a parameter finishes). Seeds are derived identically in both, so they
-/// return identical results. Returns `(param, results)` pairs.
-///
-/// # RNG stream
-///
-/// Trial `i` of parameter `p` receives
-/// `seeds.scope(scope_name(p)).trial_rng(i)` — identical to [`sweep_par`].
-pub fn sweep<P: Clone + Sync, T: Send>(
-    seeds: SeedTree,
-    params: &[P],
-    trials: usize,
-    scope_name: impl Fn(&P) -> String,
-    f: impl Fn(&P, usize, Xoshiro256pp) -> T + Sync,
-) -> Vec<(P, Vec<T>)> {
-    params
-        .iter()
-        .map(|p| {
-            let scope = seeds.scope(&scope_name(p));
-            let results = (0..trials)
-                .into_par_iter()
-                .map(|i| f(p, i, scope.trial_rng(i as u64)))
-                .collect();
-            (p.clone(), results)
-        })
-        .collect()
-}
-
 /// Runs a keyed parameter sweep as one parallel fan-out over the full
 /// (parameter × trial) grid, so a parameter with few or cheap trials never
 /// leaves workers idle while an expensive one finishes.
 ///
-/// Trial RNGs are derived exactly as in [`sweep`] — from
-/// `seeds.scope(scope_name(p)).trial_rng(i)` — so the two functions return
-/// identical results, independent of thread count (see the module docs for
-/// the determinism contract). Results are grouped back into `(param,
-/// results)` pairs in parameter order, trials in trial order.
+/// Results are independent of thread count (see the module docs for the
+/// determinism contract) and grouped back into `(param, results)` pairs in
+/// parameter order, trials in trial order.
 ///
 /// # RNG stream
 ///
 /// Trial `i` of parameter `p` receives
-/// `seeds.scope(scope_name(p)).trial_rng(i)` — identical to [`sweep`].
+/// `seeds.scope(scope_name(p)).trial_rng(i)`.
 pub fn sweep_par<P: Clone + Sync, T: Send>(
     seeds: SeedTree,
     params: &[P],
@@ -157,21 +111,23 @@ mod tests {
 
     #[test]
     fn results_in_trial_order() {
-        let out = run_trials(SeedTree::new(1), 64, |i, _rng| i * 2);
+        let out = run_trials_seeded(SeedTree::new(1), 64, |i, _seed| i * 2);
         assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn deterministic_across_runs() {
-        let f = |_: usize, mut rng: Xoshiro256pp| rng.next_u64();
-        let a = run_trials(SeedTree::new(2), 32, f);
-        let b = run_trials(SeedTree::new(2), 32, f);
+        let f = |_: usize, seed: u64| Xoshiro256pp::seed_from(seed).next_u64();
+        let a = run_trials_seeded(SeedTree::new(2), 32, f);
+        let b = run_trials_seeded(SeedTree::new(2), 32, f);
         assert_eq!(a, b);
     }
 
     #[test]
     fn trials_get_distinct_rngs() {
-        let out = run_trials(SeedTree::new(3), 16, |_, mut rng| rng.next_u64());
+        let out = run_trials_seeded(SeedTree::new(3), 16, |_, seed| {
+            Xoshiro256pp::seed_from(seed).next_u64()
+        });
         let mut dedup = out.clone();
         dedup.sort_unstable();
         dedup.dedup();
@@ -188,13 +144,21 @@ mod tests {
 
     #[test]
     fn sweep_par_matches_sequential_sweep() {
-        // The grid fan-out must be indistinguishable from the per-parameter
-        // variant: same scope/trial seed derivation, same grouping.
+        // The grid fan-out must be indistinguishable from a plain loop,
+        // parameter by parameter and trial by trial, over the same scopes.
         let tree = SeedTree::new(6);
+        let params = [8usize, 16, 32];
         let name = |p: &usize| format!("n{p}");
         let body = |p: &usize, i: usize, mut rng: Xoshiro256pp| (*p, i, rng.next_u64());
-        let seq = sweep(tree, &[8usize, 16, 32], 5, name, body);
-        let par = sweep_par(tree, &[8usize, 16, 32], 5, name, body);
+        let seq: Vec<_> = params
+            .iter()
+            .map(|p| {
+                let scope = tree.scope(&name(p));
+                let trials = (0..5).map(|i| body(p, i, scope.trial_rng(i as u64)));
+                (*p, trials.collect::<Vec<_>>())
+            })
+            .collect();
+        let par = sweep_par(tree, &params, 5, name, body);
         assert_eq!(seq, par);
     }
 
@@ -273,7 +237,7 @@ mod tests {
     #[test]
     fn sweep_scopes_by_parameter() {
         let tree = SeedTree::new(5);
-        let results = sweep(
+        let results = sweep_par(
             tree,
             &[10usize, 20],
             4,
@@ -284,14 +248,5 @@ mod tests {
         assert_eq!(results[0].1.len(), 4);
         // Different parameters see different random streams.
         assert_ne!(results[0].1[0].1, results[1].1[0].1);
-        // Deterministic rerun.
-        let again = sweep(
-            tree,
-            &[10usize, 20],
-            4,
-            |p| format!("n{p}"),
-            |p, _i, mut rng| (*p, rng.next_u64()),
-        );
-        assert_eq!(results, again);
     }
 }
