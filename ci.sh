@@ -21,7 +21,8 @@
 #   weighted     weighted regime: specs/weighted-*.json byte-diffed against
 #                their goldens; unit-degeneration/obliviousness proptests
 #   serve        rbb-serve daemon end to end: socket session, snapshot →
-#                restore → resume byte-diffed against an uninterrupted run
+#                restore → resume byte-diffed against an uninterrupted run,
+#                unit and weighted sessions on each load engine
 #   conformance  theory-conformance suite at 1 and 4 threads (300s budget)
 #   bench        rbb-bench ratio gates
 #
@@ -206,12 +207,14 @@ stage_weighted() {
 }
 
 stage_serve() {
-    # End-to-end daemon gate, per engine: (1) an uninterrupted stdio session
-    # answers prefix+suffix requests; (2) session A on a Unix socket answers
-    # the prefix and writes a snapshot; (3) a fresh daemon B restores the
-    # snapshot and answers the suffix. The suffix draws plenty of RNG
-    # (placements + whole rounds), so any drift in the restored stream state
-    # breaks the byte-diffs below.
+    # End-to-end daemon gate, per session kind (unit on
+    # specs/serve-session.json, weighted on specs/weighted-zipf.json) and per
+    # engine: (1) an uninterrupted stdio session answers prefix+suffix
+    # requests; (2) session A on a Unix socket answers the prefix and writes
+    # a snapshot (layout version 1 unit, 2 weighted); (3) a fresh daemon B
+    # restores the snapshot and answers the suffix. The suffix draws plenty
+    # of RNG (placements + whole rounds), so any drift in the restored stream
+    # state or weight queues breaks the byte-diffs below.
     echo "==> rbb-serve end to end: snapshot -> restore -> resume byte-diff"
     cargo build -q --release -p rbb-serve
     local bin=target/release/rbb-serve
@@ -219,76 +222,102 @@ stage_serve() {
     rm -rf "${dir}"
     mkdir -p "${dir}"
 
-    cat > "${dir}/prefix.req" <<'EOF'
+    cat > "${dir}/unit-prefix.req" <<'EOF'
 {"op":"place"}
 {"op":"step","rounds":40}
 {"op":"place","count":5}
 {"op":"query"}
 {"op":"depart","bin":0}
 EOF
-    cat > "${dir}/suffix.req" <<'EOF'
+    cat > "${dir}/unit-suffix.req" <<'EOF'
 {"op":"place"}
 {"op":"step","rounds":25}
 {"op":"place","count":7}
 {"op":"query"}
 {"op":"place"}
 EOF
+    # The one-per-bin start holds a ball in every bin: the depart takes bin
+    # 0's, the heaviest Zipf ball.
+    cat > "${dir}/weighted-prefix.req" <<'EOF'
+{"op":"depart","bin":0}
+{"op":"place","weight":7}
+{"op":"step","rounds":40}
+{"op":"place","count":3,"weight":5}
+{"op":"query"}
+EOF
+    cat > "${dir}/weighted-suffix.req" <<'EOF'
+{"op":"place","weight":9}
+{"op":"step","rounds":25}
+{"op":"place","count":3,"weight":5}
+{"op":"query"}
+{"op":"place"}
+EOF
 
-    local engine sock daemon
-    for engine in dense sparse sharded; do
-        local shard_args=()
-        if [ "${engine}" = sharded ]; then
-            shard_args=(--shards 4)
+    local kind spec version engine run sock daemon
+    for kind in unit weighted; do
+        if [ "${kind}" = unit ]; then
+            spec=specs/serve-session.json
+            version=1
+        else
+            spec=specs/weighted-zipf.json
+            version=2
         fi
+        for engine in dense sparse sharded; do
+            local shard_args=()
+            if [ "${engine}" = sharded ]; then
+                shard_args=(--shards 4)
+            fi
+            run="${dir}/${kind}-${engine}"
 
-        echo "--> ${engine}: uninterrupted reference session (stdio)"
-        cat "${dir}/prefix.req" "${dir}/suffix.req" \
-            | "${bin}" --stdio --spec specs/serve-session.json --engine "${engine}" \
-                  ${shard_args[@]+"${shard_args[@]}"} \
-            > "${dir}/${engine}-full.out"
+            echo "--> ${kind} ${engine}: uninterrupted reference session (stdio)"
+            cat "${dir}/${kind}-prefix.req" "${dir}/${kind}-suffix.req" \
+                | "${bin}" --stdio --spec "${spec}" --engine "${engine}" \
+                      ${shard_args[@]+"${shard_args[@]}"} \
+                > "${run}-full.out"
 
-        echo "--> ${engine}: session A on a Unix socket, checkpoint, clean shutdown"
-        sock="${dir}/${engine}.sock"
-        "${bin}" --socket "${sock}" --spec specs/serve-session.json --engine "${engine}" \
-            ${shard_args[@]+"${shard_args[@]}"} &
-        daemon=$!
-        for _ in $(seq 100); do
-            [ -S "${sock}" ] && break
-            sleep 0.1
+            echo "--> ${kind} ${engine}: session A on a Unix socket, checkpoint, clean shutdown"
+            sock="${run}.sock"
+            "${bin}" --socket "${sock}" --spec "${spec}" --engine "${engine}" \
+                ${shard_args[@]+"${shard_args[@]}"} &
+            daemon=$!
+            for _ in $(seq 100); do
+                [ -S "${sock}" ] && break
+                sleep 0.1
+            done
+            [ -S "${sock}" ] || { echo "ERROR: ${kind} ${engine} daemon socket never appeared" >&2; exit 1; }
+            { cat "${dir}/${kind}-prefix.req"
+              echo "{\"op\":\"snapshot\",\"path\":\"${run}.snap\"}"
+              echo '{"op":"shutdown"}'
+            } | "${bin}" --connect "${sock}" > "${run}-a.out"
+            wait "${daemon}" || { echo "ERROR: ${kind} ${engine} daemon exited non-zero" >&2; exit 1; }
+            if ! grep -q "\"version\": *${version}," "${run}.snap"; then
+                echo "ERROR: ${kind} ${engine} snapshot is not layout version ${version}" >&2
+                exit 1
+            fi
+
+            echo "--> ${kind} ${engine}: session B restores the checkpoint and resumes"
+            # Deliberately started on a tiny default engine: restore must
+            # replace it wholesale with the checkpointed ${engine} state.
+            { echo "{\"op\":\"restore\",\"path\":\"${run}.snap\"}"
+              cat "${dir}/${kind}-suffix.req"
+              echo '{"op":"shutdown"}'
+            } | "${bin}" --stdio --n 8 --seed 999 > "${run}-b.out"
+
+            # Prefix responses: uninterrupted run vs session A, byte-identical.
+            if ! diff <(head -n 5 "${run}-full.out") <(head -n 5 "${run}-a.out") >/dev/null; then
+                echo "ERROR: ${kind} ${engine} prefix responses diverged (full vs session A)" >&2
+                diff <(head -n 5 "${run}-full.out") <(head -n 5 "${run}-a.out") >&2 || true
+                exit 1
+            fi
+            # Suffix responses: uninterrupted run vs restored session B (B's
+            # line 1 is the restore ack, line 7 the shutdown ack).
+            if ! diff <(tail -n 5 "${run}-full.out") <(sed -n '2,6p' "${run}-b.out") >/dev/null; then
+                echo "ERROR: ${kind} ${engine} resumed responses diverged (full vs session B)" >&2
+                diff <(tail -n 5 "${run}-full.out") <(sed -n '2,6p' "${run}-b.out") >&2 || true
+                exit 1
+            fi
+            echo "    ${kind} ${engine}: snapshot (v${version}) -> restore -> resume is byte-identical"
         done
-        [ -S "${sock}" ] || { echo "ERROR: ${engine} daemon socket never appeared" >&2; exit 1; }
-        { cat "${dir}/prefix.req"
-          echo "{\"op\":\"snapshot\",\"path\":\"${dir}/${engine}.snap\"}"
-          echo '{"op":"shutdown"}'
-        } | "${bin}" --connect "${sock}" > "${dir}/${engine}-a.out"
-        wait "${daemon}" || { echo "ERROR: ${engine} daemon exited non-zero" >&2; exit 1; }
-
-        echo "--> ${engine}: session B restores the checkpoint and resumes"
-        # Deliberately started on a tiny default engine: restore must replace
-        # it wholesale with the checkpointed ${engine} state.
-        { echo "{\"op\":\"restore\",\"path\":\"${dir}/${engine}.snap\"}"
-          cat "${dir}/suffix.req"
-          echo '{"op":"shutdown"}'
-        } | "${bin}" --stdio --n 8 --seed 999 > "${dir}/${engine}-b.out"
-
-        # Prefix responses: uninterrupted run vs session A, byte-identical.
-        if ! diff <(head -n 5 "${dir}/${engine}-full.out") \
-                  <(head -n 5 "${dir}/${engine}-a.out") >/dev/null; then
-            echo "ERROR: ${engine} prefix responses diverged (full vs session A)" >&2
-            diff <(head -n 5 "${dir}/${engine}-full.out") \
-                 <(head -n 5 "${dir}/${engine}-a.out") >&2 || true
-            exit 1
-        fi
-        # Suffix responses: uninterrupted run vs restored session B (B's
-        # line 1 is the restore ack, line 7 the shutdown ack).
-        if ! diff <(tail -n 5 "${dir}/${engine}-full.out") \
-                  <(sed -n '2,6p' "${dir}/${engine}-b.out") >/dev/null; then
-            echo "ERROR: ${engine} resumed responses diverged (full vs session B)" >&2
-            diff <(tail -n 5 "${dir}/${engine}-full.out") \
-                 <(sed -n '2,6p' "${dir}/${engine}-b.out") >&2 || true
-            exit 1
-        fi
-        echo "    ${engine}: snapshot -> restore -> resume is byte-identical"
     done
 }
 

@@ -121,8 +121,10 @@ pub trait Engine {
 
     /// Whether [`apply_fault`](Engine::apply_fault) is supported. Engines
     /// whose state cannot replay an arbitrary placement (e.g. Tetris, whose
-    /// ball count is not conserved) report `false` and the scenario layer
-    /// rejects adversarial specs against them.
+    /// ball count is not conserved, and the weighted load engines, whose
+    /// weight overlay cannot tell which ball a placement moves) report
+    /// `false` and the scenario layer rejects adversarial specs against
+    /// them.
     fn supports_faults(&self) -> bool {
         false
     }

@@ -326,14 +326,21 @@ impl<S: LoadStore> Engine for LoadEngine<S> {
         Some(self.store.occupied().map(|(b, _)| b).collect())
     }
 
+    /// Unit-weight engines only: a placement says where each ball goes but
+    /// not which weight it carries, so the overlay could not follow it.
     fn supports_faults(&self) -> bool {
-        true
+        self.weighted.is_none()
     }
 
     /// Placement-based fault: rebuilds the loads from `placement[ball] =
     /// bin` in `O(n + m)` (`O(m)` for sparse storage). Consumes no engine
     /// randomness, so faulty trajectories stay comparable across storages.
+    /// Panics on a weighted engine before touching the loads.
     fn apply_fault(&mut self, placement: &[usize]) {
+        assert!(
+            self.weighted.is_none(),
+            "adversarial reassignment is unsupported on a weighted engine"
+        );
         assert_eq!(
             placement.len() as u64,
             self.balls,
@@ -562,6 +569,42 @@ pub(crate) mod tests {
         }
         assert_eq!(plain.draws.streams, unit.draws.streams);
         assert_eq!(Engine::snapshot(&plain), Engine::snapshot(&unit));
+    }
+
+    /// A weighted engine reports no fault support, and `apply_fault` panics
+    /// on it before touching the loads; a unit engine with only capacities
+    /// still supports faults.
+    pub(crate) fn assert_fault_support<S: LoadStore>(
+        mut weighted: LoadEngine<S>,
+        mut capacity_only: LoadEngine<S>,
+    ) {
+        assert!(weighted.weighted.is_some());
+        assert!(!weighted.supports_faults());
+        let before = weighted.config().clone();
+        let placement = vec![0; weighted.balls() as usize];
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            weighted.apply_fault(&placement);
+        }))
+        .expect_err("a fault on a weighted engine panics");
+        let message = (panic.downcast_ref::<String>().map(String::as_str))
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains("unsupported"), "{message}");
+        assert_eq!(weighted.config(), &before, "loads untouched");
+        weighted
+            .weighted
+            .as_ref()
+            .unwrap()
+            .check_against(weighted.store.occupied())
+            .unwrap();
+
+        assert!(capacity_only.weighted.is_none() && !capacity_only.capacities.is_unbounded());
+        assert!(capacity_only.supports_faults());
+        let balls = capacity_only.balls();
+        capacity_only.apply_fault(&vec![0; balls as usize]);
+        assert_eq!(u64::from(Engine::bin_load(&capacity_only, 0)), balls);
+        capacity_only.run_silent(5);
+        assert_eq!(capacity_only.config().total_balls(), balls);
     }
 
     /// Weighted `place`/`depart` move the overlay's total with the ball.

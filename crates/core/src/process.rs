@@ -212,8 +212,9 @@ mod tests {
     use crate::engine::{Engine, Incremental};
     use crate::load::reference_round;
     use crate::load::tests::{
-        assert_matches_reference, assert_place_and_depart, assert_snapshot_round_trip,
-        assert_unit_weights_build_the_same_engine, assert_weighted_place_and_depart,
+        assert_fault_support, assert_matches_reference, assert_place_and_depart,
+        assert_snapshot_round_trip, assert_unit_weights_build_the_same_engine,
+        assert_weighted_place_and_depart,
     };
     use crate::metrics::{EmptyBinsTracker, MaxLoadTracker};
     use crate::snapshot::SNAPSHOT_VERSION_WEIGHTED;
@@ -589,6 +590,17 @@ mod tests {
     #[test]
     fn weighted_place_and_depart_track_the_overlay() {
         assert_weighted_place_and_depart(zipf_process(32, 57, Capacities::Unbounded));
+    }
+
+    #[test]
+    fn only_unit_weight_engines_support_faults() {
+        let capacity_only = LoadProcess::with_weights(
+            Config::one_per_bin(16),
+            Xoshiro256pp::seed_from(61),
+            Weights::Unit,
+            Capacities::Uniform(3),
+        );
+        assert_fault_support(zipf_process(16, 61, Capacities::Unbounded), capacity_only);
     }
 
     #[test]

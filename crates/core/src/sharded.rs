@@ -481,8 +481,9 @@ mod tests {
     use super::*;
     use crate::engine::{Engine, Incremental};
     use crate::load::tests::{
-        assert_matches_reference, assert_place_and_depart, assert_snapshot_round_trip,
-        assert_unit_weights_build_the_same_engine, assert_weighted_place_and_depart,
+        assert_fault_support, assert_matches_reference, assert_place_and_depart,
+        assert_snapshot_round_trip, assert_unit_weights_build_the_same_engine,
+        assert_weighted_place_and_depart,
     };
     use crate::process::LoadProcess;
 
@@ -823,6 +824,21 @@ mod tests {
             ShardedLoadProcess::legitimate_start(64, 84, 4),
             unit,
         );
+    }
+
+    #[test]
+    fn only_unit_weight_engines_support_faults() {
+        for shards in [1usize, 3] {
+            let capacity_only = ShardedLoadProcess::with_weights(
+                Config::one_per_bin(16),
+                86,
+                shards,
+                Weights::Unit,
+                Capacities::Uniform(3),
+            );
+            let weighted = zipf_process(16, 86, shards, Capacities::Unbounded);
+            assert_fault_support(weighted, capacity_only);
+        }
     }
 
     #[test]

@@ -299,8 +299,9 @@ mod tests {
     use super::*;
     use crate::engine::{Engine, Incremental};
     use crate::load::tests::{
-        assert_matches_reference, assert_place_and_depart, assert_snapshot_round_trip,
-        assert_unit_weights_build_the_same_engine, assert_weighted_place_and_depart,
+        assert_fault_support, assert_matches_reference, assert_place_and_depart,
+        assert_snapshot_round_trip, assert_unit_weights_build_the_same_engine,
+        assert_weighted_place_and_depart,
     };
     use crate::process::LoadProcess;
 
@@ -565,6 +566,21 @@ mod tests {
     #[test]
     fn weighted_place_and_depart_track_the_overlay() {
         assert_weighted_place_and_depart(zipf_process(32, 74, 20, Capacities::Unbounded));
+    }
+
+    #[test]
+    fn only_unit_weight_engines_support_faults() {
+        let capacity_only = SparseLoadProcess::with_weights(
+            16,
+            (0..16).map(|b| (b, 1)),
+            rng(75),
+            Weights::Unit,
+            Capacities::Uniform(3),
+        );
+        assert_fault_support(
+            zipf_process(16, 75, 8, Capacities::Unbounded),
+            capacity_only,
+        );
     }
 
     #[test]

@@ -24,8 +24,15 @@
 //! order — departing bins in ascending bin order within each RNG stream —
 //! so the weighted sparse engine is bit-identical to the weighted dense
 //! engine, exactly as in the unit regime.
+//!
+//! The queues live in one ball-slot slab: every ball holds a slot (its
+//! weight and the next slot of its bin's queue), and each occupied bin one
+//! map entry with its queue's head and tail slots, length and weighted
+//! load. A round's transport moves slot indices between bins, so a weighted
+//! move costs one map probe at its source, one at its destination and no
+//! allocation.
 
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
 
 use crate::det_hash::DetHashMap;
 
@@ -197,30 +204,53 @@ impl Capacities {
 }
 
 /// Engine-side weighted state: per-bin FIFO weight queues (front = next
-/// ball to depart) plus the derived weighted-load map, both keyed on the
-/// **occupied** bins only — an `m ≪ n` sparse run never pays `O(n)`.
+/// ball to depart), keyed on the **occupied** bins only — an `m ≪ n`
+/// sparse run never pays `O(n)`.
+///
+/// The queues share one slab of ball slots: slot `s` holds a ball's weight
+/// and the slot behind it in its bin's queue. Each occupied bin has one map
+/// entry with its queue's head and tail slots, length and weighted load.
+/// A departed ball's slot goes on a free list that the next placement
+/// reuses, so the slab holds at most the peak ball count of slots. That is
+/// about 8 bytes per ball plus one map entry per occupied bin, and every
+/// slot index is below the ball count, which the engines keep below
+/// `u32::MAX`.
 ///
 /// The overlay is pure metric state: it never touches the RNG. Engines
 /// keep the invariant `queue(b).len() == load(b)` for every bin (the unit
 /// load vector remains the single source of truth for the dynamics) and
 /// drive rounds through the two-phase [`Self::transport`], which models
-/// the paper's simultaneous departures: all departing front weights are
+/// the paper's simultaneous departures: all departing front balls are
 /// popped before any arrival is pushed, so a bin that both releases and
 /// receives in one round still releases its *original* front ball.
 #[derive(Debug, Clone, Default)]
 pub struct WeightOverlay {
-    /// FIFO weight queue per occupied bin.
-    queues: DetHashMap<u32, VecDeque<u32>>,
-    /// Weighted load per occupied bin (sum of its queue).
-    wload: DetHashMap<u32, u64>,
+    /// Weight of the ball in each slot (stale in a free slot).
+    weight: Vec<u32>,
+    /// The slot behind each slot in its bin's queue (stale at a queue's
+    /// tail and in a free slot).
+    next: Vec<u32>,
+    /// Free slots, reused before the slab grows.
+    free: Vec<u32>,
+    /// The queue of each occupied bin.
+    bins: DetHashMap<u32, Fifo>,
     /// Total weight in the system.
     total: u64,
     /// Scratch: the departing bins of the in-flight round, in canonical
     /// (ascending within each stream) order. Cleared and refilled by the
     /// engines each weighted round; never part of the resumable state.
     pub(crate) srcs: Vec<u32>,
-    /// Scratch for the pop phase of [`Self::transport`]: `(dest, weight)`.
-    moves: Vec<(u32, u32)>,
+}
+
+/// One occupied bin's queue: `len ≥ 1` slots linked from `head` to `tail`
+/// through [`WeightOverlay`]'s `next`.
+#[derive(Debug, Clone, Copy)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+    len: u32,
+    /// Sum of the queue's weights.
+    wload: u64,
 }
 
 impl WeightOverlay {
@@ -229,25 +259,19 @@ impl WeightOverlay {
     /// enumeration [`Weights`] documents).
     pub fn from_entries(entries: impl IntoIterator<Item = (u32, u32)>, weights: &[u32]) -> Self {
         let mut overlay = WeightOverlay::default();
-        let mut next = 0usize;
+        let mut rest = weights;
         for (bin, load) in entries {
-            let take = load as usize;
             assert!(
-                next + take <= weights.len(),
+                load as usize <= rest.len(),
                 "weight vector shorter than the ball count"
             );
-            let q: VecDeque<u32> = weights[next..next + take].iter().copied().collect();
-            let w: u64 = q.iter().map(|&x| u64::from(x)).sum();
-            next += take;
-            overlay.total += w;
-            overlay.queues.insert(bin, q);
-            overlay.wload.insert(bin, w);
+            let (ws, tail) = rest.split_at(load as usize);
+            for &w in ws {
+                overlay.place(bin, w);
+            }
+            rest = tail;
         }
-        assert_eq!(
-            next,
-            weights.len(),
-            "weight vector longer than the ball count"
-        );
+        assert!(rest.is_empty(), "weight vector longer than the ball count");
         overlay
     }
 
@@ -260,13 +284,13 @@ impl WeightOverlay {
     /// Weighted load of one bin (0 when empty).
     #[inline]
     pub fn weighted_load(&self, bin: u32) -> u64 {
-        self.wload.get(&bin).copied().unwrap_or(0)
+        self.bins.get(&bin).map_or(0, |q| q.wload)
     }
 
     /// Maximum weighted load over all bins — `O(#occupied)`.
     pub fn weighted_max_load(&self) -> u64 {
         // rbb-lint: allow(unordered-iter, reason = "max over u64 values is order-independent")
-        self.wload.values().copied().max().unwrap_or(0)
+        self.bins.values().map(|q| q.wload).max().unwrap_or(0)
     }
 
     /// Number of occupied bins whose weighted load exceeds its capacity —
@@ -276,48 +300,62 @@ impl WeightOverlay {
             return 0;
         }
         // rbb-lint: allow(unordered-iter, reason = "counting violators is order-independent")
-        self.wload
+        self.bins
             .iter()
-            .filter(|(&bin, &w)| caps.bound(bin as usize).is_some_and(|c| w > c))
+            .filter(|(&bin, q)| caps.bound(bin as usize).is_some_and(|c| q.wload > c))
             .count() as u64
     }
 
     /// The round's weighted transport, pairing the `k`-th departing bin in
     /// `self.srcs` with the `k`-th destination draw in `dests`.
-    /// Two-phase: every departing front weight is popped before any is
-    /// pushed (simultaneous departures), preserving `total`.
+    /// Two-phase: every departing front slot is unlinked before any is
+    /// linked at its destination (simultaneous departures), preserving
+    /// `total`.
     pub fn transport(&mut self, dests: &[u32]) {
-        let mut srcs = std::mem::take(&mut self.srcs);
-        debug_assert_eq!(srcs.len(), dests.len(), "one destination per departure");
-        let mut moves = std::mem::take(&mut self.moves);
-        moves.clear();
-        for (&src, &dest) in srcs.iter().zip(dests) {
-            let w = self.pop_front(src);
-            moves.push((dest, w));
+        let mut moving = std::mem::take(&mut self.srcs);
+        debug_assert_eq!(moving.len(), dests.len(), "one destination per departure");
+        for src in &mut moving {
+            // Each departing bin is replaced by its front slot.
+            *src = self
+                .pop_front(*src)
+                // rbb-lint: allow(panic, reason = "engines keep queue length == load in lock-step; only non-empty bins depart")
+                .expect("departing bin has a queue");
         }
-        for &(dest, w) in &moves {
-            self.push_back(dest, w);
+        for (&dest, &slot) in dests.iter().zip(&moving) {
+            self.push_back(dest, slot);
         }
         // The departure list is consumed: round-scoped scratch, restored
         // empty (capacity kept) for the next round's refill.
-        srcs.clear();
-        self.moves = moves;
-        self.srcs = srcs;
+        moving.clear();
+        self.srcs = moving;
     }
 
     /// Incremental arrival of one ball of weight `w` into `bin`.
     pub fn place(&mut self, bin: u32, w: u32) {
-        self.push_back(bin, w);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.weight[slot as usize] = w;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.weight.len())
+                    // rbb-lint: allow(panic, reason = "one slot per ball, and the engines keep the ball count below u32::MAX")
+                    .expect("slot index fits u32");
+                self.weight.push(w);
+                self.next.push(slot);
+                slot
+            }
+        };
+        self.push_back(bin, slot);
         self.total += u64::from(w);
     }
 
     /// Incremental departure of `bin`'s front ball; returns its weight, or
     /// `None` when the bin is empty.
     pub fn depart(&mut self, bin: u32) -> Option<u32> {
-        if !self.queues.contains_key(&bin) {
-            return None;
-        }
-        let w = self.pop_front(bin);
+        let slot = self.pop_front(bin)?;
+        self.free.push(slot);
+        let w = self.weight[slot as usize];
         self.total -= u64::from(w);
         Some(w)
     }
@@ -327,9 +365,12 @@ impl WeightOverlay {
     pub fn queues_sorted(&self) -> Vec<(u32, Vec<u32>)> {
         let mut out: Vec<(u32, Vec<u32>)> = self
             // rbb-lint: allow(unordered-iter, reason = "collected then sorted by bin before use")
-            .queues
+            .bins
             .iter()
-            .map(|(&bin, q)| (bin, q.iter().copied().collect()))
+            .map(|(&bin, q)| {
+                let ws = self.slots(q).map(|s| self.weight[s as usize]);
+                (bin, ws.collect())
+            })
             .collect();
         out.sort_unstable_by_key(|&(bin, _)| bin);
         out
@@ -338,37 +379,58 @@ impl WeightOverlay {
     /// Rebuilds from the snapshot encoding of [`Self::queues_sorted`].
     pub fn from_queues(queues: &[(u32, Vec<u32>)]) -> Self {
         let mut overlay = WeightOverlay::default();
-        // rbb-lint: allow(unordered-iter, reason = "`queues` here is the sorted snapshot slice parameter, not the map field")
         for (bin, ws) in queues {
-            let q: VecDeque<u32> = ws.iter().copied().collect();
-            let w: u64 = q.iter().map(|&x| u64::from(x)).sum();
-            overlay.total += w;
-            overlay.queues.insert(*bin, q);
-            overlay.wload.insert(*bin, w);
+            for &w in ws {
+                overlay.place(*bin, w);
+            }
         }
         overlay
     }
 
     /// Checks the lock-step invariant against a load lookup over the
-    /// occupied bins: every queue length equals its bin's load and the
-    /// per-bin weighted loads sum to `total`.
+    /// occupied bins: every queue length equals its bin's load, and the
+    /// slab is consistent — each queue's links end at its tail and its
+    /// weights sum to its weighted load, the queues and the free list
+    /// account for every slot, and the weighted loads sum to `total`.
     pub fn check_against(&self, occupied: impl Iterator<Item = (u32, u32)>) -> Result<(), String> {
         let mut seen = 0usize;
         for (bin, load) in occupied {
-            let qlen = self.queues.get(&bin).map_or(0, VecDeque::len);
-            if qlen != load as usize {
-                return Err(format!("bin {bin}: queue length {qlen} != load {load}"));
+            let len = self.bins.get(&bin).map_or(0, |q| q.len);
+            if len != load {
+                return Err(format!("bin {bin}: queue length {len} != load {load}"));
             }
             seen += 1;
         }
-        if seen != self.queues.len() {
+        if seen != self.bins.len() {
             return Err(format!(
                 "{} weight queues but {seen} occupied bins",
-                self.queues.len()
+                self.bins.len()
             ));
         }
-        // rbb-lint: allow(unordered-iter, reason = "integer sum is order-independent")
-        let sum: u64 = self.wload.values().sum();
+        let (mut queued, mut sum) = (0usize, 0u64);
+        // rbb-lint: allow(unordered-iter, reason = "every queue is checked; the counts and sums are order-independent")
+        for (&bin, q) in &self.bins {
+            let (mut back, mut w) = (q.head, 0u64);
+            for s in self.slots(q) {
+                w += u64::from(self.weight[s as usize]);
+                back = s;
+            }
+            if back != q.tail || w != q.wload {
+                return Err(format!(
+                    "bin {bin}: queue ends at slot {back} (tail {}) and weighs {w} (weighted load {})",
+                    q.tail, q.wload
+                ));
+            }
+            queued += q.len as usize;
+            sum += w;
+        }
+        if queued + self.free.len() != self.weight.len() {
+            return Err(format!(
+                "{queued} queued and {} free slots, the slab has {}",
+                self.free.len(),
+                self.weight.len()
+            ));
+        }
         if sum != self.total {
             return Err(format!(
                 "weighted loads sum to {sum}, total says {}",
@@ -378,27 +440,49 @@ impl WeightOverlay {
         Ok(())
     }
 
-    fn pop_front(&mut self, bin: u32) -> u32 {
-        let q = self
-            .queues
-            .get_mut(&bin)
-            // rbb-lint: allow(panic, reason = "engines keep queue length == load in lock-step; only non-empty bins depart")
-            .expect("departing bin has a queue");
-        // rbb-lint: allow(panic, reason = "queue length equals the bin load, which is > 0 for a departing bin")
-        let w = q.pop_front().expect("departing bin is non-empty");
-        if q.is_empty() {
-            self.queues.remove(&bin);
-            self.wload.remove(&bin);
-        } else {
-            // rbb-lint: allow(panic, reason = "wload is kept in lock-step with queues; the key exists while the queue does")
-            *self.wload.get_mut(&bin).expect("wload tracks queues") -= u64::from(w);
-        }
-        w
+    /// The slots of one queue, front to back.
+    fn slots(&self, q: &Fifo) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors(Some(q.head), |&s| Some(self.next[s as usize])).take(q.len as usize)
     }
 
-    fn push_back(&mut self, bin: u32, w: u32) {
-        self.queues.entry(bin).or_default().push_back(w);
-        *self.wload.entry(bin).or_insert(0) += u64::from(w);
+    /// Unlinks `bin`'s front slot (one map probe); `None` when the bin is
+    /// empty.
+    fn pop_front(&mut self, bin: u32) -> Option<u32> {
+        let Entry::Occupied(mut e) = self.bins.entry(bin) else {
+            return None;
+        };
+        let q = e.get_mut();
+        let slot = q.head;
+        if q.len == 1 {
+            e.remove();
+        } else {
+            q.head = self.next[slot as usize];
+            q.len -= 1;
+            q.wload -= u64::from(self.weight[slot as usize]);
+        }
+        Some(slot)
+    }
+
+    /// Links `slot` behind `bin`'s back slot (one map probe).
+    fn push_back(&mut self, bin: u32, slot: u32) {
+        let w = u64::from(self.weight[slot as usize]);
+        match self.bins.entry(bin) {
+            Entry::Occupied(mut e) => {
+                let q = e.get_mut();
+                self.next[q.tail as usize] = slot;
+                q.tail = slot;
+                q.len += 1;
+                q.wload += w;
+            }
+            Entry::Vacant(e) => {
+                e.insert(Fifo {
+                    head: slot,
+                    tail: slot,
+                    len: 1,
+                    wload: w,
+                });
+            }
+        }
     }
 }
 
@@ -515,6 +599,101 @@ mod tests {
         assert_eq!(back.total(), o.total());
         assert_eq!(back.queues_sorted(), queues);
         assert_eq!(back.weighted_load(4), o.weighted_load(4));
+    }
+
+    /// Drives the overlay and a model of one `VecDeque` per occupied bin
+    /// (the plain representation) through the same seeded operations, and
+    /// compares every observable after each one.
+    #[test]
+    fn overlay_matches_a_queue_model_under_random_operations() {
+        use crate::rng::Xoshiro256pp;
+        use std::collections::{BTreeMap, VecDeque};
+
+        const N: usize = 32;
+        let mut rng = Xoshiro256pp::seed_from(2015);
+        let uniform = Capacities::Uniform(40);
+        let explicit = Capacities::Explicit((0..N as u64).map(|b| 5 + 3 * b).collect());
+        let mut model: BTreeMap<u32, VecDeque<u32>> = BTreeMap::new();
+        let mut o = WeightOverlay::default();
+        let mut peak = 0;
+        for op in 0..20_000 {
+            let mut touched = Vec::new();
+            // Placements and departures pull the ball count toward a target
+            // that alternates between a sparse and a crowded regime.
+            let balls: usize = model.values().map(VecDeque::len).sum();
+            let target = if op / 2500 % 2 == 0 { 6 } else { 80 };
+            match rng.uniform_usize(40) {
+                0..=11 => {
+                    // A round over a random subset of the occupied bins.
+                    let srcs: Vec<u32> = (model.keys().copied())
+                        .filter(|_| rng.uniform_usize(2) == 0)
+                        .collect();
+                    let dests: Vec<u32> =
+                        srcs.iter().map(|_| rng.uniform_usize(N) as u32).collect();
+                    let moving: Vec<u32> = (srcs.iter())
+                        .map(|b| model.get_mut(b).unwrap().pop_front().unwrap())
+                        .collect();
+                    model.retain(|_, q| !q.is_empty());
+                    for (&dest, &w) in dests.iter().zip(&moving) {
+                        model.entry(dest).or_default().push_back(w);
+                    }
+                    o.srcs.extend(&srcs);
+                    o.transport(&dests);
+                    touched.extend(srcs.into_iter().chain(dests));
+                }
+                12 => {
+                    // The rebuild packs the live balls into a fresh slab.
+                    o = WeightOverlay::from_queues(&o.queues_sorted());
+                    peak = balls;
+                }
+                _ if rng.uniform_usize(balls + target) < target => {
+                    let (bin, w) = (
+                        rng.uniform_usize(N) as u32,
+                        1 + rng.uniform_usize(20) as u32,
+                    );
+                    model.entry(bin).or_default().push_back(w);
+                    o.place(bin, w);
+                    touched.push(bin);
+                }
+                _ => {
+                    // Often an empty bin in the sparse regime.
+                    let bin = rng.uniform_usize(N) as u32;
+                    let front = model.get_mut(&bin).and_then(VecDeque::pop_front);
+                    model.retain(|_, q| !q.is_empty());
+                    assert_eq!(o.depart(bin), front, "op {op}");
+                    touched.push(bin);
+                }
+            }
+            // Churn reuses freed slots: the slab never outgrows the peak
+            // ball count since it was built.
+            peak = peak.max(model.values().map(VecDeque::len).sum());
+            assert!(
+                o.weight.len() <= peak,
+                "op {op}: {} slots, peak ball count {peak}",
+                o.weight.len()
+            );
+            let queues: Vec<(u32, Vec<u32>)> = (model.iter())
+                .map(|(&bin, q)| (bin, q.iter().copied().collect()))
+                .collect();
+            assert_eq!(o.queues_sorted(), queues, "op {op}");
+            let wload = |bin: &u32| {
+                let q = model.get(bin);
+                q.map_or(0, |q| q.iter().map(|&w| u64::from(w)).sum::<u64>())
+            };
+            for bin in &touched {
+                assert_eq!(o.weighted_load(*bin), wload(bin), "op {op}, bin {bin}");
+            }
+            assert_eq!(o.total(), model.keys().map(wload).sum::<u64>(), "op {op}");
+            let max = model.keys().map(wload).max().unwrap_or(0);
+            assert_eq!(o.weighted_max_load(), max, "op {op}");
+            for caps in [&uniform, &explicit] {
+                let over = |bin: &&u32| wload(bin) > caps.bound(**bin as usize).unwrap();
+                let violations = model.keys().filter(over).count() as u64;
+                assert_eq!(o.capacity_violations(caps), violations, "op {op}");
+            }
+            let occupied = model.iter().map(|(&bin, q)| (bin, q.len() as u32));
+            o.check_against(occupied).unwrap();
+        }
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! Each request is one JSON object on one line with an `"op"` field;
 //! each response is one JSON object on one line with an `"ok"` field.
 //! Failures are responses, not connection errors: `{"ok":false,"error":…}`.
+//! A request line may hold at most [`MAX_LINE_BYTES`] (64 MiB) before its
+//! newline; a longer one gets one error response, its rest is skipped, and
+//! the session keeps serving. A larger state restores from a file through
+//! `restore`'s `path`.
 //!
 //! | op | request fields | response fields |
 //! |----|----------------|-----------------|
@@ -26,7 +30,7 @@
 //! uninterrupted session would have — the `ci.sh` serve stage byte-diffs
 //! exactly that. Only `stats` reads the clock.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use rbb_core::engine::{Engine, Incremental};
 use rbb_core::prelude::LegitimacyThreshold;
@@ -42,6 +46,11 @@ pub const MAX_PLACE_BATCH: u64 = 1_000_000;
 
 /// Most rounds a single `step` request may advance, for the same reason.
 pub const MAX_STEP_BATCH: u64 = 10_000_000;
+
+/// Longest request line [`serve_lines`] reads, in bytes before the `\n`:
+/// a sender that never writes a newline cannot grow the daemon's memory
+/// past it. States larger than this go through `restore`'s `path` field.
+pub const MAX_LINE_BYTES: u64 = 64 << 20;
 
 /// A live daemon session: one engine, one clock, running counters.
 pub struct Session {
@@ -369,8 +378,10 @@ fn render(value: &Value) -> String {
 
 /// Drives a session over a line stream: one response line per request
 /// line, flushed immediately; a trailing `\n` or `\r\n` is stripped, blank
-/// lines are skipped, and a line that is not UTF-8 gets an error response;
-/// the loop ends at EOF or after a `shutdown` request is answered.
+/// lines are skipped, and a line that is not UTF-8 or longer than
+/// [`MAX_LINE_BYTES`] gets an error response (the rest of an over-long line
+/// is skipped unread); the loop ends at EOF or after a `shutdown` request
+/// is answered.
 pub fn serve_lines(
     session: &mut Session,
     mut reader: impl BufRead,
@@ -379,21 +390,31 @@ pub fn serve_lines(
     let mut buf = Vec::new();
     loop {
         buf.clear();
-        if reader.read_until(b'\n', &mut buf)? == 0 {
+        if Read::take(&mut reader, MAX_LINE_BYTES + 1).read_until(b'\n', &mut buf)? == 0 {
             break;
         }
-        if buf.last() == Some(&b'\n') {
+        let complete = buf.last() == Some(&b'\n');
+        if complete {
             buf.pop();
             if buf.last() == Some(&b'\r') {
                 buf.pop();
             }
         }
-        let response = match std::str::from_utf8(&buf) {
-            Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => session.handle_line(line),
-            Err(e) => {
-                session.stats.requests += 1;
-                session.fail(format!("bad request: not UTF-8 ({e})"))
+        let response = if !complete && buf.len() as u64 > MAX_LINE_BYTES {
+            reader.skip_until(b'\n')?;
+            session.stats.requests += 1;
+            session.fail(format!(
+                "bad request: line longer than {MAX_LINE_BYTES} bytes \
+                 (send large states through restore's \"path\")"
+            ))
+        } else {
+            match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => session.handle_line(line),
+                Err(e) => {
+                    session.stats.requests += 1;
+                    session.fail(format!("bad request: not UTF-8 ({e})"))
+                }
             }
         };
         writer.write_all(response.as_bytes())?;
@@ -699,6 +720,27 @@ mod tests {
         assert!(lines[2].contains(r#""balls":65"#), "{text}");
         assert_eq!(s.stats().errors, 1);
         assert_eq!(s.stats().requests, 3);
+    }
+
+    #[test]
+    fn over_long_line_gets_an_error_and_the_next_is_answered() {
+        let mut s = session(16, 2);
+        let over_long = std::io::repeat(b'x').take(MAX_LINE_BYTES + 1);
+        let input = std::io::BufReader::new(over_long.chain(&b"\n{\"op\":\"query\"}\n"[..]));
+        let mut out = Vec::new();
+        serve_lines(&mut s, input, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(lines[0].starts_with(r#"{"ok":false"#), "{}", lines[0]);
+        assert!(
+            lines[0].contains(&MAX_LINE_BYTES.to_string()),
+            "names the limit: {}",
+            lines[0]
+        );
+        assert!(lines[1].contains(r#""n":16"#), "{}", lines[1]);
+        assert_eq!(s.stats().errors, 1);
+        assert_eq!(s.stats().requests, 2);
     }
 
     #[test]

@@ -126,7 +126,8 @@ proptest! {
 
     /// Random (n, m, start, seed, weighted): identical trajectories,
     /// metric surfaces (weighted ones included) and snapshots, and fault
-    /// handling on unit engines (weighted specs carry no adversary).
+    /// handling on unit engines (only they report fault support, and
+    /// weighted specs carry no adversary).
     #[test]
     fn sparse_engine_is_bit_identical_to_dense(
         n in 2usize..257,
@@ -139,7 +140,8 @@ proptest! {
         weighted in any::<bool>(),
     ) {
         let (mut dense, mut sparse) = engine_pair(n, m, start, seed, weighted);
-        prop_assert!(dense.supports_faults() && sparse.supports_faults());
+        prop_assert_eq!(dense.supports_faults(), !weighted);
+        prop_assert_eq!(sparse.supports_faults(), !weighted);
         prop_assert_eq!(dense.weighted(), weighted);
         prop_assert_eq!(sparse.weighted(), weighted);
         let fault = (with_fault && !weighted).then_some(fault_round);
