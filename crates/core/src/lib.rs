@@ -119,5 +119,5 @@ pub mod prelude {
     pub use crate::sparse::SparseLoadProcess;
     pub use crate::strategy::QueueStrategy;
     pub use crate::tetris::{BatchedTetris, Tetris};
-    pub use crate::weights::{Capacities, WeightOverlay, Weights};
+    pub use crate::weights::{Capacities, Weights};
 }

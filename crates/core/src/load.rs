@@ -12,7 +12,8 @@
 //! capacities, the weighted constructor, snapshot/restore, incremental
 //! placement, faults, and the single [`Engine`] impl — over a [`LoadStore`]
 //! that supplies only the round kernel, arrivals and removals, load
-//! lookups, cheap statistics and the occupied bins:
+//! lookups, cheap statistics, the occupied bins, and the handles under
+//! which the weight overlay files each occupied bin's queue:
 //!
 //! * [`DenseStore`] — a dense `Vec<u32>` of all `n` bins
 //!   ([`LoadProcess`](crate::process::LoadProcess));
@@ -44,8 +45,7 @@ use crate::weights::{Capacities, WeightOverlay, Weights};
 
 /// The engine's randomness: one RNG stream per storage stream (one for the
 /// dense and sparse storages, one per shard for the sharded one), the
-/// uniform sampler keyed on `n`, and the destination scratch of the last
-/// round.
+/// uniform sampler keyed on `n`, and the round scratch of the storages.
 #[derive(Debug, Clone)]
 pub struct Draws {
     pub(crate) streams: Vec<Xoshiro256pp>,
@@ -55,13 +55,36 @@ pub struct Draws {
     /// Destination scratch. After a weighted round it holds the round's
     /// draws in the canonical transport order.
     pub(crate) dests: Vec<u32>,
+    /// After a weighted round on a storage whose handles are not its bins
+    /// (see [`LoadStore::BIN_HANDLES`]): the handle of each draw in
+    /// `dests`.
+    pub(crate) handles: Vec<u32>,
+    /// The sparse storage's radix-sort buffer.
+    pub(crate) scratch: Vec<u32>,
 }
 
 /// How a [`LoadEngine`] stores its loads. Implemented by the three
 /// storages of this crate (see the module docs).
+///
+/// # Handles
+///
+/// The storage names each occupied bin by a `u32` *handle*, under which
+/// the weight overlay files the bin's queue of ball weights: the bin
+/// itself for dense and sharded storage ([`Self::BIN_HANDLES`]), a small
+/// index for sparse storage, so that the overlay indexes a vector by
+/// handle and probes no map of its own. A handle stays with its bin while
+/// the bin is occupied. When the bin empties, the storage may reissue the
+/// handle to the next bin it fills, within the same round too: the overlay
+/// pops every departing ball before it pushes any arrival, so a reissued
+/// handle's queue is empty by the time it receives.
 pub trait LoadStore: Clone + std::fmt::Debug {
     /// The engine-kind tag of this storage's snapshots.
     const KIND: &'static str;
+
+    /// Whether every bin is its own handle. Then [`Self::round`] leaves the
+    /// destination handles in `draws.dests` itself, not in
+    /// `draws.handles`.
+    const BIN_HANDLES: bool;
 
     /// Rebuilds the storage from a validated snapshot's loads (and shard
     /// count).
@@ -72,10 +95,12 @@ pub trait LoadStore: Clone + std::fmt::Debug {
 
     /// One round of the process: every occupied bin releases one ball and
     /// each released ball lands in a uniform bin. Returns the number of
-    /// balls that moved. With `srcs`, also pushes the departing bins onto it
-    /// and leaves the matching draws in `draws.dests`, both in the canonical
-    /// transport order the weight overlay pairs them in: ascending bins
-    /// within each stream, streams in order.
+    /// balls that moved. With `srcs`, also pushes the departing bins'
+    /// handles onto it and leaves the matching draws in `draws.dests` and,
+    /// unless [`Self::BIN_HANDLES`], their handles in `draws.handles`, all
+    /// in the canonical transport order the weight overlay pairs them in:
+    /// ascending bins within each stream, streams in order. A handle that
+    /// a source bin frees may come back as a destination's handle.
     ///
     /// # RNG stream
     ///
@@ -83,11 +108,17 @@ pub trait LoadStore: Clone + std::fmt::Debug {
     /// by the bins it serves, exactly the draws of [`reference_round`].
     fn round(&mut self, draws: &mut Draws, srcs: Option<&mut Vec<u32>>) -> usize;
 
-    /// Adds one ball to `bin` (`bin < n`).
-    fn arrive(&mut self, bin: u32);
+    /// Adds one ball to `bin` (`bin < n`); returns the bin's handle.
+    fn arrive(&mut self, bin: u32) -> u32;
 
-    /// Takes one ball from `bin` (`bin < n`); `false` if it is empty.
-    fn remove(&mut self, bin: u32) -> bool;
+    /// Takes one ball from `bin` (`bin < n`); returns the handle the bin
+    /// held, or `None` if it is empty. A bin that empties frees its handle,
+    /// so the caller settles the overlay before the next arrival.
+    fn remove(&mut self, bin: u32) -> Option<u32>;
+
+    /// The handle of `bin` (`bin < n`): `None` for an empty bin of a
+    /// storage that issues handles to occupied bins only.
+    fn handle(&self, bin: u32) -> Option<u32>;
 
     /// Empties every bin.
     fn clear(&mut self);
@@ -185,13 +216,15 @@ impl<S: LoadStore> LoadEngine<S> {
         }
         let weighted = match &weights {
             Weights::Unit => None,
-            Weights::Explicit(ws) => Some(WeightOverlay::from_entries(store.entries(), ws)),
+            Weights::Explicit(ws) => Some(Self::overlay(&store, ws)),
         };
         Self {
             draws: Draws {
                 streams,
                 sampler: UniformSampler::new(n as u64),
                 dests: Vec::new(),
+                handles: Vec::new(),
+                scratch: Vec::new(),
             },
             store,
             round: 0,
@@ -224,10 +257,37 @@ impl<S: LoadStore> LoadEngine<S> {
         };
         let mut engine = Self::from_parts(S::restore(state), streams, Weights::Unit, capacities);
         engine.round = state.round;
+        // Validated queues mirror the entries, so their weights in bin
+        // order are the per-ball weight vector.
         engine.weighted = (state.weighted.iter())
             .find(|w| !w.queues.is_empty())
-            .map(|w| WeightOverlay::from_queues(&w.queues));
+            .map(|w| {
+                let ws: Vec<u32> = w.queues.iter().flat_map(|(_, ws)| ws).copied().collect();
+                Self::overlay(&engine.store, &ws)
+            });
         Ok(engine)
+    }
+
+    /// The overlay of `store`'s balls, weighed ball by ball in bin order.
+    fn overlay(store: &S, weights: &[u32]) -> WeightOverlay {
+        let entries = store.entries().into_iter();
+        // Every occupied bin has a handle.
+        let handled = entries.filter_map(|(bin, load)| Some((bin, store.handle(bin)?, load)));
+        // Where a bin is its own handle, the handles reach n - 1.
+        let records = if S::BIN_HANDLES { store.n() } else { 0 };
+        WeightOverlay::from_entries(records, handled, weights)
+    }
+
+    /// Checks the overlay, if any, against the storage's occupied bins and
+    /// their handles (see `WeightOverlay::check_against`).
+    pub(crate) fn check_overlay(&self) -> Result<(), String> {
+        let store = &self.store;
+        let handled = store
+            .occupied()
+            .map(|(bin, load)| (bin, store.handle(bin), load));
+        self.weighted
+            .as_ref()
+            .map_or(Ok(()), |o| o.check_against(handled))
     }
 }
 
@@ -267,22 +327,24 @@ pub fn reference_round(loads: &mut [u32], streams: &mut [Xoshiro256pp]) -> usize
 
 impl<S: LoadStore> Engine for LoadEngine<S> {
     /// Runs the storage's kernel; a weighted round then pairs the `k`-th
-    /// departing bin with the `k`-th draw in the overlay.
+    /// departing handle with the `k`-th draw and its handle in the overlay.
     fn step(&mut self) -> usize {
         let moved = match &mut self.weighted {
             None => self.store.round(&mut self.draws, None),
             Some(overlay) => {
                 let moved = self.store.round(&mut self.draws, Some(&mut overlay.srcs));
-                overlay.transport(&self.draws.dests);
+                let Draws { dests, handles, .. } = &self.draws;
+                overlay.transport(dests, if S::BIN_HANDLES { dests } else { handles });
                 moved
             }
         };
         self.round += 1;
         debug_assert_eq!(self.store.total(), self.balls, "mass violated");
-        debug_assert!(self
-            .weighted
-            .as_ref()
-            .is_none_or(|o| o.check_against(self.store.occupied()).is_ok()));
+        debug_assert_eq!(
+            self.check_overlay(),
+            Ok(()),
+            "weight overlay out of lock-step"
+        );
         moved
     }
 
@@ -378,10 +440,14 @@ impl<S: LoadStore> Engine for LoadEngine<S> {
 
     /// Out-of-range bins read as empty.
     fn weighted_bin_load(&self, bin: usize) -> u64 {
+        if bin >= self.store.n() {
+            return 0;
+        }
         match &self.weighted {
-            Some(o) => u32::try_from(bin).map_or(0, |b| o.weighted_load(b)),
-            None if bin < self.store.n() => u64::from(self.store.load(bin)),
-            None => 0,
+            Some(o) => (u32::try_from(bin).ok())
+                .and_then(|b| self.store.handle(b))
+                .map_or(0, |h| o.weighted_load(h)),
+            None => u64::from(self.store.load(bin)),
         }
     }
 
@@ -389,8 +455,10 @@ impl<S: LoadStore> Engine for LoadEngine<S> {
         &self.capacities
     }
 
-    /// `O(#occupied)` through the overlay or the storage's occupied bins:
-    /// empty bins never violate, as capacities are ≥ 1.
+    /// One pass over the overlay's queue records (`O(n)` on dense and
+    /// sharded storage, `O(peak #occupied)` on sparse storage) or, unit,
+    /// over the storage's occupied bins: empty bins never violate, as
+    /// capacities are ≥ 1.
     fn capacity_violations(&self) -> u64 {
         let caps = &self.capacities;
         if caps.is_unbounded() {
@@ -455,10 +523,10 @@ impl<S: LoadStore> Incremental for LoadEngine<S> {
             .sampler
             .fill_u32(&mut self.draws.streams[0], &mut bin);
         let [bin] = bin;
-        self.store.arrive(bin);
+        let handle = self.store.arrive(bin);
         self.balls += 1;
         if let Some(o) = &mut self.weighted {
-            o.place(bin, weight);
+            o.place(bin, handle, weight);
         }
         bin as usize
     }
@@ -467,12 +535,12 @@ impl<S: LoadStore> Incremental for LoadEngine<S> {
         let Some(b) = u32::try_from(bin).ok().filter(|_| bin < self.store.n()) else {
             return false;
         };
-        if !self.store.remove(b) {
+        let Some(handle) = self.store.remove(b) else {
             return false;
-        }
+        };
         self.balls -= 1;
         if let Some(o) = &mut self.weighted {
-            o.depart(b);
+            o.depart(handle);
         }
         true
     }
@@ -591,12 +659,7 @@ pub(crate) mod tests {
             .unwrap_or_default();
         assert!(message.contains("unsupported"), "{message}");
         assert_eq!(weighted.config(), &before, "loads untouched");
-        weighted
-            .weighted
-            .as_ref()
-            .unwrap()
-            .check_against(weighted.store.occupied())
-            .unwrap();
+        weighted.check_overlay().unwrap();
 
         assert!(capacity_only.weighted.is_none() && !capacity_only.capacities.is_unbounded());
         assert!(capacity_only.supports_faults());

@@ -31,6 +31,7 @@ pub struct DenseStore {
 
 impl LoadStore for DenseStore {
     const KIND: &'static str = ENGINE_DENSE;
+    const BIN_HANDLES: bool = true;
 
     fn restore(state: &SnapshotState) -> Self {
         Self {
@@ -79,15 +80,21 @@ impl LoadStore for DenseStore {
     }
 
     #[inline]
-    fn arrive(&mut self, bin: u32) {
+    fn arrive(&mut self, bin: u32) -> u32 {
         self.config.loads_mut()[bin as usize] += 1;
+        bin
     }
 
-    fn remove(&mut self, bin: u32) -> bool {
+    fn remove(&mut self, bin: u32) -> Option<u32> {
         let slot = &mut self.config.loads_mut()[bin as usize];
         let occupied = *slot > 0;
         *slot -= u32::from(occupied);
-        occupied
+        occupied.then_some(bin)
+    }
+
+    #[inline]
+    fn handle(&self, bin: u32) -> Option<u32> {
+        Some(bin)
     }
 
     fn clear(&mut self) {
@@ -193,8 +200,14 @@ impl LoadProcess {
 
     /// Replaces the configuration wholesale — the §4.1 adversary's move.
     /// Panics if the new configuration changes the ball count (the adversary
-    /// may *re-assign* balls, not create or destroy them).
+    /// may *re-assign* balls, not create or destroy them), and on a weighted
+    /// engine before touching the loads, as [`Engine::apply_fault`] does: a
+    /// configuration does not say which weight goes where.
     pub fn adversarial_reassign(&mut self, new_config: Config) {
+        assert!(
+            self.weighted.is_none(),
+            "adversarial reassignment is unsupported on a weighted engine"
+        );
         assert_eq!(
             new_config.total_balls(),
             self.balls,
@@ -362,6 +375,52 @@ mod tests {
     fn adversarial_reassign_rejects_mass_change() {
         let mut p = LoadProcess::legitimate_start(16, 12);
         p.adversarial_reassign(Config::all_in_one(16, 17));
+    }
+
+    #[test]
+    fn adversarial_reassign_refuses_a_weighted_engine_before_touching_it() {
+        // Replacing the loads under the overlay would leave bin 0 with 16
+        // balls but weighing 8, and a later round would panic.
+        let mut p = LoadProcess::with_weights(
+            Config::one_per_bin(16),
+            Xoshiro256pp::seed_from(3),
+            Weights::zipf(16, 1.0, 8),
+            Capacities::Unbounded,
+        );
+        let mut twin = p.clone();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.adversarial_reassign(Config::all_in_one(16, 16));
+        }))
+        .expect_err("a reassignment of a weighted engine panics");
+        let message = (panic.downcast_ref::<String>().map(String::as_str))
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(
+            message.contains("unsupported on a weighted engine"),
+            "{message}"
+        );
+        assert_eq!(p.config(), &Config::one_per_bin(16), "loads untouched");
+        p.check_overlay().unwrap();
+        for _ in 0..3 {
+            assert_eq!(p.step(), twin.step());
+            assert_eq!(
+                Engine::weighted_max_load(&p),
+                Engine::weighted_max_load(&twin)
+            );
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "queue length")]
+    fn step_names_the_overlay_mismatch() {
+        // Moves a ball in the loads behind the overlay's back: the debug
+        // check after the round reports check_against's own error.
+        let mut p = zipf_process(16, 62, Capacities::Unbounded);
+        let loads = p.store.config.loads_mut();
+        loads[0] += 1;
+        loads[1] -= 1;
+        p.step();
     }
 
     #[test]

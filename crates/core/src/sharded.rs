@@ -307,6 +307,7 @@ impl ShardedStore {
 
 impl LoadStore for ShardedStore {
     const KIND: &'static str = ENGINE_SHARDED;
+    const BIN_HANDLES: bool = true;
 
     fn restore(state: &SnapshotState) -> Self {
         Self::new(
@@ -337,23 +338,29 @@ impl LoadStore for ShardedStore {
         moved
     }
 
-    fn arrive(&mut self, bin: u32) {
+    fn arrive(&mut self, bin: u32) -> u32 {
         let (s, idx) = self.router.route(bin);
         self.shards[s].add(idx);
         self.dense.take();
+        bin
     }
 
-    fn remove(&mut self, bin: u32) -> bool {
+    fn remove(&mut self, bin: u32) -> Option<u32> {
         let (s, idx) = self.router.route(bin);
         let shard = &mut self.shards[s];
         let slot = &mut shard.loads[idx as usize];
         if *slot == 0 {
-            return false;
+            return None;
         }
         *slot -= 1;
         shard.nonempty -= usize::from(*slot == 0);
         self.dense.take();
-        true
+        Some(bin)
+    }
+
+    #[inline]
+    fn handle(&self, bin: u32) -> Option<u32> {
+        Some(bin)
     }
 
     fn clear(&mut self) {

@@ -3,13 +3,14 @@
 //!
 //! [`crate::process::LoadProcess`] scans a dense `Vec<u32>` of all `n` bins
 //! every round, so a round costs `O(n)` even when only a few thousand bins
-//! are ever occupied. [`SparseStore`] holds **only the occupied bins** — an
-//! index→load hash map plus an unordered worklist of occupied indices — so
-//! one round of [`SparseLoadProcess`] costs `O(#non-empty bins +
-//! departures)` and resident memory is `O(m)`, independent of `n`. That
-//! unlocks the regime the paper's stability claims are most interesting in
-//! at scale (`n = 10^8`, `m = 10^3..10^5`), where the dense engine cannot
-//! even afford its own load vector comfortably.
+//! are ever occupied. [`SparseStore`] holds **only the occupied bins** — one
+//! hash map from each occupied bin to its load and handle, plus an
+//! unordered worklist of occupied indices — so one round of
+//! [`SparseLoadProcess`] costs `O(#non-empty bins + departures)`, one map
+//! probe per departure and one per arrival, and resident memory is `O(m)`,
+//! independent of `n`. That unlocks the regime the paper's stability claims
+//! are most interesting in at scale (`n = 10^8`, `m = 10^3..10^5`), where
+//! the dense engine cannot even afford its own load vector comfortably.
 //!
 //! # Why the two engines are bit-identical
 //!
@@ -27,6 +28,20 @@
 //! proptests (`tests/proptest_sparse.rs`) pin this over the full factory
 //! matrix, fault injection and weights included.
 //!
+//! # Weighted rounds
+//!
+//! The weight overlay pairs the `k`-th departing bin with the `k`-th draw,
+//! and the dense scan departs in ascending bin order. So a weighted round
+//! first sorts the worklist in place, with an 11-bit LSD radix sort over
+//! scratch in [`Draws`] (two passes for `n ≤ 2^22`, three beyond). The
+//! overlay files each bin's weight queue under the bin's *handle*, a small
+//! index kept in the bin's map entry: a bin takes a handle when it becomes
+//! occupied (the last one freed, or a new one) and frees it when it
+//! empties. The departure pass pushes the departing handles and the arrival
+//! pass records the destination handles, so a weighted move probes the map
+//! once at each end and the overlay probes no map of its own. The overlay's
+//! queue records then number at most the peak count of occupied bins.
+//!
 //! # Observing without densifying
 //!
 //! [`Engine::config`] must hand out a dense [`Config`]; the sparse storage
@@ -43,6 +58,7 @@
 //! [`Engine::config`]: crate::engine::Engine::config
 
 use std::cell::OnceCell;
+use std::collections::hash_map::Entry;
 
 use crate::config::Config;
 use crate::det_hash::DetHashMap;
@@ -51,22 +67,74 @@ use crate::rng::Xoshiro256pp;
 use crate::snapshot::{SnapshotState, ENGINE_SPARSE};
 use crate::weights::{Capacities, Weights};
 
-/// Occupancy map of the sparse storage: bin index → load, keyed through the
-/// workspace-wide deterministic hasher ([`crate::det_hash`]). The std
-/// default (SipHash, randomly seeded) would be several times slower on
-/// 4-byte keys and make map layout non-reproducible; bin indices are
+/// One occupied bin of the sparse storage.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Always ≥ 1.
+    load: u32,
+    /// The bin's handle (see [`LoadStore`]'s handle docs).
+    handle: u32,
+}
+
+/// Occupancy map of the sparse storage: bin index → load and handle, keyed
+/// through the workspace-wide deterministic hasher ([`crate::det_hash`]).
+/// The std default (SipHash, randomly seeded) would be several times slower
+/// on 4-byte keys and make map layout non-reproducible; bin indices are
 /// uniform draws, so no adversarial-key defense is needed.
-type LoadMap = DetHashMap<u32, u32>;
+type LoadMap = DetHashMap<u32, Slot>;
+
+/// Digit width of [`radix_sort`]: two passes sort any key below 2^22, and
+/// three any `u32`.
+const RADIX_BITS: u32 = 11;
+
+/// The number of [`radix_sort`] passes over keys below `n`.
+fn radix_passes(n: usize) -> u32 {
+    let key_bits = usize::BITS - n.saturating_sub(1).leading_zeros();
+    key_bits.div_ceil(RADIX_BITS)
+}
+
+/// Sorts `keys`, each below `n`, ascending: a least-significant-digit
+/// radix sort over 11-bit digits, one counting pass and one scatter into
+/// `scratch` per digit, swapping the two buffers after each pass (so an odd
+/// pass count leaves the result in the buffer that was `scratch`).
+fn radix_sort(keys: &mut Vec<u32>, scratch: &mut Vec<u32>, n: usize) {
+    const MASK: u32 = (1 << RADIX_BITS) - 1;
+    scratch.resize(keys.len(), 0);
+    for pass in 0..radix_passes(n) {
+        let shift = pass * RADIX_BITS;
+        let mut starts = [0u32; 1 << RADIX_BITS];
+        for &k in keys.iter() {
+            starts[((k >> shift) & MASK) as usize] += 1;
+        }
+        let mut sum = 0;
+        for start in &mut starts {
+            let count = *start;
+            *start = sum;
+            sum += count;
+        }
+        for &k in keys.iter() {
+            let start = &mut starts[((k >> shift) & MASK) as usize];
+            scratch[*start as usize] = k;
+            *start += 1;
+        }
+        std::mem::swap(keys, scratch);
+    }
+}
 
 /// Sparse load storage: the occupied bins only.
 #[derive(Debug, Clone)]
 pub struct SparseStore {
     n: usize,
-    /// Occupied bins only: `loads[&b]` ≥ 1 always.
+    /// Occupied bins only.
     loads: LoadMap,
     /// Unordered worklist of the occupied bin indices — the round's
     /// departure scan iterates this, never `[0, n)`.
     occupied: Vec<u32>,
+    /// Handles of emptied bins, reissued (last freed first) before new
+    /// ones.
+    free: Vec<u32>,
+    /// Handles issued so far: every one is an occupied bin's or free.
+    issued: u32,
     /// Lazily materialized dense view for `Engine::config`; invalidated on
     /// every mutation, so steady-state stepping never allocates `O(n)`.
     dense: OnceCell<Config>,
@@ -88,6 +156,8 @@ impl SparseStore {
             n,
             loads: LoadMap::default(),
             occupied: Vec::new(),
+            free: Vec::new(),
+            issued: 0,
             dense: OnceCell::new(),
         };
         let mut balls = 0u64;
@@ -105,19 +175,33 @@ impl SparseStore {
         store
     }
 
-    /// Adds `load` balls to bin `b`, without invalidating the dense view.
+    /// Adds `load` balls to bin `b` (one map probe), without invalidating
+    /// the dense view; returns the bin's handle. A bin that was empty joins
+    /// the worklist and takes the last freed handle, or a new one.
     #[inline]
-    fn add(&mut self, b: u32, load: u32) {
-        let occupied = &mut self.occupied;
-        *self.loads.entry(b).or_insert_with(|| {
-            occupied.push(b);
-            0
-        }) += load;
+    fn add(&mut self, b: u32, load: u32) -> u32 {
+        match self.loads.entry(b) {
+            Entry::Occupied(mut e) => {
+                let slot = e.get_mut();
+                slot.load += load;
+                slot.handle
+            }
+            Entry::Vacant(e) => {
+                let handle = self.free.pop().unwrap_or_else(|| {
+                    self.issued += 1;
+                    self.issued - 1
+                });
+                self.occupied.push(b);
+                e.insert(Slot { load, handle });
+                handle
+            }
+        }
     }
 }
 
 impl LoadStore for SparseStore {
     const KIND: &'static str = ENGINE_SPARSE;
+    const BIN_HANDLES: bool = false;
 
     fn restore(state: &SnapshotState) -> Self {
         Self::from_entries(state.n, state.entries.iter().copied())
@@ -129,61 +213,82 @@ impl LoadStore for SparseStore {
     }
 
     /// Every occupied bin releases one ball (bins reaching zero leave the
-    /// map and the worklist), then the departures draw their destinations
-    /// in one batch. Departing bins enter `srcs` in **ascending bin
-    /// order** — the dense scan's order — so the weighted sparse engine is
-    /// bit-identical to the weighted dense engine although the worklist is
-    /// unordered.
-    fn round(&mut self, draws: &mut Draws, srcs: Option<&mut Vec<u32>>) -> usize {
-        if let Some(srcs) = srcs {
-            srcs.extend_from_slice(&self.occupied);
-            srcs.sort_unstable();
+    /// map and the worklist, and free their handles), then the departures
+    /// draw their destinations in one batch and arrive. One map probe per
+    /// departure and one per arrival. On a weighted round the worklist is
+    /// first radix-sorted in place, so departures enter `srcs` in
+    /// **ascending bin order** — the dense scan's order — and the weighted
+    /// sparse engine is bit-identical to the weighted dense engine; the
+    /// arrivals record their handles in `draws.handles`.
+    fn round(&mut self, draws: &mut Draws, mut srcs: Option<&mut Vec<u32>>) -> usize {
+        if srcs.is_some() {
+            radix_sort(&mut self.occupied, &mut draws.scratch, self.n);
         }
-        let loads = &mut self.loads;
+        let (loads, free) = (&mut self.loads, &mut self.free);
         let departures = self.occupied.len();
-        self.occupied.retain(|&b| match loads.get_mut(&b) {
-            Some(slot) if *slot > 1 => {
-                *slot -= 1;
-                true
+        self.occupied.retain(|&b| {
+            // The worklist holds exactly the map's bins.
+            let Entry::Occupied(mut e) = loads.entry(b) else {
+                return false;
+            };
+            let slot = e.get_mut();
+            if let Some(srcs) = srcs.as_deref_mut() {
+                srcs.push(slot.handle);
             }
-            _ => {
-                loads.remove(&b);
-                false
+            slot.load -= 1;
+            if slot.load > 0 {
+                return true;
             }
+            free.push(slot.handle);
+            e.remove();
+            false
         });
         draws.dests.resize(departures, 0);
         draws
             .sampler
             .fill_u32(&mut draws.streams[0], &mut draws.dests);
+        let weighted = srcs.is_some();
+        draws.handles.clear();
         for &b in &draws.dests {
-            self.add(b, 1);
+            let handle = self.add(b, 1);
+            if weighted {
+                draws.handles.push(handle);
+            }
         }
         self.dense.take();
         debug_assert_eq!(self.loads.len(), self.occupied.len());
         departures
     }
 
-    fn arrive(&mut self, bin: u32) {
-        self.add(bin, 1);
+    fn arrive(&mut self, bin: u32) -> u32 {
+        let handle = self.add(bin, 1);
         self.dense.take();
+        handle
     }
 
-    fn remove(&mut self, bin: u32) -> bool {
-        let Some(slot) = self.loads.get_mut(&bin) else {
-            return false;
-        };
-        *slot -= 1;
-        if *slot == 0 {
+    fn remove(&mut self, bin: u32) -> Option<u32> {
+        let slot = self.loads.get_mut(&bin)?;
+        let handle = slot.handle;
+        slot.load -= 1;
+        if slot.load == 0 {
             self.loads.remove(&bin);
             self.occupied.retain(|&x| x != bin);
+            self.free.push(handle);
         }
         self.dense.take();
-        true
+        Some(handle)
+    }
+
+    #[inline]
+    fn handle(&self, bin: u32) -> Option<u32> {
+        self.loads.get(&bin).map(|slot| slot.handle)
     }
 
     fn clear(&mut self) {
         self.loads.clear();
         self.occupied.clear();
+        self.free.clear();
+        self.issued = 0;
         self.dense.take();
     }
 
@@ -192,8 +297,7 @@ impl LoadStore for SparseStore {
         u32::try_from(bin)
             .ok()
             .and_then(|b| self.loads.get(&b))
-            .copied()
-            .unwrap_or(0)
+            .map_or(0, |slot| slot.load)
     }
 
     #[inline]
@@ -203,7 +307,7 @@ impl LoadStore for SparseStore {
 
     fn occupied(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         // rbb-lint: allow(unordered-iter, reason = "callers fold order-independently (max, sum, count, check) or sort (entries)")
-        self.loads.iter().map(|(&b, &l)| (b, l))
+        self.loads.iter().map(|(&b, slot)| (b, slot.load))
     }
 
     /// Materializes (and caches) the dense view — `O(n)`, so per-round
@@ -439,7 +543,7 @@ mod tests {
         assert!(p.depart(10));
         assert!(p.depart(10) || b == 10, "bin 10 had 2 balls");
         assert_eq!(p.store.occupied.len(), p.store.loads.len());
-        assert!(p.store.loads.values().all(|&l| l > 0));
+        assert!(p.store.loads.values().all(|slot| slot.load > 0));
     }
 
     #[test]
@@ -483,7 +587,14 @@ mod tests {
             let store = &p.store;
             assert_eq!(store.occupied.len(), store.loads.len());
             assert!(store.occupied.iter().all(|b| store.loads.contains_key(b)));
-            assert!(store.loads.values().all(|&l| l > 0));
+            assert!(store.loads.values().all(|slot| slot.load > 0));
+            let mut handles: Vec<u32> = store.loads.values().map(|slot| slot.handle).collect();
+            handles.extend(&store.free);
+            handles.sort_unstable();
+            assert!(
+                handles.iter().copied().eq(0..store.issued),
+                "every issued handle is held or free, once"
+            );
         }
     }
 
@@ -588,10 +699,104 @@ mod tests {
         let build = || {
             let mut m = LoadMap::default();
             for i in 0..500u32 {
-                m.insert(i.wrapping_mul(48_271), i + 1);
+                m.insert(
+                    i.wrapping_mul(48_271),
+                    Slot {
+                        load: i + 1,
+                        handle: i,
+                    },
+                );
             }
             m.keys().copied().collect::<Vec<u32>>()
         };
         assert_eq!(build(), build(), "deterministic hasher, identical layout");
+    }
+    /// Asserts that a weighted dense/sparse pair agree on every weighted
+    /// observable, and that both overlays are in lock-step with their loads.
+    fn assert_weighted_twins(dense: &LoadProcess, sparse: &SparseLoadProcess, at: &str) {
+        assert_eq!(dense.config(), Engine::config(sparse), "{at}");
+        for bin in 0..dense.n() {
+            assert_eq!(
+                Engine::weighted_bin_load(dense, bin),
+                Engine::weighted_bin_load(sparse, bin),
+                "{at}, bin {bin}"
+            );
+        }
+        assert_eq!(
+            Engine::weighted_max_load(dense),
+            Engine::weighted_max_load(sparse),
+            "{at}"
+        );
+        assert_eq!(
+            Engine::capacity_violations(dense),
+            Engine::capacity_violations(sparse),
+            "{at}"
+        );
+        dense.check_overlay().unwrap();
+        sparse.check_overlay().unwrap();
+    }
+
+    #[test]
+    fn reissued_handles_keep_the_overlay_in_step_with_dense() {
+        // Bins 0 and 1 hold one ball each (weights 7 and 3) under handles 0
+        // and 1. Seed 64 draws bins 2 and 1 in round 1, then places in bin 3.
+        let weights = Weights::Explicit(vec![7, 3]);
+        let caps = Capacities::Explicit(vec![6, 5, 4, 3]);
+        let start = Config::from_loads(vec![1, 1, 0, 0]);
+        let mut dense = LoadProcess::with_weights(start, rng(64), weights.clone(), caps.clone());
+        let mut sparse =
+            SparseLoadProcess::with_weights(4, [(0, 1), (1, 1)], rng(64), weights, caps);
+        let handles = |p: &SparseLoadProcess| (0..4).map(|b| p.store.handle(b)).collect::<Vec<_>>();
+        assert_eq!(handles(&sparse), [Some(0), Some(1), None, None]);
+        assert_weighted_twins(&dense, &sparse, "start");
+
+        // Both bins release their last ball, freeing handles 0 then 1. Bin
+        // 0's ball lands in the empty bin 2, which takes handle 1; bin 1's
+        // lands back in bin 1, which takes handle 0.
+        assert_eq!(sparse.step(), dense.step());
+        assert_eq!(handles(&sparse), [None, Some(0), Some(1), None]);
+        assert_eq!(Engine::weighted_bin_load(&sparse, 2), 7);
+        assert_eq!(Engine::weighted_bin_load(&sparse, 1), 3);
+        assert_weighted_twins(&dense, &sparse, "after round 1");
+
+        // An incremental departure empties bin 2 and frees handle 1, which
+        // the next placement's empty bin 3 takes.
+        assert!(sparse.depart(2) && dense.depart(2));
+        assert_eq!(handles(&sparse), [None, Some(0), None, None]);
+        assert_weighted_twins(&dense, &sparse, "after the depart");
+        assert_eq!(sparse.place_weighted(5), 3);
+        assert_eq!(dense.place_weighted(5), 3);
+        assert_eq!(handles(&sparse), [None, Some(0), None, Some(1)]);
+        assert_weighted_twins(&dense, &sparse, "after the placement");
+
+        for r in 2..40 {
+            assert_eq!(sparse.step(), dense.step());
+            assert_weighted_twins(&dense, &sparse, &format!("round {r}"));
+        }
+    }
+
+    #[test]
+    fn radix_sort_matches_sort_unstable() {
+        let cases = [
+            (2, 1),
+            (1 << 11, 1),
+            ((1 << 11) + 1, 2),
+            (1 << 22, 2),
+            ((1 << 22) + 1, 3),
+            (1 << 32, 3),
+        ];
+        let mut rng = rng(2016);
+        let mut scratch = Vec::new();
+        for (n, passes) in cases {
+            assert_eq!(radix_passes(n), passes, "n = {n}");
+            for len in [0, 1, 2, 255, 2049, 10_000] {
+                let keys: Vec<u32> = (0..len).map(|_| rng.uniform_usize(n) as u32).collect();
+                let mut want = keys.clone();
+                want.sort_unstable();
+                let mut got = keys;
+                radix_sort(&mut got, &mut scratch, n);
+                assert_eq!(got, want, "n = {n}, {len} keys");
+            }
+        }
     }
 }

@@ -18,23 +18,25 @@
 //!   capacity-violating bins per round, the quantity the binpacking
 //!   baseline in `crates/baselines` respects by construction.
 //!
-//! [`WeightOverlay`] is the shared engine-side state: per-bin FIFO weight
-//! queues kept in lock-step with the load vector. All three load engines
-//! (dense, sparse, sharded) drive it through the same canonical transport
-//! order — departing bins in ascending bin order within each RNG stream —
-//! so the weighted sparse engine is bit-identical to the weighted dense
-//! engine, exactly as in the unit regime.
+//! The crate-private `WeightOverlay` is the shared engine-side state:
+//! per-bin FIFO weight queues kept in lock-step with the loads. All three
+//! load engines (dense, sparse, sharded) drive it through the same
+//! canonical transport order — departing bins in ascending bin order within
+//! each RNG stream — so the weighted sparse engine is bit-identical to the
+//! weighted dense engine, exactly as in the unit regime.
 //!
 //! The queues live in one ball-slot slab: every ball holds a slot (its
 //! weight and the next slot of its bin's queue), and each occupied bin one
-//! map entry with its queue's head and tail slots, length and weighted
-//! load. A round's transport moves slot indices between bins, so a weighted
-//! move costs one map probe at its source, one at its destination and no
-//! allocation.
-
-use std::collections::hash_map::Entry;
-
-use crate::det_hash::DetHashMap;
+//! queue record with its head and tail slots, length and weighted load.
+//! The records sit in a vector indexed by a handle that the storage
+//! supplies ([`LoadStore::handle`]): the bin itself on dense and sharded
+//! storage, so one record per bin, and a reissued small index on sparse
+//! storage, so one per occupied bin at the peak. A round's transport
+//! moves slot indices between records, so the overlay makes no map probe
+//! and no allocation per weighted move; on sparse storage the move's only
+//! probes are the storage's own, one at each end.
+//!
+//! [`LoadStore::handle`]: crate::load::LoadStore::handle
 
 /// Default maximum weight of the deterministic Zipf assignment.
 pub const DEFAULT_ZIPF_W_MAX: u32 = 100;
@@ -203,28 +205,34 @@ impl Capacities {
     }
 }
 
-/// Engine-side weighted state: per-bin FIFO weight queues (front = next
-/// ball to depart), keyed on the **occupied** bins only — an `m ≪ n`
-/// sparse run never pays `O(n)`.
+/// Engine-side weighted state: one FIFO weight queue (front = next ball to
+/// depart) per occupied bin, kept in lock-step with the storage's loads.
 ///
 /// The queues share one slab of ball slots: slot `s` holds a ball's weight
-/// and the slot behind it in its bin's queue. Each occupied bin has one map
-/// entry with its queue's head and tail slots, length and weighted load.
-/// A departed ball's slot goes on a free list that the next placement
-/// reuses, so the slab holds at most the peak ball count of slots. That is
-/// about 8 bytes per ball plus one map entry per occupied bin, and every
-/// slot index is below the ball count, which the engines keep below
-/// `u32::MAX`.
+/// and the slot behind it in its bin's queue. Each queue is a record with
+/// its head and tail slots, length, bin and weighted load, kept in a vector
+/// indexed by the bin's *handle*, which the storage supplies
+/// ([`LoadStore::handle`](crate::load::LoadStore::handle)). On sparse
+/// storage the handle is a reissued small index, so the records number at
+/// most the peak count of occupied bins. On dense and sharded storage the
+/// handle is the bin itself, so the records, 24 bytes each, cover every bin
+/// up to the highest one ever occupied: `O(n)` of them however few bins are
+/// occupied. A record of length 0 is unused. A departed ball's slot goes on
+/// a free list that the next placement reuses, so the slab holds at most
+/// the peak ball count of slots: about 8 bytes per ball, and every slot
+/// index is below the ball count, which the engines keep below `u32::MAX`.
+/// No operation probes a map.
 ///
 /// The overlay is pure metric state: it never touches the RNG. Engines
-/// keep the invariant `queue(b).len() == load(b)` for every bin (the unit
-/// load vector remains the single source of truth for the dynamics) and
-/// drive rounds through the two-phase [`Self::transport`], which models
-/// the paper's simultaneous departures: all departing front balls are
-/// popped before any arrival is pushed, so a bin that both releases and
-/// receives in one round still releases its *original* front ball.
+/// keep the invariant that each occupied bin's queue, under its handle, is
+/// as long as the bin's load (the unit loads remain the single source of
+/// truth for the dynamics) and drive rounds through the two-phase
+/// [`Self::transport`], which models the paper's simultaneous departures:
+/// all departing front balls are popped before any arrival is pushed, so a
+/// bin that both releases and receives in one round still releases its
+/// *original* front ball.
 #[derive(Debug, Clone, Default)]
-pub struct WeightOverlay {
+pub(crate) struct WeightOverlay {
     /// Weight of the ball in each slot (stale in a free slot).
     weight: Vec<u32>,
     /// The slot behind each slot in its bin's queue (stale at a queue's
@@ -232,42 +240,55 @@ pub struct WeightOverlay {
     next: Vec<u32>,
     /// Free slots, reused before the slab grows.
     free: Vec<u32>,
-    /// The queue of each occupied bin.
-    bins: DetHashMap<u32, Fifo>,
+    /// The queue under each handle; length 0 when unused.
+    queues: Vec<Fifo>,
     /// Total weight in the system.
     total: u64,
-    /// Scratch: the departing bins of the in-flight round, in canonical
-    /// (ascending within each stream) order. Cleared and refilled by the
-    /// engines each weighted round; never part of the resumable state.
+    /// Scratch: the departing handles of the in-flight round, in canonical
+    /// (ascending bins within each stream) order. Cleared and refilled by
+    /// the engines each weighted round; never part of the resumable state.
     pub(crate) srcs: Vec<u32>,
 }
 
-/// One occupied bin's queue: `len ≥ 1` slots linked from `head` to `tail`
-/// through [`WeightOverlay`]'s `next`.
-#[derive(Debug, Clone, Copy)]
+/// One queue record: `len` slots linked from `head` to `tail` through
+/// [`WeightOverlay`]'s `next`. `head`, `tail` and `bin` are stale when
+/// `len == 0`, and `wload` is then 0.
+#[derive(Debug, Clone, Copy, Default)]
 struct Fifo {
     head: u32,
     tail: u32,
     len: u32,
+    /// The bin that holds the queue.
+    bin: u32,
     /// Sum of the queue's weights.
     wload: u64,
 }
 
 impl WeightOverlay {
-    /// Builds the overlay from a sorted occupied-bin iterator and the
-    /// per-ball weight vector, consumed ball by ball in bin order (the
-    /// enumeration [`Weights`] documents).
-    pub fn from_entries(entries: impl IntoIterator<Item = (u32, u32)>, weights: &[u32]) -> Self {
-        let mut overlay = WeightOverlay::default();
+    /// Builds the overlay from `(bin, handle, load)` triples sorted by bin
+    /// and the per-ball weight vector, consumed ball by ball in bin order
+    /// (the enumeration [`Weights`] documents). Reserves queue records for
+    /// the handles below `records` in one allocation: growing the records
+    /// one handle at a time would copy them and leave the old buffers
+    /// stranded in the allocator.
+    pub(crate) fn from_entries(
+        records: usize,
+        entries: impl IntoIterator<Item = (u32, u32, u32)>,
+        weights: &[u32],
+    ) -> Self {
+        let mut overlay = WeightOverlay {
+            queues: Vec::with_capacity(records),
+            ..WeightOverlay::default()
+        };
         let mut rest = weights;
-        for (bin, load) in entries {
+        for (bin, handle, load) in entries {
             assert!(
                 load as usize <= rest.len(),
                 "weight vector shorter than the ball count"
             );
             let (ws, tail) = rest.split_at(load as usize);
             for &w in ws {
-                overlay.place(bin, w);
+                overlay.place(bin, handle, w);
             }
             rest = tail;
         }
@@ -277,52 +298,53 @@ impl WeightOverlay {
 
     /// Total weight currently in the system.
     #[inline]
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.total
     }
 
-    /// Weighted load of one bin (0 when empty).
+    /// Weighted load of the bin under `handle` (0 for an unused handle).
     #[inline]
-    pub fn weighted_load(&self, bin: u32) -> u64 {
-        self.bins.get(&bin).map_or(0, |q| q.wload)
+    pub(crate) fn weighted_load(&self, handle: u32) -> u64 {
+        self.queues.get(handle as usize).map_or(0, |q| q.wload)
     }
 
-    /// Maximum weighted load over all bins — `O(#occupied)`.
-    pub fn weighted_max_load(&self) -> u64 {
-        // rbb-lint: allow(unordered-iter, reason = "max over u64 values is order-independent")
-        self.bins.values().map(|q| q.wload).max().unwrap_or(0)
+    /// Maximum weighted load over all bins: one pass over the records, so
+    /// `O(n)` on dense and sharded storage and `O(peak #occupied)` on
+    /// sparse storage.
+    pub(crate) fn weighted_max_load(&self) -> u64 {
+        self.queues.iter().map(|q| q.wload).max().unwrap_or(0)
     }
 
-    /// Number of occupied bins whose weighted load exceeds its capacity —
-    /// `O(#occupied)`; empty bins can never violate (capacities are ≥ 1).
-    pub fn capacity_violations(&self, caps: &Capacities) -> u64 {
+    /// Number of bins whose weighted load exceeds their capacity: one pass
+    /// over the records, as in [`Self::weighted_max_load`]. Unused records
+    /// weigh 0 and never violate.
+    pub(crate) fn capacity_violations(&self, caps: &Capacities) -> u64 {
         if caps.is_unbounded() {
             return 0;
         }
-        // rbb-lint: allow(unordered-iter, reason = "counting violators is order-independent")
-        self.bins
-            .iter()
-            .filter(|(&bin, q)| caps.bound(bin as usize).is_some_and(|c| q.wload > c))
-            .count() as u64
+        let over = |q: &&Fifo| caps.bound(q.bin as usize).is_some_and(|c| q.wload > c);
+        self.queues.iter().filter(over).count() as u64
     }
 
-    /// The round's weighted transport, pairing the `k`-th departing bin in
-    /// `self.srcs` with the `k`-th destination draw in `dests`.
-    /// Two-phase: every departing front slot is unlinked before any is
-    /// linked at its destination (simultaneous departures), preserving
-    /// `total`.
-    pub fn transport(&mut self, dests: &[u32]) {
+    /// The round's weighted transport: the `k`-th handle in `self.srcs`
+    /// releases its front ball to bin `bins[k]`, whose handle is
+    /// `handles[k]`. Two-phase: every departing front slot is unlinked
+    /// before any is linked at its destination (simultaneous departures),
+    /// preserving `total`. So a handle that an emptied source freed may
+    /// already hold a destination: its queue is empty by the second phase.
+    pub(crate) fn transport(&mut self, bins: &[u32], handles: &[u32]) {
         let mut moving = std::mem::take(&mut self.srcs);
-        debug_assert_eq!(moving.len(), dests.len(), "one destination per departure");
+        debug_assert_eq!(moving.len(), bins.len(), "one destination per departure");
+        debug_assert_eq!(bins.len(), handles.len(), "one handle per destination");
         for src in &mut moving {
-            // Each departing bin is replaced by its front slot.
+            // Each departing handle is replaced by its front slot.
             *src = self
                 .pop_front(*src)
                 // rbb-lint: allow(panic, reason = "engines keep queue length == load in lock-step; only non-empty bins depart")
                 .expect("departing bin has a queue");
         }
-        for (&dest, &slot) in dests.iter().zip(&moving) {
-            self.push_back(dest, slot);
+        for ((&bin, &handle), &slot) in bins.iter().zip(handles).zip(&moving) {
+            self.push_back(bin, handle, slot);
         }
         // The departure list is consumed: round-scoped scratch, restored
         // empty (capacity kept) for the next round's refill.
@@ -330,8 +352,9 @@ impl WeightOverlay {
         self.srcs = moving;
     }
 
-    /// Incremental arrival of one ball of weight `w` into `bin`.
-    pub fn place(&mut self, bin: u32, w: u32) {
+    /// Incremental arrival of one ball of weight `w` into `bin`, whose
+    /// handle is `handle`.
+    pub(crate) fn place(&mut self, bin: u32, handle: u32, w: u32) {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.weight[slot as usize] = w;
@@ -346,14 +369,14 @@ impl WeightOverlay {
                 slot
             }
         };
-        self.push_back(bin, slot);
+        self.push_back(bin, handle, slot);
         self.total += u64::from(w);
     }
 
-    /// Incremental departure of `bin`'s front ball; returns its weight, or
-    /// `None` when the bin is empty.
-    pub fn depart(&mut self, bin: u32) -> Option<u32> {
-        let slot = self.pop_front(bin)?;
+    /// Incremental departure of the front ball under `handle`; returns its
+    /// weight, or `None` when the queue is empty.
+    pub(crate) fn depart(&mut self, handle: u32) -> Option<u32> {
+        let slot = self.pop_front(handle)?;
         self.free.push(slot);
         let w = self.weight[slot as usize];
         self.total -= u64::from(w);
@@ -362,63 +385,70 @@ impl WeightOverlay {
 
     /// The canonical snapshot encoding: `(bin, weights front→back)` pairs
     /// sorted by bin index.
-    pub fn queues_sorted(&self) -> Vec<(u32, Vec<u32>)> {
-        let mut out: Vec<(u32, Vec<u32>)> = self
-            // rbb-lint: allow(unordered-iter, reason = "collected then sorted by bin before use")
-            .bins
-            .iter()
-            .map(|(&bin, q)| {
-                let ws = self.slots(q).map(|s| self.weight[s as usize]);
-                (bin, ws.collect())
+    pub(crate) fn queues_sorted(&self) -> Vec<(u32, Vec<u32>)> {
+        let used = self.queues.iter().filter(|q| q.len > 0);
+        let mut out: Vec<(u32, Vec<u32>)> = used
+            .map(|q| {
+                (
+                    q.bin,
+                    self.slots(q).map(|s| self.weight[s as usize]).collect(),
+                )
             })
             .collect();
         out.sort_unstable_by_key(|&(bin, _)| bin);
         out
     }
 
-    /// Rebuilds from the snapshot encoding of [`Self::queues_sorted`].
-    pub fn from_queues(queues: &[(u32, Vec<u32>)]) -> Self {
-        let mut overlay = WeightOverlay::default();
-        for (bin, ws) in queues {
-            for &w in ws {
-                overlay.place(*bin, w);
-            }
-        }
-        overlay
-    }
-
-    /// Checks the lock-step invariant against a load lookup over the
-    /// occupied bins: every queue length equals its bin's load, and the
-    /// slab is consistent — each queue's links end at its tail and its
-    /// weights sum to its weighted load, the queues and the free list
-    /// account for every slot, and the weighted loads sum to `total`.
-    pub fn check_against(&self, occupied: impl Iterator<Item = (u32, u32)>) -> Result<(), String> {
+    /// Checks the lock-step invariant against the storage's occupied bins,
+    /// given as `(bin, handle, load)`: every occupied bin has a handle
+    /// whose queue belongs to it and is as long as its load, and no other
+    /// queue is in use. Then checks the slab: each queue's links end at its
+    /// tail and its weights sum to its weighted load, the queues and the
+    /// free list account for every slot, and the weighted loads sum to
+    /// `total`.
+    pub(crate) fn check_against(
+        &self,
+        occupied: impl Iterator<Item = (u32, Option<u32>, u32)>,
+    ) -> Result<(), String> {
         let mut seen = 0usize;
-        for (bin, load) in occupied {
-            let len = self.bins.get(&bin).map_or(0, |q| q.len);
-            if len != load {
-                return Err(format!("bin {bin}: queue length {len} != load {load}"));
+        for (bin, handle, load) in occupied {
+            let Some(handle) = handle else {
+                return Err(format!("bin {bin} holds {load} balls but has no handle"));
+            };
+            let q = self
+                .queues
+                .get(handle as usize)
+                .copied()
+                .unwrap_or_default();
+            if q.len != load {
+                return Err(format!(
+                    "bin {bin}: queue length {} != load {load} (handle {handle})",
+                    q.len
+                ));
+            }
+            if q.bin != bin {
+                return Err(format!(
+                    "bin {bin}: handle {handle} holds the queue of bin {}",
+                    q.bin
+                ));
             }
             seen += 1;
         }
-        if seen != self.bins.len() {
-            return Err(format!(
-                "{} weight queues but {seen} occupied bins",
-                self.bins.len()
-            ));
+        let used = self.queues.iter().filter(|q| q.len > 0).count();
+        if seen != used {
+            return Err(format!("{used} weight queues but {seen} occupied bins"));
         }
         let (mut queued, mut sum) = (0usize, 0u64);
-        // rbb-lint: allow(unordered-iter, reason = "every queue is checked; the counts and sums are order-independent")
-        for (&bin, q) in &self.bins {
-            let (mut back, mut w) = (q.head, 0u64);
+        for q in &self.queues {
+            let (mut back, mut w) = (q.tail, 0u64);
             for s in self.slots(q) {
                 w += u64::from(self.weight[s as usize]);
                 back = s;
             }
             if back != q.tail || w != q.wload {
                 return Err(format!(
-                    "bin {bin}: queue ends at slot {back} (tail {}) and weighs {w} (weighted load {})",
-                    q.tail, q.wload
+                    "bin {}: queue ends at slot {back} (tail {}) and weighs {w} (weighted load {})",
+                    q.bin, q.tail, q.wload
                 ));
             }
             queued += q.len as usize;
@@ -445,44 +475,35 @@ impl WeightOverlay {
         std::iter::successors(Some(q.head), |&s| Some(self.next[s as usize])).take(q.len as usize)
     }
 
-    /// Unlinks `bin`'s front slot (one map probe); `None` when the bin is
+    /// Unlinks the front slot under `handle`; `None` when its queue is
     /// empty.
-    fn pop_front(&mut self, bin: u32) -> Option<u32> {
-        let Entry::Occupied(mut e) = self.bins.entry(bin) else {
-            return None;
-        };
-        let q = e.get_mut();
+    #[inline]
+    fn pop_front(&mut self, handle: u32) -> Option<u32> {
+        let q = self.queues.get_mut(handle as usize).filter(|q| q.len > 0)?;
         let slot = q.head;
-        if q.len == 1 {
-            e.remove();
-        } else {
-            q.head = self.next[slot as usize];
-            q.len -= 1;
-            q.wload -= u64::from(self.weight[slot as usize]);
-        }
+        q.head = self.next[slot as usize];
+        q.len -= 1;
+        q.wload -= u64::from(self.weight[slot as usize]);
         Some(slot)
     }
 
-    /// Links `slot` behind `bin`'s back slot (one map probe).
-    fn push_back(&mut self, bin: u32, slot: u32) {
-        let w = u64::from(self.weight[slot as usize]);
-        match self.bins.entry(bin) {
-            Entry::Occupied(mut e) => {
-                let q = e.get_mut();
-                self.next[q.tail as usize] = slot;
-                q.tail = slot;
-                q.len += 1;
-                q.wload += w;
-            }
-            Entry::Vacant(e) => {
-                e.insert(Fifo {
-                    head: slot,
-                    tail: slot,
-                    len: 1,
-                    wload: w,
-                });
-            }
+    /// Links `slot` behind the back slot of `bin`'s queue, under `handle`.
+    #[inline]
+    fn push_back(&mut self, bin: u32, handle: u32, slot: u32) {
+        let h = handle as usize;
+        if h >= self.queues.len() {
+            self.queues.resize(h + 1, Fifo::default());
         }
+        let q = &mut self.queues[h];
+        if q.len == 0 {
+            q.head = slot;
+            q.bin = bin;
+        } else {
+            self.next[q.tail as usize] = slot;
+        }
+        q.tail = slot;
+        q.len += 1;
+        q.wload += u64::from(self.weight[slot as usize]);
     }
 }
 
@@ -547,103 +568,200 @@ mod tests {
         assert!(Capacities::from_parts("unbounded", &[3]).is_err());
     }
 
+    /// `(bin, handle, load)` triples in the form
+    /// [`WeightOverlay::check_against`] takes.
+    fn occupied(entries: &[(u32, u32, u32)]) -> impl Iterator<Item = (u32, Option<u32>, u32)> + '_ {
+        entries
+            .iter()
+            .map(|&(bin, handle, load)| (bin, Some(handle), load))
+    }
+
     #[test]
     fn overlay_builds_in_bin_order_and_tracks_loads() {
-        // Bins 0 (2 balls), 3 (1 ball): weights consumed in bin order.
-        let o = WeightOverlay::from_entries([(0, 2), (3, 1)], &[10, 20, 30]);
+        // Bins 0 (2 balls, handle 1), 3 (1 ball, handle 0): weights are
+        // consumed in bin order, whatever the handles.
+        let entries = [(0, 1, 2), (3, 0, 1)];
+        let o = WeightOverlay::from_entries(0, entries, &[10, 20, 30]);
         assert_eq!(o.total(), 60);
+        assert_eq!(o.weighted_load(1), 30);
         assert_eq!(o.weighted_load(0), 30);
-        assert_eq!(o.weighted_load(3), 30);
-        assert_eq!(o.weighted_load(1), 0);
+        assert_eq!(o.weighted_load(2), 0, "an unused handle weighs nothing");
         assert_eq!(o.weighted_max_load(), 30);
-        o.check_against([(0u32, 2u32), (3, 1)].into_iter()).unwrap();
+        assert_eq!(o.queues_sorted(), [(0, vec![10, 20]), (3, vec![30])]);
+        o.check_against(occupied(&entries)).unwrap();
+        let swapped = [(0, 0, 2), (3, 1, 1)];
+        let err = o.check_against(occupied(&swapped)).unwrap_err();
+        assert!(err.contains("queue length"), "{err}");
     }
 
     #[test]
     fn transport_is_two_phase_fifo() {
-        // Bin 0 = [10, 20], bin 1 = [5]. Both depart; bin 0's ball lands in
-        // bin 1 and bin 1's ball lands in bin 0. Simultaneity: bin 1 must
-        // release its *original* front (5), not the arriving 10.
-        let mut o = WeightOverlay::from_entries([(0, 2), (1, 1)], &[10, 20, 5]);
+        // Bin 0 = [10, 20] (handle 0), bin 1 = [5] (handle 1). Both depart;
+        // bin 0's ball lands in bin 1 and bin 1's ball lands in bin 0.
+        // Simultaneity: bin 1 must release its *original* front (5), not
+        // the arriving 10.
+        let mut o = WeightOverlay::from_entries(0, [(0, 0, 2), (1, 1, 1)], &[10, 20, 5]);
         o.srcs.extend([0, 1]);
-        o.transport(&[1, 0]);
+        o.transport(&[1, 0], &[1, 0]);
         assert_eq!(o.total(), 35);
         assert_eq!(o.weighted_load(0), 25); // [20, 5]
         assert_eq!(o.weighted_load(1), 10); // [10]
                                             // Next round: bin 0 releases 20 (FIFO), not 5.
         o.srcs.extend([0, 1]);
-        o.transport(&[0, 1]);
+        o.transport(&[0, 1], &[0, 1]);
         assert_eq!(o.weighted_load(0), 25); // [5, 20]
         assert_eq!(o.weighted_load(1), 10);
     }
 
     #[test]
+    fn transport_reissues_a_handle_freed_in_the_same_round() {
+        // Bin 4 = [7] under handle 0 empties, and its freed handle goes to
+        // bin 9, which was empty. Bin 2 = [3] under handle 1 releases its
+        // last ball and receives one: it keeps handle 1 here.
+        let mut o = WeightOverlay::from_entries(0, [(2, 1, 1), (4, 0, 1)], &[3, 7]);
+        o.srcs.extend([1, 0]);
+        o.transport(&[9, 2], &[0, 1]);
+        assert_eq!(o.queues_sorted(), [(2, vec![7]), (9, vec![3])]);
+        o.check_against(occupied(&[(2, 1, 1), (9, 0, 1)])).unwrap();
+        assert_eq!(o.capacity_violations(&Capacities::Explicit(vec![5; 10])), 1);
+    }
+
+    #[test]
     fn place_and_depart_maintain_totals() {
-        let mut o = WeightOverlay::from_entries([(2, 1)], &[7]);
-        o.place(2, 3);
-        o.place(5, 11);
+        let mut o = WeightOverlay::from_entries(0, [(2, 0, 1)], &[7]);
+        o.place(2, 0, 3);
+        o.place(5, 1, 11);
         assert_eq!(o.total(), 21);
-        assert_eq!(o.depart(2), Some(7), "FIFO front departs first");
-        assert_eq!(o.depart(9), None, "empty bin is a no-op");
-        assert_eq!(o.total(), 14);
-        assert_eq!(o.weighted_load(2), 3);
+        assert_eq!(o.depart(0), Some(7), "FIFO front departs first");
+        assert_eq!(o.depart(9), None, "unused handle is a no-op");
+        assert_eq!(o.depart(1), Some(11));
+        assert_eq!(o.depart(1), None, "emptied queue is a no-op");
+        assert_eq!(o.total(), 3);
+        assert_eq!(o.weighted_load(0), 3);
+        assert_eq!(o.weighted_load(1), 0);
     }
 
     #[test]
     fn snapshot_queues_round_trip() {
-        let mut o = WeightOverlay::from_entries([(1, 2), (4, 1)], &[9, 8, 7]);
+        // A restore rebuilds from the bin-sorted queues, flattened into the
+        // per-ball weight vector, under handles issued afresh in bin order.
+        let mut o = WeightOverlay::from_entries(0, [(1, 1, 2), (4, 0, 1)], &[9, 8, 7]);
         o.srcs.push(1);
-        o.transport(&[4]);
+        o.transport(&[4], &[0]);
         let queues = o.queues_sorted();
-        let back = WeightOverlay::from_queues(&queues);
+        assert_eq!(queues, [(1, vec![8]), (4, vec![7, 9])]);
+        let entries = (queues.iter().zip(0..)).map(|((bin, ws), h)| (*bin, h, ws.len() as u32));
+        let weights: Vec<u32> = queues.iter().flat_map(|(_, ws)| ws).copied().collect();
+        let back = WeightOverlay::from_entries(0, entries, &weights);
         assert_eq!(back.total(), o.total());
         assert_eq!(back.queues_sorted(), queues);
-        assert_eq!(back.weighted_load(4), o.weighted_load(4));
+        assert_eq!(back.weighted_load(1), o.weighted_load(0), "bin 4");
+        back.check_against(occupied(&[(1, 0, 1), (4, 1, 2)]))
+            .unwrap();
     }
 
     /// Drives the overlay and a model of one `VecDeque` per occupied bin
     /// (the plain representation) through the same seeded operations, and
-    /// compares every observable after each one.
+    /// compares every observable after each one. The handles differ from
+    /// the bins, and are freed and reissued the way sparse storage does it:
+    /// an emptied bin's handle goes on a free list, the next bin to become
+    /// occupied takes the last one freed (within the same round, too), and
+    /// a rebuild issues fresh handles in bin order, like a restore.
     #[test]
     fn overlay_matches_a_queue_model_under_random_operations() {
         use crate::rng::Xoshiro256pp;
         use std::collections::{BTreeMap, VecDeque};
 
+        /// The model: per occupied bin its queue and handle, plus the free
+        /// handles and the count issued.
+        #[derive(Default)]
+        struct Model {
+            bins: BTreeMap<u32, (VecDeque<u32>, u32)>,
+            free: Vec<u32>,
+            issued: u32,
+        }
+        impl Model {
+            /// Adds weight `w` to `bin`; returns the bin's handle.
+            fn push(&mut self, bin: u32, w: u32) -> u32 {
+                let (free, issued) = (&mut self.free, &mut self.issued);
+                let (q, handle) = self.bins.entry(bin).or_insert_with(|| {
+                    let handle = free.pop().unwrap_or_else(|| {
+                        *issued += 1;
+                        *issued - 1
+                    });
+                    (VecDeque::new(), handle)
+                });
+                q.push_back(w);
+                *handle
+            }
+            /// Pops `bin`'s front weight, freeing its handle when it empties.
+            fn pop(&mut self, bin: u32) -> Option<(u32, u32)> {
+                let (q, handle) = self.bins.get_mut(&bin)?;
+                let (w, handle) = (q.pop_front()?, *handle);
+                if q.is_empty() {
+                    self.bins.remove(&bin);
+                    self.free.push(handle);
+                }
+                Some((w, handle))
+            }
+            fn wload(&self, bin: u32) -> u64 {
+                let q = self.bins.get(&bin);
+                q.map_or(0, |(q, _)| q.iter().map(|&w| u64::from(w)).sum())
+            }
+            fn balls(&self) -> usize {
+                self.bins.values().map(|(q, _)| q.len()).sum()
+            }
+        }
+
         const N: usize = 32;
         let mut rng = Xoshiro256pp::seed_from(2015);
         let uniform = Capacities::Uniform(40);
         let explicit = Capacities::Explicit((0..N as u64).map(|b| 5 + 3 * b).collect());
-        let mut model: BTreeMap<u32, VecDeque<u32>> = BTreeMap::new();
+        let mut model = Model::default();
         let mut o = WeightOverlay::default();
         let mut peak = 0;
+        let mut reissued = 0;
         for op in 0..20_000 {
             let mut touched = Vec::new();
             // Placements and departures pull the ball count toward a target
             // that alternates between a sparse and a crowded regime.
-            let balls: usize = model.values().map(VecDeque::len).sum();
+            let balls = model.balls();
             let target = if op / 2500 % 2 == 0 { 6 } else { 80 };
             match rng.uniform_usize(40) {
                 0..=11 => {
-                    // A round over a random subset of the occupied bins.
-                    let srcs: Vec<u32> = (model.keys().copied())
+                    // A round over a random subset of the occupied bins, in
+                    // ascending bin order: every departure first, then every
+                    // arrival, which may take a handle freed just before.
+                    let srcs: Vec<u32> = (model.bins.keys().copied())
                         .filter(|_| rng.uniform_usize(2) == 0)
                         .collect();
                     let dests: Vec<u32> =
                         srcs.iter().map(|_| rng.uniform_usize(N) as u32).collect();
-                    let moving: Vec<u32> = (srcs.iter())
-                        .map(|b| model.get_mut(b).unwrap().pop_front().unwrap())
+                    let freed = model.free.len();
+                    let moving: Vec<(u32, u32)> =
+                        srcs.iter().map(|&b| model.pop(b).unwrap()).collect();
+                    let fresh = model.free[freed..].to_vec();
+                    let handles: Vec<u32> = (dests.iter().zip(&moving))
+                        .map(|(&dest, &(w, _))| model.push(dest, w))
                         .collect();
-                    model.retain(|_, q| !q.is_empty());
-                    for (&dest, &w) in dests.iter().zip(&moving) {
-                        model.entry(dest).or_default().push_back(w);
-                    }
-                    o.srcs.extend(&srcs);
-                    o.transport(&dests);
+                    reissued += handles.iter().filter(|h| fresh.contains(h)).count();
+                    o.srcs.extend(moving.iter().map(|&(_, handle)| handle));
+                    o.transport(&dests, &handles);
                     touched.extend(srcs.into_iter().chain(dests));
                 }
                 12 => {
-                    // The rebuild packs the live balls into a fresh slab.
-                    o = WeightOverlay::from_queues(&o.queues_sorted());
+                    // The rebuild packs the live balls into a fresh slab under
+                    // fresh handles, issued in bin order.
+                    let mut rebuilt = Model::default();
+                    let mut entries = Vec::new();
+                    let mut weights = Vec::new();
+                    for (&bin, (q, _)) in &model.bins {
+                        let handle = q.iter().map(|&w| rebuilt.push(bin, w)).last().unwrap();
+                        entries.push((bin, handle, q.len() as u32));
+                        weights.extend(q);
+                    }
+                    model = rebuilt;
+                    o = WeightOverlay::from_entries(0, entries, &weights);
                     peak = balls;
                 }
                 _ if rng.uniform_usize(balls + target) < target => {
@@ -651,57 +769,64 @@ mod tests {
                         rng.uniform_usize(N) as u32,
                         1 + rng.uniform_usize(20) as u32,
                     );
-                    model.entry(bin).or_default().push_back(w);
-                    o.place(bin, w);
+                    let handle = model.push(bin, w);
+                    o.place(bin, handle, w);
                     touched.push(bin);
                 }
                 _ => {
-                    // Often an empty bin in the sparse regime.
+                    // Often an empty bin in the sparse regime, which has no
+                    // handle: the engines never call `depart` for one.
                     let bin = rng.uniform_usize(N) as u32;
-                    let front = model.get_mut(&bin).and_then(VecDeque::pop_front);
-                    model.retain(|_, q| !q.is_empty());
-                    assert_eq!(o.depart(bin), front, "op {op}");
+                    if let Some((w, handle)) = model.pop(bin) {
+                        assert_eq!(o.depart(handle), Some(w), "op {op}");
+                    }
                     touched.push(bin);
                 }
             }
             // Churn reuses freed slots: the slab never outgrows the peak
             // ball count since it was built.
-            peak = peak.max(model.values().map(VecDeque::len).sum());
+            peak = peak.max(model.balls());
             assert!(
                 o.weight.len() <= peak,
                 "op {op}: {} slots, peak ball count {peak}",
                 o.weight.len()
             );
-            let queues: Vec<(u32, Vec<u32>)> = (model.iter())
-                .map(|(&bin, q)| (bin, q.iter().copied().collect()))
+            assert!(o.queues.len() <= N, "op {op}: handles are reissued");
+            let queues: Vec<(u32, Vec<u32>)> = (model.bins.iter())
+                .map(|(&bin, (q, _))| (bin, q.iter().copied().collect()))
                 .collect();
             assert_eq!(o.queues_sorted(), queues, "op {op}");
-            let wload = |bin: &u32| {
-                let q = model.get(bin);
-                q.map_or(0, |q| q.iter().map(|&w| u64::from(w)).sum::<u64>())
-            };
             for bin in &touched {
-                assert_eq!(o.weighted_load(*bin), wload(bin), "op {op}, bin {bin}");
+                let handle = model.bins.get(bin).map(|&(_, h)| h);
+                let got = handle.map_or(0, |h| o.weighted_load(h));
+                assert_eq!(got, model.wload(*bin), "op {op}, bin {bin}");
             }
-            assert_eq!(o.total(), model.keys().map(wload).sum::<u64>(), "op {op}");
-            let max = model.keys().map(wload).max().unwrap_or(0);
+            let wloads: Vec<u64> = model.bins.keys().map(|&b| model.wload(b)).collect();
+            assert_eq!(o.total(), wloads.iter().sum::<u64>(), "op {op}");
+            let max = wloads.iter().copied().max().unwrap_or(0);
             assert_eq!(o.weighted_max_load(), max, "op {op}");
             for caps in [&uniform, &explicit] {
-                let over = |bin: &&u32| wload(bin) > caps.bound(**bin as usize).unwrap();
-                let violations = model.keys().filter(over).count() as u64;
+                let over = |&&bin: &&u32| model.wload(bin) > caps.bound(bin as usize).unwrap();
+                let violations = model.bins.keys().filter(over).count() as u64;
                 assert_eq!(o.capacity_violations(caps), violations, "op {op}");
             }
-            let occupied = model.iter().map(|(&bin, q)| (bin, q.len() as u32));
+            let occupied =
+                (model.bins.iter()).map(|(&bin, (q, h))| (bin, Some(*h), q.len() as u32));
             o.check_against(occupied).unwrap();
         }
+        assert!(
+            reissued > 1000,
+            "only {reissued} handles reissued within a round"
+        );
     }
 
     #[test]
     fn capacity_violations_count_only_exceeding_bins() {
-        let o = WeightOverlay::from_entries([(0, 1), (1, 1)], &[10, 3]);
+        let o = WeightOverlay::from_entries(0, [(0, 1, 1), (1, 0, 1)], &[10, 3]);
         assert_eq!(o.capacity_violations(&Capacities::Unbounded), 0);
         assert_eq!(o.capacity_violations(&Capacities::Uniform(5)), 1);
         assert_eq!(o.capacity_violations(&Capacities::Uniform(2)), 2);
         assert_eq!(o.capacity_violations(&Capacities::Explicit(vec![10, 1])), 1);
+        assert_eq!(o.capacity_violations(&Capacities::Explicit(vec![9, 3])), 1);
     }
 }

@@ -55,16 +55,17 @@
 //!   iff the spec is in the load-only cell **and** `64·balls ≤ n`
 //!   ([`SPARSE_AUTO_RATIO`]). The 1/64 density cut-off is deliberately
 //!   conservative: benchmarks put the throughput crossover near 1/100 (a
-//!   dense round streams `4n` bytes branchlessly, a sparse round pays a few
-//!   hash-map operations per ball), and below 1/64 the sparse engine also
-//!   wins `O(n) → O(m)` on memory, which at `n = 10^8` is the difference
-//!   between a 400 MB load vector and a few megabytes. Denser load-only
-//!   cells at `n ≥ `[`SHARDED_AUTO_MIN_N`] resolve to the sharded engine
-//!   (with [`DEFAULT_SHARDS`] shards — never the machine's thread count,
-//!   which would break cross-machine reproducibility); everything else is
-//!   dense. Dense/sparse trajectories are identical either way; the
-//!   sharded pick changes the stream but not the law, and it only fires at
-//!   scales where per-seed trajectories were never published.
+//!   dense round streams `4n` bytes branchlessly, a sparse round pays two
+//!   hash-map probes per move, one at each end), and below 1/64 the sparse
+//!   engine also wins `O(n) → O(m)` on memory, which at `n = 10^8` is the
+//!   difference between a 400 MB load vector and a few megabytes. Denser
+//!   load-only cells at `n ≥ `[`SHARDED_AUTO_MIN_N`] resolve to the
+//!   sharded engine (with [`DEFAULT_SHARDS`] shards — never the machine's
+//!   thread count, which would break cross-machine reproducibility);
+//!   everything else is dense. Dense/sparse trajectories are identical
+//!   either way; the sharded pick changes the stream but not the law, and
+//!   it only fires at scales where per-seed trajectories were never
+//!   published.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
