@@ -22,7 +22,8 @@
 #                their goldens; unit-degeneration/obliviousness proptests
 #   serve        rbb-serve daemon end to end: socket session, snapshot →
 #                restore → resume byte-diffed against an uninterrupted run,
-#                unit and weighted sessions on each load engine
+#                unit and weighted sessions on each load engine, and a
+#                d-choice session on dense storage
 #   conformance  theory-conformance suite at 1 and 4 threads (300s budget)
 #   bench        rbb-bench ratio gates
 #
@@ -208,11 +209,13 @@ stage_weighted() {
 
 stage_serve() {
     # End-to-end daemon gate, per session kind (unit on
-    # specs/serve-session.json, weighted on specs/weighted-zipf.json) and per
-    # engine: (1) an uninterrupted stdio session answers prefix+suffix
-    # requests; (2) session A on a Unix socket answers the prefix and writes
-    # a snapshot (layout version 1 unit, 2 weighted); (3) a fresh daemon B
-    # restores the snapshot and answers the suffix. The suffix draws plenty
+    # specs/serve-session.json, weighted on specs/weighted-zipf.json, both on
+    # each load engine; d-choice on specs/dchoice-two.json, dense only, with
+    # the unit requests): (1) an uninterrupted stdio session answers
+    # prefix+suffix requests; (2) session A on a Unix socket answers the
+    # prefix and writes a snapshot (layout version 1 unit, 2 weighted, 3
+    # d-choice); (3) a fresh daemon B restores the snapshot and answers the
+    # suffix. The suffix draws plenty
     # of RNG (placements + whole rounds), so any drift in the restored stream
     # state or weight queues breaks the byte-diffs below.
     echo "==> rbb-serve end to end: snapshot -> restore -> resume byte-diff"
@@ -253,16 +256,17 @@ EOF
 {"op":"place"}
 EOF
 
-    local kind spec version engine run sock daemon
-    for kind in unit weighted; do
-        if [ "${kind}" = unit ]; then
-            spec=specs/serve-session.json
-            version=1
-        else
-            spec=specs/weighted-zipf.json
-            version=2
-        fi
-        for engine in dense sparse sharded; do
+    local kind spec version engines reqs engine run sock daemon
+    for kind in unit weighted dchoice; do
+        case "${kind}" in
+            unit)
+                spec=specs/serve-session.json version=1 engines="dense sparse sharded" reqs=unit ;;
+            weighted)
+                spec=specs/weighted-zipf.json version=2 engines="dense sparse sharded" reqs=weighted ;;
+            dchoice)
+                spec=specs/dchoice-two.json version=3 engines=dense reqs=unit ;;
+        esac
+        for engine in ${engines}; do
             local shard_args=()
             if [ "${engine}" = sharded ]; then
                 shard_args=(--shards 4)
@@ -270,7 +274,7 @@ EOF
             run="${dir}/${kind}-${engine}"
 
             echo "--> ${kind} ${engine}: uninterrupted reference session (stdio)"
-            cat "${dir}/${kind}-prefix.req" "${dir}/${kind}-suffix.req" \
+            cat "${dir}/${reqs}-prefix.req" "${dir}/${reqs}-suffix.req" \
                 | "${bin}" --stdio --spec "${spec}" --engine "${engine}" \
                       ${shard_args[@]+"${shard_args[@]}"} \
                 > "${run}-full.out"
@@ -285,7 +289,7 @@ EOF
                 sleep 0.1
             done
             [ -S "${sock}" ] || { echo "ERROR: ${kind} ${engine} daemon socket never appeared" >&2; exit 1; }
-            { cat "${dir}/${kind}-prefix.req"
+            { cat "${dir}/${reqs}-prefix.req"
               echo "{\"op\":\"snapshot\",\"path\":\"${run}.snap\"}"
               echo '{"op":"shutdown"}'
             } | "${bin}" --connect "${sock}" > "${run}-a.out"
@@ -299,7 +303,7 @@ EOF
             # Deliberately started on a tiny default engine: restore must
             # replace it wholesale with the checkpointed ${engine} state.
             { echo "{\"op\":\"restore\",\"path\":\"${run}.snap\"}"
-              cat "${dir}/${kind}-suffix.req"
+              cat "${dir}/${reqs}-suffix.req"
               echo '{"op":"shutdown"}'
             } | "${bin}" --stdio --n 8 --seed 999 > "${run}-b.out"
 

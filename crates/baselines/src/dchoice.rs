@@ -5,135 +5,31 @@
 //! For `d = 1` this is exactly the paper's process; for `d = 2` the
 //! power-of-two-choices effect drives the maximum load down to
 //! `O(log log n)`-scale. Experiment E14 contrasts the two.
-
-use rbb_core::config::Config;
-use rbb_core::engine::Engine;
-use rbb_core::rng::Xoshiro256pp;
-
-/// Repeated balls-into-bins with `d` uniform choices per re-assignment.
-#[derive(Debug, Clone)]
-pub struct DChoiceProcess {
-    config: Config,
-    rng: Xoshiro256pp,
-    d: usize,
-    round: u64,
-    /// Scratch: destinations chosen this round (applied synchronously).
-    arrivals: Vec<u32>,
-}
-
-impl DChoiceProcess {
-    /// Creates the process with `d ≥ 1` choices.
-    ///
-    /// # RNG stream
-    ///
-    /// Each round consumes `d` `uniform_usize` draws per non-empty bin, in
-    /// bin order. Callers hand over a stream derived from the master seed.
-    pub fn new(config: Config, d: usize, rng: Xoshiro256pp) -> Self {
-        assert!(d >= 1, "need at least one choice");
-        let n = config.n();
-        Self {
-            config,
-            rng,
-            d,
-            round: 0,
-            arrivals: vec![0; n],
-        }
-    }
-
-    /// One ball per bin start.
-    pub fn legitimate_start(n: usize, d: usize, seed: u64) -> Self {
-        // rbb-lint: allow(rng-construct, reason = "baseline convenience constructor seeded by the caller's master seed; baselines sits below rbb_sim::seed in the crate graph")
-        Self::new(Config::one_per_bin(n), d, Xoshiro256pp::seed_from(seed))
-    }
-
-    /// Number of choices `d`.
-    #[inline]
-    pub fn d(&self) -> usize {
-        self.d
-    }
-
-    /// Current configuration.
-    #[inline]
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
-    /// Current round.
-    #[inline]
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Advances one round; returns the number of movers.
-    ///
-    /// Synchronous semantics: every ball observes the *start-of-round* loads
-    /// when comparing its `d` candidate bins (arrivals of the same round are
-    /// not visible), matching the parallel model of the paper.
-    pub fn step(&mut self) -> usize {
-        let n = self.config.n();
-        self.arrivals.iter_mut().for_each(|a| *a = 0);
-        let mut moved = 0usize;
-        {
-            let loads = self.config.loads();
-            for u in 0..n {
-                if loads[u] == 0 {
-                    continue;
-                }
-                moved += 1;
-                // Pick the least loaded of d uniform candidates (ties ->
-                // first sampled, matching the classical greedy tie-break).
-                let mut best = self.rng.uniform_usize(n);
-                let mut best_load = loads[best];
-                for _ in 1..self.d {
-                    let c = self.rng.uniform_usize(n);
-                    if loads[c] < best_load {
-                        best = c;
-                        best_load = loads[c];
-                    }
-                }
-                self.arrivals[best] += 1;
-            }
-        }
-        let loads = self.config.loads_slice_mut();
-        for (load, &arrived) in loads.iter_mut().zip(&self.arrivals).take(n) {
-            if *load > 0 {
-                *load -= 1;
-            }
-            *load += arrived;
-        }
-        self.round += 1;
-        moved
-    }
-}
-
-/// The run family is provided by [`Engine`]; the d-choice kernel has no
-/// batched variant (candidate draws depend on live loads), so
-/// `step_batched` defaults to the scalar step.
-impl Engine for DChoiceProcess {
-    #[inline]
-    fn step(&mut self) -> usize {
-        DChoiceProcess::step(self)
-    }
-
-    #[inline]
-    fn round(&self) -> u64 {
-        self.round
-    }
-
-    #[inline]
-    fn config(&self) -> &Config {
-        &self.config
-    }
-}
+//!
+//! The process is the core load engine under a destination rule:
+//! `LoadProcess::new(config, rng).with_rule(Rule::BestOf(d))` (see
+//! [`rbb_core::load::Rule::BestOf`]). Every ball compares its `d`
+//! candidates on the *start-of-round* loads, matching the parallel model of
+//! the paper, and ties go to the first draw. The tests below pin the
+//! comparator's behaviour against the paper's process.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use rbb_core::config::Config;
+    use rbb_core::engine::Engine;
+    use rbb_core::load::Rule;
     use rbb_core::metrics::MaxLoadTracker;
+    use rbb_core::process::LoadProcess;
+    use rbb_core::rng::Xoshiro256pp;
+
+    /// One ball per bin, `d` choices.
+    fn dchoice(n: usize, d: usize, seed: u64) -> LoadProcess {
+        LoadProcess::legitimate_start(n, seed).with_rule(Rule::BestOf(d))
+    }
 
     #[test]
     fn conserves_balls() {
-        let mut p = DChoiceProcess::legitimate_start(64, 2, 1);
+        let mut p = dchoice(64, 2, 1);
         for _ in 0..200 {
             p.step();
             assert_eq!(p.config().total_balls(), 64);
@@ -142,11 +38,14 @@ mod tests {
 
     #[test]
     fn d1_behaves_like_original() {
-        // d = 1 is the paper's process: max load stays logarithmic.
+        // d = 1 is the paper's process, draw for draw.
         let n = 256;
-        let mut p = DChoiceProcess::legitimate_start(n, 1, 2);
+        let mut p = dchoice(n, 1, 2);
+        let mut original = LoadProcess::legitimate_start(n, 2);
         let mut t = MaxLoadTracker::new();
         p.run(2000, &mut t);
+        original.run_silent(2000);
+        assert_eq!(p.config(), original.config());
         assert!(t.window_max() < 24, "d=1 max load {}", t.window_max());
     }
 
@@ -154,10 +53,10 @@ mod tests {
     fn two_choices_beats_one_choice() {
         let n = 1024;
         let rounds = 3000;
-        let mut one = DChoiceProcess::legitimate_start(n, 1, 3);
+        let mut one = dchoice(n, 1, 3);
         let mut t1 = MaxLoadTracker::new();
         one.run(rounds, &mut t1);
-        let mut two = DChoiceProcess::legitimate_start(n, 2, 3);
+        let mut two = dchoice(n, 2, 3);
         let mut t2 = MaxLoadTracker::new();
         two.run(rounds, &mut t2);
         assert!(
@@ -175,15 +74,16 @@ mod tests {
     #[test]
     fn rejects_zero_choices() {
         let result = std::panic::catch_unwind(|| {
-            DChoiceProcess::legitimate_start(8, 0, 4);
+            dchoice(8, 0, 4);
         });
         assert!(result.is_err());
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let mut a = DChoiceProcess::legitimate_start(32, 2, 5);
-        let mut b = DChoiceProcess::legitimate_start(32, 2, 5);
+        let mut a = dchoice(32, 2, 5);
+        let mut b = LoadProcess::new(Config::one_per_bin(32), Xoshiro256pp::seed_from(5))
+            .with_rule(Rule::BestOf(2));
         for _ in 0..100 {
             a.step();
             b.step();

@@ -89,12 +89,6 @@ impl JacksonNetwork {
         self.loads.iter().copied().max().unwrap_or(0)
     }
 
-    /// Number of busy stations.
-    #[inline]
-    pub fn busy_stations(&self) -> usize {
-        self.busy.len()
-    }
-
     fn mark_idle(&mut self, u: usize) {
         let idx = self.position[u];
         debug_assert!(idx != usize::MAX);
@@ -190,7 +184,6 @@ mod tests {
         for _ in 0..100 {
             j.step();
             assert_eq!(j.max_load(), 1);
-            assert_eq!(j.busy_stations(), 1);
         }
     }
 

@@ -3,7 +3,8 @@
 //! * [`oneshot`](mod@oneshot) — classical one-shot balls-into-bins
 //!   (`Θ(log n/log log n)` max load; the Section-5 tightness question).
 //! * [`dchoice`] — the repeated `d`-choice process of \[36\] (`d = 1` is the
-//!   paper's process; `d = 2` shows the power of two choices).
+//!   paper's process; `d = 2` shows the power of two choices): the core
+//!   load engine under `Rule::BestOf(d)`, pinned here by its tests.
 //! * [`independent`] — unconstrained parallel random walks (no
 //!   one-release-per-round constraint): isolates the queueing correlation.
 //! * [`sqrt_bound`] — the prior `O(√t)` bound of \[12\] as an explicit curve.
@@ -27,7 +28,6 @@ pub mod sequential;
 pub mod sqrt_bound;
 
 pub use binpack::{first_fit_decreasing, rebalancing_cost_under_churn, ChurnReport, Packing};
-pub use dchoice::DChoiceProcess;
 pub use independent::IndependentWalks;
 pub use jackson::JacksonNetwork;
 pub use oneshot::{oneshot, oneshot_max_load, oneshot_max_load_distribution, predicted_max_load};

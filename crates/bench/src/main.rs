@@ -20,7 +20,7 @@
 use rbb_bench::{measure_paired, BenchReport, BenchResult, Derived, Spec, SCHEMA_VERSION};
 use rbb_core::config::Config;
 use rbb_core::engine::Engine;
-use rbb_core::load::reference_round;
+use rbb_core::load::{reference_round, Rule};
 use rbb_core::process::LoadProcess;
 use rbb_core::rng::Xoshiro256pp;
 use rbb_core::weights::{Capacities, Weights};
@@ -198,7 +198,7 @@ fn registry(p: &Profile, seed: u64) -> Vec<Pair> {
                     Box::new(move || proc.run_silent(engine_rounds)),
                     Box::new(move || {
                         for _ in 0..engine_rounds {
-                            reference_round(&mut loads, &mut streams);
+                            reference_round(&mut loads, &mut streams, &Rule::Uniform);
                         }
                     }),
                 )

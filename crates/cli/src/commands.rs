@@ -6,6 +6,7 @@ use rbb_core::adversary::{
 use rbb_core::config::{Config, LegitimacyThreshold};
 use rbb_core::engine::Engine;
 use rbb_core::exact::{appendix_b_exact, ExactChain};
+use rbb_core::load::Rule;
 use rbb_core::metrics::ObserverStack;
 use rbb_core::mixing::mixing_time;
 use rbb_core::process::LoadProcess;
@@ -14,7 +15,7 @@ use rbb_core::sampling::random_assignment;
 use rbb_core::strategy::QueueStrategy;
 use rbb_graphs::{
     complete_with_loops, diameter, hypercube, random_regular, ring, spectral_gap, star, torus,
-    Graph, GraphLoadProcess,
+    Graph,
 };
 use rbb_sim::{fmt_f64, EnsembleSpec, HorizonSpec, ScenarioSpec, StopSpec};
 use rbb_traversal::{faulty_cover_time, single_token_cover_time, ProgressReport, Traversal};
@@ -341,10 +342,11 @@ pub fn topology(args: &Args) -> Result<(), ParseError> {
         spectral_gap(&graph, 1500)
     );
 
-    let mut p = GraphLoadProcess::one_per_node(graph.clone(), seed);
+    let ln_n = (graph.n() as f64).ln();
+    let mut p = LoadProcess::legitimate_start(graph.n(), seed)
+        .with_rule(Rule::Neighbors(std::sync::Arc::new(graph)));
     let mut max_t = rbb_core::metrics::MaxLoadTracker::new();
     p.run(rounds, &mut max_t);
-    let ln_n = (graph.n() as f64).ln();
     println!(
         "  after {rounds} rounds: max load {} ({} × ln n)",
         max_t.window_max(),

@@ -44,10 +44,8 @@ pub struct BallProcess {
     stats: Vec<BallStats>,
     /// Scratch buffer reused across rounds: (ball, destination).
     movers: Vec<(BallId, u32)>,
-    /// Destination scratch for the batched hot path (empty until first use).
-    batch_dests: Vec<u32>,
-    /// Uniform sampler keyed on `n`, cached so the batched path does not
-    /// rebuild the Lemire rejection threshold (a `u64` modulo) every round.
+    /// Uniform sampler keyed on `n`, cached so no destination draw
+    /// rebuilds the Lemire rejection threshold (a `u64` modulo).
     sampler: UniformSampler,
 }
 
@@ -84,7 +82,6 @@ impl BallProcess {
             arrival_round: vec![0; m as usize],
             stats: vec![BallStats::default(); m as usize],
             movers: Vec::new(),
-            batch_dests: Vec::new(),
             sampler,
         }
     }
@@ -144,6 +141,13 @@ impl BallProcess {
 
     /// Advances one round. `on_move(ball, dest, round)` fires once per moved
     /// ball, after the ball's arrival at `dest` is decided.
+    ///
+    /// # RNG stream
+    ///
+    /// Each non-empty bin, in bin order, consumes its queue pick's draws
+    /// (one position bounded by the queue length under
+    /// [`Random`](QueueStrategy::Random), none otherwise) and then one
+    /// `uniform_usize(n)` for its ball's destination.
     pub fn step_with(&mut self, mut on_move: impl FnMut(BallId, usize, u64)) -> usize {
         let n = self.queues.len();
         let round = self.round + 1;
@@ -155,7 +159,6 @@ impl BallProcess {
             if len == 0 {
                 continue;
             }
-            let idx = self.strategy.pick(len, &mut self.rng);
             let ball = match self.strategy {
                 // rbb-lint: allow(panic, reason = "only non-empty bins enter the release loop")
                 QueueStrategy::Fifo => self.queues[u].pop_front().expect("non-empty"),
@@ -164,19 +167,18 @@ impl BallProcess {
                 QueueStrategy::Random => {
                     // Order within the queue is irrelevant under Random, so a
                     // swap-remove keeps this O(1).
-                    let last = len - 1;
-                    self.queues[u].swap(idx, last);
+                    self.queues[u].swap(self.strategy.pick(len, &mut self.rng), len - 1);
                     // rbb-lint: allow(panic, reason = "only non-empty bins enter the release loop")
                     self.queues[u].pop_back().expect("non-empty")
                 }
             };
-            // rbb-lint: allow(lossy-cast, reason = "n <= u32::MAX + 1 is asserted at construction; draws are < n")
-            let dest = self.rng.uniform_usize(n) as u32;
             let wait = round - 1 - self.arrival_round[ball as usize];
             let st = &mut self.stats[ball as usize];
             st.moves += 1;
             st.total_wait += wait;
             st.max_wait = st.max_wait.max(wait);
+            // rbb-lint: allow(lossy-cast, reason = "n <= u32::MAX + 1 is asserted at construction; draws are < n")
+            let dest = self.sampler.sample(&mut self.rng) as u32;
             self.movers.push((ball, dest));
         }
 
@@ -187,9 +189,7 @@ impl BallProcess {
             // rbb-lint: allow(lossy-cast, reason = "queue length <= total balls <= u32::MAX, asserted at construction")
             loads[u] = q.len() as u32;
         }
-        // `movers` is drained via index loop to appease the borrow of `self`.
-        for i in 0..moved {
-            let (ball, dest) = self.movers[i];
+        for &(ball, dest) in &self.movers {
             self.queues[dest as usize].push_back(ball);
             loads[dest as usize] += 1;
             self.arrival_round[ball as usize] = round;
@@ -203,94 +203,6 @@ impl BallProcess {
     /// Advances one round without a per-move hook.
     pub fn step(&mut self) -> usize {
         self.step_with(|_, _, _| {})
-    }
-
-    /// Advances one round through the batched hot path. For [`Fifo`] and
-    /// [`Lifo`] the queue pick consumes no randomness, so all of a round's
-    /// destination draws form one contiguous batch: they are filled through
-    /// a [`UniformSampler`] into a reused scratch buffer in the same bin
-    /// order the scalar path draws them, making the two paths bit-identical
-    /// from equal state.
-    ///
-    /// # Why `Random` cannot be batched
-    ///
-    /// Under [`Random`] the scalar path consumes the RNG stream as
-    /// `pick(len₀), dest₀, pick(len₁), dest₁, …` — one queue-index draw
-    /// (whose bound is the *current* queue length, itself a function of all
-    /// earlier rounds) interleaved with each destination draw. A batched
-    /// kernel would have to draw all destinations as one contiguous block,
-    /// which permutes that stream: every draw after the first bin would see
-    /// different raw words, so the trajectory would diverge from the scalar
-    /// path and from the published experiment numbers. Since the workspace
-    /// guarantees `step_batched ≡ step` bit-for-bit for every engine (the
-    /// [`Engine`] run family is batched by default), `Random` transparently
-    /// falls back to the scalar [`step_with`]; the equivalence test
-    /// `batched_step_random_falls_back_to_scalar` pins the contract down.
-    ///
-    /// [`Fifo`]: QueueStrategy::Fifo
-    /// [`Lifo`]: QueueStrategy::Lifo
-    /// [`Random`]: QueueStrategy::Random
-    /// [`step_with`]: BallProcess::step_with
-    pub fn step_batched_with(&mut self, mut on_move: impl FnMut(BallId, usize, u64)) -> usize {
-        if self.strategy == QueueStrategy::Random {
-            return self.step_with(on_move);
-        }
-        let n = self.queues.len();
-        let round = self.round + 1;
-        self.movers.clear();
-
-        // Selection phase: every non-empty bin releases exactly one ball.
-        // No RNG is consumed here under FIFO/LIFO.
-        for u in 0..n {
-            if self.queues[u].is_empty() {
-                continue;
-            }
-            let ball = match self.strategy {
-                // rbb-lint: allow(panic, reason = "only non-empty bins enter the release loop")
-                QueueStrategy::Fifo => self.queues[u].pop_front().expect("non-empty"),
-                // rbb-lint: allow(panic, reason = "only non-empty bins enter the release loop")
-                QueueStrategy::Lifo => self.queues[u].pop_back().expect("non-empty"),
-                // rbb-lint: allow(panic, reason = "step_batched delegates Random strategies to the scalar path before this match")
-                QueueStrategy::Random => unreachable!("handled by scalar fallback"),
-            };
-            self.movers.push((ball, 0));
-        }
-        let moved = self.movers.len();
-
-        // One contiguous batch of destination draws, in mover (= bin) order.
-        self.batch_dests.resize(moved, 0);
-        self.sampler.fill_u32(&mut self.rng, &mut self.batch_dests);
-        for i in 0..moved {
-            let (ball, dest_slot) = &mut self.movers[i];
-            *dest_slot = self.batch_dests[i];
-            let wait = round - 1 - self.arrival_round[*ball as usize];
-            let st = &mut self.stats[*ball as usize];
-            st.moves += 1;
-            st.total_wait += wait;
-            st.max_wait = st.max_wait.max(wait);
-        }
-
-        // Re-assignment phase: all arrivals land simultaneously.
-        let loads = self.config.loads_mut();
-        for (u, q) in self.queues.iter().enumerate() {
-            // rbb-lint: allow(lossy-cast, reason = "queue length <= total balls <= u32::MAX, asserted at construction")
-            loads[u] = q.len() as u32;
-        }
-        for i in 0..moved {
-            let (ball, dest) = self.movers[i];
-            self.queues[dest as usize].push_back(ball);
-            loads[dest as usize] += 1;
-            self.arrival_round[ball as usize] = round;
-            on_move(ball, dest as usize, round);
-        }
-
-        self.round = round;
-        moved
-    }
-
-    /// Advances one round through the batched hot path, without a hook.
-    pub fn step_batched(&mut self) -> usize {
-        self.step_batched_with(|_, _, _| {})
     }
 
     /// Minimum walk progress over all balls (the quantity bounded below by
@@ -360,18 +272,12 @@ impl BallProcess {
     }
 }
 
-/// The run family is provided by [`Engine`]; FIFO/LIFO get the batched
-/// kernel, `Random` falls back to the bit-identical scalar path (see
-/// [`BallProcess::step_batched_with`]).
+/// The run family is provided by [`Engine`]; every strategy runs the one
+/// kernel of [`BallProcess::step_with`].
 impl Engine for BallProcess {
     #[inline]
     fn step(&mut self) -> usize {
         BallProcess::step(self)
-    }
-
-    #[inline]
-    fn step_batched(&mut self) -> usize {
-        BallProcess::step_batched(self)
     }
 
     #[inline]
@@ -402,6 +308,49 @@ mod tests {
     use super::*;
     use crate::metrics::MaxLoadTracker;
     use crate::process::LoadProcess;
+
+    /// The reference round: the process's scalar loop, one queue pick and
+    /// one `uniform_usize(n)` destination draw per non-empty bin, in bin
+    /// order. [`BallProcess::step_with`] is pinned bit-identical to it.
+    fn reference_step(p: &mut BallProcess, mut on_move: impl FnMut(BallId, usize, u64)) -> usize {
+        let n = p.queues.len();
+        let round = p.round + 1;
+        let mut movers = Vec::new();
+        for u in 0..n {
+            let len = p.queues[u].len();
+            if len == 0 {
+                continue;
+            }
+            let idx = p.strategy.pick(len, &mut p.rng);
+            let ball = match p.strategy {
+                QueueStrategy::Fifo => p.queues[u].pop_front().unwrap(),
+                QueueStrategy::Lifo => p.queues[u].pop_back().unwrap(),
+                QueueStrategy::Random => {
+                    p.queues[u].swap(idx, len - 1);
+                    p.queues[u].pop_back().unwrap()
+                }
+            };
+            let dest = p.rng.uniform_usize(n);
+            let wait = round - 1 - p.arrival_round[ball as usize];
+            let st = &mut p.stats[ball as usize];
+            st.moves += 1;
+            st.total_wait += wait;
+            st.max_wait = st.max_wait.max(wait);
+            movers.push((ball, dest));
+        }
+        let loads = p.config.loads_mut();
+        for (u, q) in p.queues.iter().enumerate() {
+            loads[u] = q.len() as u32;
+        }
+        for &(ball, dest) in &movers {
+            p.queues[dest].push_back(ball);
+            loads[dest] += 1;
+            p.arrival_round[ball as usize] = round;
+            on_move(ball, dest, round);
+        }
+        p.round = round;
+        movers.len()
+    }
 
     #[test]
     fn construction_assigns_dense_ids() {
@@ -540,22 +489,25 @@ mod tests {
 
     #[test]
     fn batched_step_bit_identical_for_fifo_and_lifo() {
+        // Under FIFO/LIFO the kernel's loads, stream and per-ball accounting
+        // match the reference's, round by round.
         for strategy in [QueueStrategy::Fifo, QueueStrategy::Lifo] {
-            let mut scalar = BallProcess::new(
+            let mut reference = BallProcess::new(
                 Config::one_per_bin(64),
                 strategy,
                 Xoshiro256pp::seed_from(77),
             );
-            let mut batched = scalar.clone();
+            let mut kernel = reference.clone();
             for _ in 0..150 {
-                let a = scalar.step();
-                let b = batched.step_batched();
+                let a = reference_step(&mut reference, |_, _, _| {});
+                let b = kernel.step();
                 assert_eq!(a, b);
-                assert_eq!(scalar.config(), batched.config());
+                assert_eq!(reference.config(), kernel.config());
             }
-            batched.validate().unwrap();
+            kernel.validate().unwrap();
+            assert_eq!(reference.rng, kernel.rng);
             // Per-ball accounting agrees too, not just the load vector.
-            for (s, t) in scalar.ball_stats().iter().zip(batched.ball_stats()) {
+            for (s, t) in reference.ball_stats().iter().zip(kernel.ball_stats()) {
                 assert_eq!(s.moves, t.moves);
                 assert_eq!(s.total_wait, t.total_wait);
                 assert_eq!(s.max_wait, t.max_wait);
@@ -566,31 +518,32 @@ mod tests {
     #[test]
     fn batched_step_random_falls_back_to_scalar() {
         // The Random strategy interleaves queue-index draws with destination
-        // draws (see `step_batched_with`), so its "batched" path must be the
-        // scalar path verbatim: bit-identical loads, RNG stream, and
-        // per-ball accounting — including from a skewed start where queue
-        // lengths (and hence pick bounds) vary wildly.
+        // draws, so its kernel must follow the reference's stream verbatim:
+        // bit-identical loads, RNG stream, and per-ball accounting —
+        // including from a skewed start where queue lengths (and hence
+        // pick bounds) vary wildly.
         let mut rng = Xoshiro256pp::seed_from(78);
         let skewed = Config::random(&mut rng, 32, 64);
         for start in [Config::one_per_bin(32), skewed] {
-            let mut scalar = BallProcess::new(
+            let mut reference = BallProcess::new(
                 start.clone(),
                 QueueStrategy::Random,
                 Xoshiro256pp::seed_from(78),
             );
-            let mut batched = scalar.clone();
+            let mut kernel = reference.clone();
             for i in 0..100 {
-                // Interleave entry points: the streams must stay in lockstep.
+                // Interleave the two: the streams must stay in lockstep.
                 let (a, b) = if i % 2 == 0 {
-                    (scalar.step(), batched.step_batched())
+                    (reference_step(&mut reference, |_, _, _| {}), kernel.step())
                 } else {
-                    (scalar.step_batched(), batched.step())
+                    (reference.step(), reference_step(&mut kernel, |_, _, _| {}))
                 };
                 assert_eq!(a, b);
-                assert_eq!(scalar.config(), batched.config());
+                assert_eq!(reference.config(), kernel.config());
             }
-            batched.validate().unwrap();
-            for (s, t) in scalar.ball_stats().iter().zip(batched.ball_stats()) {
+            kernel.validate().unwrap();
+            assert_eq!(reference.rng, kernel.rng);
+            for (s, t) in reference.ball_stats().iter().zip(kernel.ball_stats()) {
                 assert_eq!(
                     (s.moves, s.total_wait, s.max_wait),
                     (t.moves, t.total_wait, t.max_wait)
@@ -601,14 +554,20 @@ mod tests {
 
     #[test]
     fn batched_hook_fires_per_mover() {
-        let mut p = BallProcess::legitimate_start(16, 79);
-        let mut count = 0;
-        let moved = p.step_batched_with(|_, dest, round| {
-            assert!(dest < 16);
-            assert_eq!(round, 1);
-            count += 1;
-        });
-        assert_eq!(count, moved);
+        // The hook sees every move, in the reference's order, under every
+        // strategy.
+        for strategy in QueueStrategy::ALL {
+            let start = Config::from_loads(vec![3, 0, 1, 5, 0, 2, 1, 4]);
+            let mut reference = BallProcess::new(start, strategy, Xoshiro256pp::seed_from(79));
+            let mut kernel = reference.clone();
+            for _ in 0..20 {
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                let a = reference_step(&mut reference, |b, d, r| want.push((b, d, r)));
+                let b = kernel.step_with(|b, d, r| got.push((b, d, r)));
+                assert_eq!((a, &want), (b, &got), "{}", strategy.label());
+                assert_eq!(got.len(), b);
+            }
+        }
     }
 
     #[test]

@@ -125,27 +125,11 @@ impl Config {
         self.loads.iter().filter(|&&x| x == 0).count()
     }
 
-    /// Number of bins with exactly one ball (`b(q)` in Lemma 1).
-    #[inline]
-    pub fn singleton_bins(&self) -> usize {
-        self.loads.iter().filter(|&&x| x == 1).count()
-    }
-
     /// Number of non-empty bins (`|W|` in Lemma 3): exactly the number of
     /// balls that move in the next round.
     #[inline]
     pub fn nonempty_bins(&self) -> usize {
         self.loads.iter().filter(|&&x| x > 0).count()
-    }
-
-    /// Occupancy histogram: `hist[k]` = number of bins with load `k`.
-    pub fn occupancy_histogram(&self) -> Vec<usize> {
-        let max = self.max_load() as usize;
-        let mut hist = vec![0usize; max + 1];
-        for &l in &self.loads {
-            hist[l as usize] += 1;
-        }
-        hist
     }
 
     /// Immutable view of the raw load vector.
@@ -253,7 +237,6 @@ mod tests {
         assert_eq!(q.total_balls(), 100);
         assert_eq!(q.max_load(), 1);
         assert_eq!(q.empty_bins(), 0);
-        assert_eq!(q.singleton_bins(), 100);
         assert_eq!(q.nonempty_bins(), 100);
         assert_eq!(q.congested_bins(), 0);
     }
@@ -298,14 +281,6 @@ mod tests {
         let q = Config::one_per_bin(10);
         assert!(q.validate(11).is_err());
         assert!(q.validate(10).is_ok());
-    }
-
-    #[test]
-    fn occupancy_histogram_sums_to_n() {
-        let q = Config::from_loads(vec![0, 0, 1, 3, 1, 0]);
-        let h = q.occupancy_histogram();
-        assert_eq!(h, vec![3, 2, 0, 1]);
-        assert_eq!(h.iter().sum::<usize>(), q.n());
     }
 
     #[test]

@@ -167,16 +167,6 @@ impl CoupledRun {
             tetris_window_max: self.tetris_max,
         }
     }
-
-    /// The original process's current configuration.
-    pub fn original_config(&self) -> &Config {
-        self.original.config()
-    }
-
-    /// The Tetris process's current configuration.
-    pub fn tetris_config(&self) -> &Config {
-        self.tetris.config()
-    }
 }
 
 #[cfg(test)]

@@ -1,25 +1,31 @@
 //! The unified simulation surface: one trait in front of every engine.
 //!
-//! Every process in this workspace — [`LoadProcess`], [`BallProcess`],
-//! [`Tetris`], [`BatchedTetris`], the d-choice and graph-walk engines in the
-//! sibling crates — advances in synchronous rounds over a load
-//! [`Config`]uration. [`Engine`] captures exactly that contract, so drivers
-//! (the CLI, the `rbb_sim` scenario runner, the benchmark harness) can be
-//! written once against `dyn Engine` instead of once per process, and the
-//! historical per-process run families (`run` / `run_silent` / `run_batched`
-//! / `run_rounds_batched` / `run_until`) collapse into the provided methods
-//! here.
+//! Every process in this workspace advances in synchronous rounds over a
+//! load [`Config`]uration. Six types implement [`Engine`]: the load engine
+//! ([`LoadEngine`], behind [`LoadProcess`] and its sparse and sharded
+//! siblings, which also runs the d-choice process and the load-only graph
+//! walk under its destination [`Rule`]), [`BallProcess`], [`Tetris`],
+//! [`BatchedTetris`], and, in the sibling crates, the traversal and the
+//! token-identity graph walk. [`Engine`] captures exactly that contract, so
+//! drivers (the CLI, the `rbb_sim` scenario runner, the benchmark harness)
+//! can be written once against `dyn Engine` instead of once per process,
+//! and the historical per-process run families (`run` / `run_silent` /
+//! `run_batched` / `run_rounds_batched` / `run_until`) collapse into the
+//! provided methods here.
 //!
 //! # One round path
 //!
-//! [`Engine::step`] is an engine's round. The load engines have exactly one
-//! kernel per storage (see [`crate::load`]), pinned bit-identical to the
-//! scalar [`reference_round`](crate::load::reference_round).
-//! [`Engine::step_batched`] is a provided method forwarding to `step`;
-//! [`BallProcess`] alone overrides it, with a batched kernel that its unit
-//! tests pin bit-identical to its `step`. The provided run family drives
-//! `step_batched`, so callers get the fastest kernel without choosing.
+//! [`Engine::step`] is an engine's round, and each engine has exactly one
+//! round kernel. The load engines have one per storage plus the rule round
+//! (see [`crate::load`]), pinned bit-identical to the scalar
+//! [`reference_round`](crate::load::reference_round); [`BallProcess`]'s one
+//! kernel is pinned to a scalar reference in its unit tests.
+//! [`Engine::step_batched`] is a provided method forwarding to `step`, and
+//! no engine overrides it; the provided run family and the drivers still
+//! call it.
 //!
+//! [`LoadEngine`]: crate::load::LoadEngine
+//! [`Rule`]: crate::load::Rule
 //! [`LoadProcess`]: crate::process::LoadProcess
 //! [`BallProcess`]: crate::ball_process::BallProcess
 //! [`Tetris`]: crate::tetris::Tetris
@@ -50,9 +56,8 @@ pub trait Engine {
     /// round.
     fn step(&mut self) -> usize;
 
-    /// Advances one round; forwards to [`step`](Engine::step). Only
-    /// [`BallProcess`](crate::ball_process::BallProcess) overrides it, with
-    /// a batched kernel bit-identical to its `step` from equal state.
+    /// Advances one round; forwards to [`step`](Engine::step), and no
+    /// engine overrides it.
     fn step_batched(&mut self) -> usize {
         self.step()
     }

@@ -11,7 +11,6 @@
 //! so the per-round arrival counts at a bin are positively — not negatively —
 //! associated.
 
-use crate::config::Config;
 use crate::det_hash::DetHashMap;
 
 /// Enumerates all compositions of `m` into `n` non-negative parts, in
@@ -304,11 +303,6 @@ pub fn appendix_b_exact() -> AppendixB {
         p_x2_zero,
         p_joint_zero,
     }
-}
-
-/// Converts a raw state vector into a [`Config`].
-pub fn state_to_config(q: &[u32]) -> Config {
-    Config::from_loads(q.to_vec())
 }
 
 #[cfg(test)]

@@ -30,18 +30,137 @@
 //! over a dense load vector that the tests seed from
 //! [`Engine::snapshot`] and `rbb-bench`'s `engine/scalar` target times.
 //!
+//! # Destination rules
+//!
+//! The paper's process sends every released ball to a uniform bin
+//! ([`Rule::Uniform`], the storage kernels above). Two neighboring
+//! processes differ only in that draw: the repeated d-choice process of
+//! ref. \[36\] ([`Rule::BestOf`]) and the Section 5 walk on a graph
+//! ([`Rule::Neighbors`]). Both run through one rule round written against
+//! [`LoadStore`], on dense storage ([`LoadProcess::with_rule`]).
+//!
 //! [`DenseStore`]: crate::process::DenseStore
 //! [`SparseStore`]: crate::sparse::SparseStore
 //! [`ShardedStore`]: crate::sharded::ShardedStore
+//! [`LoadProcess::with_rule`]: crate::process::LoadProcess::with_rule
+
+use std::sync::Arc;
 
 use crate::config::Config;
 use crate::engine::{Engine, Incremental};
 use crate::rng::Xoshiro256pp;
 use crate::sampling::{throw_uniform, UniformSampler};
 use crate::snapshot::{
-    SnapshotError, SnapshotState, WeightedSection, SNAPSHOT_VERSION, SNAPSHOT_VERSION_WEIGHTED,
+    SnapshotError, SnapshotState, WeightedSection, SNAPSHOT_VERSION, SNAPSHOT_VERSION_BEST_OF,
+    SNAPSHOT_VERSION_WEIGHTED,
 };
 use crate::weights::{Capacities, WeightOverlay, Weights};
+
+/// A graph that a [`Rule::Neighbors`] walk moves on: `rbb_graphs::Graph`
+/// implements it.
+pub trait Neighbors: std::fmt::Debug + Send + Sync {
+    /// A uniformly random neighbor of vertex `v`.
+    ///
+    /// # RNG stream
+    ///
+    /// Consumes the draws of one uniform choice among `v`'s neighbors
+    /// from `rng` (for `rbb_graphs::Graph`, one `uniform_usize(degree)`).
+    fn random_neighbor(&self, v: usize, rng: &mut Xoshiro256pp) -> usize;
+
+    /// The number of vertices: one per bin of the engine that walks on it.
+    fn n(&self) -> usize;
+}
+
+/// The most choices a [`Rule::BestOf`] engine takes. A d-choice round
+/// costs up to `d` draws per departing bin, so the spec layer and
+/// [`SnapshotState::validate`], which take `d` from outside the program,
+/// refuse a larger one.
+pub const MAX_BEST_OF: usize = 64;
+
+/// Where the ball a bin releases goes.
+#[derive(Debug, Clone)]
+pub enum Rule {
+    /// A uniform bin: the paper's process.
+    Uniform,
+    /// The least loaded of `2 ≤ d ≤` [`MAX_BEST_OF`] uniform bins, compared
+    /// on the start-of-round loads, ties to the first draw: the repeated
+    /// d-choice process. `BestOf(1)` draws the same stream as `Uniform`,
+    /// which [`LoadProcess::with_rule`](crate::process::LoadProcess::with_rule)
+    /// turns it into.
+    BestOf(usize),
+    /// A uniform neighbor of the releasing bin on a graph with one vertex
+    /// per bin: the Section 5 walk. A complete graph with self-loops is
+    /// the paper's process.
+    Neighbors(Arc<dyn Neighbors>),
+}
+
+/// The least loaded of `d` uniform bins of `store`, ties to the first draw.
+///
+/// # RNG stream
+///
+/// Consumes `d` sampler draws from `rng`.
+fn best_of<S: LoadStore>(
+    d: usize,
+    store: &S,
+    sampler: &UniformSampler,
+    rng: &mut Xoshiro256pp,
+) -> u32 {
+    let mut draw = || {
+        // rbb-lint: allow(lossy-cast, reason = "the sampler is keyed on n, and every storage asserts n fits the u32 index range")
+        let bin = sampler.sample(rng) as u32;
+        (bin, store.load(bin as usize))
+    };
+    let (mut best, mut best_load) = draw();
+    for _ in 1..d {
+        let (bin, load) = draw();
+        if load < best_load {
+            (best, best_load) = (bin, load);
+        }
+    }
+    best
+}
+
+/// One round under [`Rule::BestOf`] or [`Rule::Neighbors`], on stream 0:
+/// every occupied bin, in storage order (ascending on dense storage),
+/// draws its ball's destination with `dest(bin, store, sampler, stream)`
+/// against the start-of-round loads; then all departures and arrivals
+/// apply at once. Leaves `draws.dests`, `srcs` and `draws.handles` as
+/// [`LoadStore::round`] does.
+fn rule_round<S: LoadStore>(
+    store: &mut S,
+    draws: &mut Draws,
+    mut srcs: Option<&mut Vec<u32>>,
+    dest: impl Fn(u32, &S, &UniformSampler, &mut Xoshiro256pp) -> u32,
+) -> usize {
+    let Draws {
+        streams,
+        sampler,
+        dests,
+        handles,
+        scratch: departing,
+    } = draws;
+    let rng = &mut streams[0];
+    dests.clear();
+    departing.clear();
+    for (bin, _) in store.occupied() {
+        departing.push(bin);
+        dests.push(dest(bin, store, sampler, rng));
+    }
+    for &bin in departing.iter() {
+        let handle = store.remove(bin);
+        if let (Some(srcs), Some(handle)) = (srcs.as_deref_mut(), handle) {
+            srcs.push(handle);
+        }
+    }
+    handles.clear();
+    for &bin in dests.iter() {
+        let handle = store.arrive(bin);
+        if srcs.is_some() && !S::BIN_HANDLES {
+            handles.push(handle);
+        }
+    }
+    departing.len()
+}
 
 /// The engine's randomness: one RNG stream per storage stream (one for the
 /// dense and sparse storages, one per shard for the sharded one), the
@@ -59,7 +178,8 @@ pub struct Draws {
     /// (see [`LoadStore::BIN_HANDLES`]): the handle of each draw in
     /// `dests`.
     pub(crate) handles: Vec<u32>,
-    /// The sparse storage's radix-sort buffer.
+    /// The sparse storage's radix-sort buffer; the rule round's departing
+    /// bins.
     pub(crate) scratch: Vec<u32>,
 }
 
@@ -180,6 +300,8 @@ pub struct LoadEngine<S> {
     /// `None` in the unit configuration.
     pub(crate) weighted: Option<WeightOverlay>,
     pub(crate) capacities: Capacities,
+    /// Never `BestOf(0 | 1)`; anything but `Uniform` only on dense storage.
+    pub(crate) rule: Rule,
 }
 
 impl<S: LoadStore> LoadEngine<S> {
@@ -231,6 +353,7 @@ impl<S: LoadStore> LoadEngine<S> {
             balls,
             weighted,
             capacities,
+            rule: Rule::Uniform,
         }
     }
 
@@ -257,6 +380,8 @@ impl<S: LoadStore> LoadEngine<S> {
         };
         let mut engine = Self::from_parts(S::restore(state), streams, Weights::Unit, capacities);
         engine.round = state.round;
+        // Validation admits `best_of` on dense snapshots only.
+        engine.rule = state.best_of.map_or(Rule::Uniform, Rule::BestOf);
         // Validated queues mirror the entries, so their weights in bin
         // order are the per-ball weight vector.
         engine.weighted = (state.weighted.iter())
@@ -293,51 +418,109 @@ impl<S: LoadStore> LoadEngine<S> {
 
 /// The reference round: the process written as plainly as possible over a
 /// dense load vector, with `S = streams.len()` RNG streams and stream `k`
-/// serving the bins `b ≡ k (mod S)`. Every storage's kernel is pinned
-/// bit-identical to it — a test seeds `loads` and `streams` from
-/// [`Engine::snapshot`] (entries and `rng_states`) — and at `S = 1` it is
-/// the dense process's scalar step, which `rbb-bench`'s `engine/scalar`
-/// baseline times. Returns the number of balls that moved.
+/// serving the bins `b ≡ k (mod S)`. Every storage's kernel, and the rule
+/// round on dense storage, is pinned bit-identical to it — a test seeds
+/// `loads` and `streams` from [`Engine::snapshot`] (entries and
+/// `rng_states`) — and under [`Rule::Uniform`] at `S = 1` it is the dense
+/// process's scalar step, which `rbb-bench`'s `engine/scalar` baseline
+/// times. Returns the number of balls that moved. Panics on a rule other
+/// than `Uniform` with more than one stream.
 ///
 /// # RNG stream
 ///
-/// After every non-empty bin has released one ball, stream `k` (streams in
-/// order) consumes one `uniform_usize(n)` draw per ball released by its
-/// bins: the draws of a sharded engine with `S` shards, and at `S = 1` of
-/// the dense and sparse engines' single stream.
-pub fn reference_round(loads: &mut [u32], streams: &mut [Xoshiro256pp]) -> usize {
-    let shards = streams.len();
-    let released: Vec<usize> = (0..shards)
-        .map(|k| {
-            let mut released = 0;
-            for l in loads.iter_mut().skip(k).step_by(shards) {
-                if *l > 0 {
-                    *l -= 1;
-                    released += 1;
+/// Under [`Rule::Uniform`]: after every non-empty bin has released one
+/// ball, stream `k` (streams in order) consumes one `uniform_usize(n)` draw
+/// per ball released by its bins: the draws of a sharded engine with `S`
+/// shards, and at `S = 1` of the dense and sparse engines' single stream.
+/// Under the other rules, the one stream serves the non-empty bins in
+/// ascending order: `d` `uniform_usize(n)` draws each under
+/// [`Rule::BestOf`], one [`Neighbors::random_neighbor`] draw each under
+/// [`Rule::Neighbors`].
+pub fn reference_round(loads: &mut [u32], streams: &mut [Xoshiro256pp], rule: &Rule) -> usize {
+    match rule {
+        Rule::Uniform => {
+            let shards = streams.len();
+            let released: Vec<usize> = (0..shards)
+                .map(|k| {
+                    let mut released = 0;
+                    for l in loads.iter_mut().skip(k).step_by(shards) {
+                        if *l > 0 {
+                            *l -= 1;
+                            released += 1;
+                        }
+                    }
+                    released
+                })
+                .collect();
+            for (rng, &d) in streams.iter_mut().zip(&released) {
+                throw_uniform(rng, loads, d);
+            }
+            released.iter().sum()
+        }
+        Rule::BestOf(d) => reference_rule_round(loads, streams, |_, start, rng| {
+            let mut best = rng.uniform_usize(start.len());
+            for _ in 1..*d {
+                let c = rng.uniform_usize(start.len());
+                if start[c] < start[best] {
+                    best = c;
                 }
             }
-            released
-        })
-        .collect();
-    for (rng, &d) in streams.iter_mut().zip(&released) {
-        throw_uniform(rng, loads, d);
+            best
+        }),
+        Rule::Neighbors(graph) => {
+            reference_rule_round(loads, streams, |u, _, rng| graph.random_neighbor(u, rng))
+        }
     }
-    released.iter().sum()
+}
+
+/// [`reference_round`] under a destination rule: each non-empty bin `u`,
+/// in ascending order, sends one ball to `dest(u, start, stream)`, where
+/// `start` holds the start-of-round loads.
+fn reference_rule_round(
+    loads: &mut [u32],
+    streams: &mut [Xoshiro256pp],
+    dest: impl Fn(usize, &[u32], &mut Xoshiro256pp) -> usize,
+) -> usize {
+    assert_eq!(streams.len(), 1, "a destination rule draws from one stream");
+    let start = loads.to_vec();
+    let mut moved = 0;
+    for (u, &load) in start.iter().enumerate() {
+        if load == 0 {
+            continue;
+        }
+        let v = dest(u, &start, &mut streams[0]);
+        loads[u] -= 1;
+        loads[v] += 1;
+        moved += 1;
+    }
+    moved
 }
 
 impl<S: LoadStore> Engine for LoadEngine<S> {
-    /// Runs the storage's kernel; a weighted round then pairs the `k`-th
-    /// departing handle with the `k`-th draw and its handle in the overlay.
+    /// Runs the storage's kernel under [`Rule::Uniform`], the rule round
+    /// otherwise; a weighted round then pairs the `k`-th departing handle
+    /// with the `k`-th draw and its handle in the overlay.
     fn step(&mut self) -> usize {
-        let moved = match &mut self.weighted {
-            None => self.store.round(&mut self.draws, None),
-            Some(overlay) => {
-                let moved = self.store.round(&mut self.draws, Some(&mut overlay.srcs));
-                let Draws { dests, handles, .. } = &self.draws;
-                overlay.transport(dests, if S::BIN_HANDLES { dests } else { handles });
-                moved
+        let srcs = self.weighted.as_mut().map(|o| &mut o.srcs);
+        let moved = match &self.rule {
+            Rule::Uniform => self.store.round(&mut self.draws, srcs),
+            Rule::BestOf(d) => rule_round(
+                &mut self.store,
+                &mut self.draws,
+                srcs,
+                |_, store, sampler, rng| best_of(*d, store, sampler, rng),
+            ),
+            Rule::Neighbors(graph) => {
+                rule_round(&mut self.store, &mut self.draws, srcs, |bin, _, _, rng| {
+                    // rbb-lint: allow(lossy-cast, reason = "a neighbor is a vertex, one per bin, and every storage asserts n fits the u32 index range")
+                    graph.random_neighbor(bin as usize, rng) as u32
+                })
             }
         };
+        if let Some(overlay) = &mut self.weighted {
+            let Draws { dests, handles, .. } = &self.draws;
+            overlay.transport(dests, if S::BIN_HANDLES { dests } else { handles });
+        }
         self.round += 1;
         debug_assert_eq!(self.store.total(), self.balls, "mass violated");
         debug_assert_eq!(
@@ -476,8 +659,14 @@ impl<S: LoadStore> Engine for LoadEngine<S> {
 
     /// Bin-sorted entries and every stream's raw state, in stream order.
     /// A weighted section is written iff there is anything non-unit to
-    /// record: an overlay, or non-default capacities.
+    /// record: an overlay, or non-default capacities. `None` under
+    /// [`Rule::Neighbors`]: a snapshot cannot carry the graph.
     fn snapshot(&self) -> Option<SnapshotState> {
+        let best_of = match self.rule {
+            Rule::Uniform => None,
+            Rule::BestOf(d) => Some(d),
+            Rule::Neighbors(_) => return None,
+        };
         let weighted =
             (self.weighted.is_some() || !self.capacities.is_unbounded()).then(|| WeightedSection {
                 queues: self
@@ -488,10 +677,10 @@ impl<S: LoadStore> Engine for LoadEngine<S> {
                 caps: self.capacities.bounds_vec(),
             });
         Some(SnapshotState {
-            version: if weighted.is_some() {
-                SNAPSHOT_VERSION_WEIGHTED
-            } else {
-                SNAPSHOT_VERSION
+            version: match (best_of, &weighted) {
+                (Some(_), _) => SNAPSHOT_VERSION_BEST_OF,
+                (None, Some(_)) => SNAPSHOT_VERSION_WEIGHTED,
+                (None, None) => SNAPSHOT_VERSION,
             },
             engine: S::KIND.to_string(),
             n: self.store.n(),
@@ -501,13 +690,16 @@ impl<S: LoadStore> Engine for LoadEngine<S> {
             entries: self.store.entries(),
             rng_states: self.draws.streams.iter().map(Xoshiro256pp::state).collect(),
             weighted,
+            best_of,
         })
     }
 }
 
 impl<S: LoadStore> Incremental for LoadEngine<S> {
-    /// One uniform draw from stream 0 (the engine-convention stream), the
-    /// per-ball primitive a round uses; the weight only feeds the overlay.
+    /// Draws from stream 0 (the engine-convention stream): the best of `d`
+    /// uniform bins on the current loads under [`Rule::BestOf`], one
+    /// uniform bin otherwise (a new ball has no vertex to walk from); the
+    /// weight only feeds the overlay.
     fn place_weighted(&mut self, weight: u32) -> usize {
         assert!(
             self.balls < u64::from(u32::MAX),
@@ -518,11 +710,14 @@ impl<S: LoadStore> Incremental for LoadEngine<S> {
             "this process is unit-weight: only weight-1 placements are supported"
         );
         assert!(weight >= 1, "placed weight must be at least 1");
-        let mut bin = [0u32];
-        self.draws
-            .sampler
-            .fill_u32(&mut self.draws.streams[0], &mut bin);
-        let [bin] = bin;
+        let Draws {
+            streams, sampler, ..
+        } = &mut self.draws;
+        let bin = match self.rule {
+            Rule::BestOf(d) => best_of(d, &self.store, sampler, &mut streams[0]),
+            // rbb-lint: allow(lossy-cast, reason = "the sampler is keyed on n, and every storage asserts n fits the u32 index range")
+            _ => sampler.sample(&mut streams[0]) as u32,
+        };
         let handle = self.store.arrive(bin);
         self.balls += 1;
         if let Some(o) = &mut self.weighted {
@@ -567,7 +762,7 @@ pub(crate) mod tests {
             let moved = engine.step();
             assert_eq!(
                 moved,
-                reference_round(&mut loads, &mut streams),
+                reference_round(&mut loads, &mut streams, &engine.rule),
                 "round {r}"
             );
             assert_eq!(engine.config().loads(), &loads[..], "round {r}");
@@ -584,10 +779,10 @@ pub(crate) mod tests {
             "entries must be in canonical bin order"
         );
         let unit = p.weighted.is_none() && p.capacities.is_unbounded();
-        let version = if unit {
-            SNAPSHOT_VERSION
-        } else {
-            SNAPSHOT_VERSION_WEIGHTED
+        let version = match (&p.rule, unit) {
+            (Rule::BestOf(_), _) => SNAPSHOT_VERSION_BEST_OF,
+            (_, true) => SNAPSHOT_VERSION,
+            (_, false) => SNAPSHOT_VERSION_WEIGHTED,
         };
         assert_eq!(snap.version, version);
         let mut q = LoadEngine::<S>::from_snapshot(&snap).unwrap();

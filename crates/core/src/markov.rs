@@ -96,12 +96,6 @@ impl ZChain {
         }
         None
     }
-
-    /// Expected one-step drift while non-absorbed:
-    /// `E[X] − 1 = (3/4)·⌊·⌋/n − 1 ≈ −1/4`.
-    pub fn expected_drift(&self) -> f64 {
-        self.trials as f64 * self.p - 1.0
-    }
 }
 
 /// The Lemma-5 Chernoff tail: `e^{−t/144}`, valid for `t ≥ 8k`.
@@ -153,13 +147,6 @@ mod tests {
             assert_eq!(z.step(), 0);
         }
         assert!(z.absorbed());
-    }
-
-    #[test]
-    fn drift_is_about_minus_quarter() {
-        let z = ZChain::new(1000, 5, Xoshiro256pp::seed_from(2));
-        let d = z.expected_drift();
-        assert!((d + 0.25).abs() < 0.01, "drift {d}");
     }
 
     #[test]

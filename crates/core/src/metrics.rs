@@ -337,7 +337,6 @@ pub struct CapacityTracker {
     max_violations: u64,
     argmax_round: u64,
     rounds_in_violation: u64,
-    sum_violations: u64,
     rounds: u64,
 }
 
@@ -362,14 +361,6 @@ impl CapacityTracker {
         self.rounds_in_violation
     }
 
-    /// Mean violating-bin count per round.
-    pub fn mean_violations(&self) -> f64 {
-        if self.rounds == 0 {
-            return 0.0;
-        }
-        self.sum_violations as f64 / self.rounds as f64
-    }
-
     /// Number of rounds observed.
     pub fn rounds(&self) -> u64 {
         self.rounds
@@ -385,7 +376,6 @@ impl CapacityTracker {
         if violations > 0 {
             self.rounds_in_violation += 1;
         }
-        self.sum_violations += violations;
         self.rounds += 1;
     }
 }
@@ -425,11 +415,6 @@ impl TrajectoryRecorder {
     /// The recorded points, in round order.
     pub fn points(&self) -> &[TrajectoryPoint] {
         &self.points
-    }
-
-    /// Consumes the recorder, returning its points.
-    pub fn into_points(self) -> Vec<TrajectoryPoint> {
-        self.points
     }
 
     /// Whether this round would be sampled (callers on the cheap-accessor
@@ -798,7 +783,6 @@ mod tests {
         assert_eq!(t.argmax_round(), 2);
         assert_eq!(t.rounds_in_violation(), 2);
         assert_eq!(t.rounds(), 4);
-        assert!((t.mean_violations() - 1.0).abs() < 1e-12);
     }
 
     #[test]

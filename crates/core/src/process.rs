@@ -17,7 +17,7 @@
 
 use crate::config::Config;
 use crate::engine::Engine;
-use crate::load::{densify, Draws, LoadEngine, LoadStore};
+use crate::load::{densify, Draws, LoadEngine, LoadStore, Rule, MAX_BEST_OF};
 use crate::rng::Xoshiro256pp;
 use crate::sampling::throw_uniform_batched;
 use crate::snapshot::{SnapshotState, ENGINE_DENSE};
@@ -175,6 +175,50 @@ impl LoadProcess {
         capacities: Capacities,
     ) -> Self {
         Self::from_parts(DenseStore { config }, vec![rng], weights, capacities)
+    }
+
+    /// The same process with its released balls sent by `rule`:
+    /// `BestOf(d)` is the repeated d-choice process (`BestOf(1)` is kept as
+    /// `Uniform`, the same stream, the way all-ones weights build no
+    /// overlay), `Neighbors` the walk on a graph whose vertices are the `n`
+    /// bins. Weights stay a metric overlay under any rule. Panics unless
+    /// `1 <= d <=` [`MAX_BEST_OF`], and on a graph whose vertex count is
+    /// not the bin count.
+    ///
+    /// ```
+    /// use rbb_core::load::Rule;
+    /// use rbb_core::prelude::*;
+    ///
+    /// let mut p = LoadProcess::legitimate_start(64, 7).with_rule(Rule::BestOf(2));
+    /// p.run_silent(100);
+    /// assert_eq!(p.config().total_balls(), 64);
+    /// ```
+    ///
+    /// # RNG stream
+    ///
+    /// Each round, the engine stream serves the non-empty bins in bin order:
+    /// `d` uniform draws each under `BestOf(d)`, one
+    /// [`Neighbors::random_neighbor`](crate::load::Neighbors::random_neighbor)
+    /// draw each under `Neighbors` (the contract of
+    /// [`crate::load::reference_round`] under the rule).
+    pub fn with_rule(mut self, rule: Rule) -> Self {
+        match &rule {
+            Rule::Uniform => {}
+            Rule::BestOf(d) => assert!(
+                (1..=MAX_BEST_OF).contains(d),
+                "d-choice takes 1 to {MAX_BEST_OF} choices, not {d}"
+            ),
+            Rule::Neighbors(graph) => assert_eq!(
+                graph.n(),
+                self.store.n(),
+                "a walk needs one graph vertex per bin"
+            ),
+        }
+        self.rule = match rule {
+            Rule::BestOf(1) => Rule::Uniform,
+            rule => rule,
+        };
+        self
     }
 
     /// Convenience constructor: `n` balls into `n` bins, one per bin.
@@ -455,7 +499,11 @@ mod tests {
             if i % 2 == 0 {
                 mixed.step();
             } else {
-                reference_round(mixed.store.config.loads_mut(), &mut mixed.draws.streams);
+                reference_round(
+                    mixed.store.config.loads_mut(),
+                    &mut mixed.draws.streams,
+                    &Rule::Uniform,
+                );
                 mixed.round += 1;
             }
         }
@@ -470,7 +518,7 @@ mod tests {
         let mut streams = p.draws.streams.clone();
         p.run_silent(500);
         for _ in 0..500 {
-            reference_round(&mut loads, &mut streams);
+            reference_round(&mut loads, &mut streams, &Rule::Uniform);
         }
         assert_eq!(p.config().loads(), &loads[..]);
         assert_eq!(p.round(), 500);
@@ -675,6 +723,127 @@ mod tests {
         let mut p = zipf_process(8, 59, Capacities::Unbounded);
         let mut dests = Vec::new();
         p.step_recording(&mut dests);
+    }
+
+    /// The walk on a ring of `n` bins: one `uniform_usize(2)` draw per
+    /// departing bin picks the left or right neighbor.
+    #[derive(Debug)]
+    struct Ring(usize);
+
+    impl crate::load::Neighbors for Ring {
+        fn random_neighbor(&self, v: usize, rng: &mut Xoshiro256pp) -> usize {
+            (v + [self.0 - 1, 1][rng.uniform_usize(2)]) % self.0
+        }
+
+        fn n(&self) -> usize {
+            self.0
+        }
+    }
+
+    #[test]
+    fn best_of_rounds_match_the_reference_round() {
+        // The rule round draws d candidates per departing bin through the
+        // cached sampler; the reference draws them with `uniform_usize`
+        // against a copy of the start-of-round loads.
+        for (n, d) in [(1usize, 2usize), (7, 2), (64, 3), (500, 2)] {
+            let start = Config::random(&mut Xoshiro256pp::seed_from(n as u64), n, 2 * n as u64);
+            let mut p =
+                LoadProcess::new(start, Xoshiro256pp::seed_from(81)).with_rule(Rule::BestOf(d));
+            assert_matches_reference(&mut p, 200);
+        }
+    }
+
+    #[test]
+    fn neighbor_rounds_match_the_reference_round() {
+        // A walk has no snapshot, so the reference starts from the engine's
+        // own loads and stream.
+        let rule = Rule::Neighbors(std::sync::Arc::new(Ring(40)));
+        let start = Config::all_in_one(40, 40);
+        let mut p = LoadProcess::new(start, Xoshiro256pp::seed_from(82)).with_rule(rule.clone());
+        assert!(
+            Engine::snapshot(&p).is_none(),
+            "a snapshot cannot carry the graph"
+        );
+        let mut loads = p.config().loads().to_vec();
+        let mut streams = p.draws.streams.clone();
+        for r in 0..300 {
+            assert_eq!(
+                p.step(),
+                reference_round(&mut loads, &mut streams, &rule),
+                "round {r}"
+            );
+            assert_eq!(p.config().loads(), &loads[..], "round {r}");
+        }
+        assert_eq!(p.draws.streams, streams);
+    }
+
+    #[test]
+    #[should_panic(expected = "one graph vertex per bin")]
+    fn a_walk_needs_a_graph_of_n_vertices() {
+        let rule = Rule::Neighbors(std::sync::Arc::new(Ring(41)));
+        let _ = LoadProcess::legitimate_start(40, 1).with_rule(rule);
+    }
+
+    #[test]
+    #[should_panic(expected = "choices")]
+    fn best_of_takes_at_most_max_best_of_choices() {
+        let _ = LoadProcess::legitimate_start(40, 1).with_rule(Rule::BestOf(MAX_BEST_OF + 1));
+    }
+
+    #[test]
+    fn best_of_one_is_the_uniform_process() {
+        let plain = LoadProcess::legitimate_start(64, 83);
+        let one = plain.clone().with_rule(Rule::BestOf(1));
+        assert!(matches!(one.rule, Rule::Uniform));
+        assert_unit_weights_build_the_same_engine(plain, one);
+    }
+
+    #[test]
+    fn best_of_snapshot_round_trips_at_layout_version_3() {
+        let p = LoadProcess::legitimate_start(64, 84).with_rule(Rule::BestOf(2));
+        let snap = Engine::snapshot(&p).unwrap();
+        assert_eq!(snap.best_of, Some(2));
+        assert_snapshot_round_trip(p, 23);
+    }
+
+    #[test]
+    fn best_of_place_takes_the_least_loaded_of_d_draws() {
+        // Bins 0..4 hold 5, 4, 3, 2, 1 balls; the rest are empty.
+        let start = Config::from_loads([vec![5, 4, 3, 2, 1], vec![0; 3]].concat());
+        let mut p = LoadProcess::new(start, Xoshiro256pp::seed_from(85)).with_rule(Rule::BestOf(3));
+        for _ in 0..50 {
+            let mut rng = p.draws.streams[0].clone();
+            let loads = p.config().loads().to_vec();
+            let mut want = rng.uniform_usize(8);
+            for _ in 1..3 {
+                let c = rng.uniform_usize(8);
+                if loads[c] < loads[want] {
+                    want = c;
+                }
+            }
+            assert_eq!(p.place(), want);
+            assert_eq!(p.draws.streams[0], rng, "d draws per placement");
+        }
+    }
+
+    #[test]
+    fn weighted_best_of_is_weight_oblivious_and_snapshots() {
+        // Weights stay a metric overlay under a rule: the trajectory and
+        // stream match the unit engine, and the overlay follows each ball.
+        let mut unit = LoadProcess::legitimate_start(96, 86).with_rule(Rule::BestOf(2));
+        let mut zipf = zipf_process(96, 86, Capacities::Uniform(60)).with_rule(Rule::BestOf(2));
+        let total = Engine::total_weight(&zipf);
+        for _ in 0..100 {
+            assert_eq!(unit.step(), zipf.step());
+            assert_eq!(unit.config(), zipf.config());
+            assert_eq!(Engine::total_weight(&zipf), total);
+        }
+        zipf.check_overlay().unwrap();
+        assert_eq!(unit.draws.streams, zipf.draws.streams);
+        let snap = Engine::snapshot(&zipf).unwrap();
+        assert!(snap.weighted.is_some() && snap.best_of == Some(2));
+        let fresh = zipf_process(96, 86, Capacities::Uniform(60)).with_rule(Rule::BestOf(2));
+        assert_snapshot_round_trip(fresh, 17);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use serde::{Deserialize, Serialize, Value};
 
 use crate::engine::Engine;
+use crate::load::MAX_BEST_OF;
 use crate::process::LoadProcess;
 use crate::sharded::ShardedLoadProcess;
 use crate::sparse::SparseLoadProcess;
@@ -35,6 +36,12 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// ([`WeightedSection`]) carrying the per-bin weight queues and the
 /// capacity bounds.
 pub const SNAPSHOT_VERSION_WEIGHTED: u32 = 2;
+
+/// Version tag of a d-choice engine's layout: version 1 or 2 plus a
+/// `best_of` key recording `d` (see [`crate::load::Rule::BestOf`]). Its own
+/// tag, because a reader of versions 1 and 2 skips unknown keys and would
+/// resume the snapshot as the uniform process.
+pub const SNAPSHOT_VERSION_BEST_OF: u32 = 3;
 
 /// Engine-kind tag of [`LoadProcess`] snapshots.
 pub const ENGINE_DENSE: &str = "dense";
@@ -68,12 +75,17 @@ impl std::error::Error for SnapshotError {}
 /// * `rng_states` holds one xoshiro256++ state per engine stream — exactly
 ///   one for the dense and sparse engines, one per shard (in shard order)
 ///   for the sharded engine — and none of them is the all-zero fixed point.
-/// * `weighted` is present exactly when `version` is
-///   [`SNAPSHOT_VERSION_WEIGHTED`]; version-1 snapshots serialize without
-///   the key at all, byte-identical to the pre-weighted layout.
+/// * `weighted` is present when `version` is [`SNAPSHOT_VERSION_WEIGHTED`],
+///   may be present at [`SNAPSHOT_VERSION_BEST_OF`], and is absent
+///   otherwise; version-1 snapshots serialize without the key at all,
+///   byte-identical to the pre-weighted layout.
+/// * `best_of` is present exactly when `version` is
+///   [`SNAPSHOT_VERSION_BEST_OF`], holds `2 ≤ d ≤` [`MAX_BEST_OF`], and
+///   only on a dense engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotState {
-    /// Layout version ([`SNAPSHOT_VERSION`] or [`SNAPSHOT_VERSION_WEIGHTED`]).
+    /// Layout version ([`SNAPSHOT_VERSION`], [`SNAPSHOT_VERSION_WEIGHTED`]
+    /// or [`SNAPSHOT_VERSION_BEST_OF`]).
     pub version: u32,
     /// Engine kind: `"dense"`, `"sparse"`, or `"sharded"`.
     pub engine: String,
@@ -89,9 +101,11 @@ pub struct SnapshotState {
     pub entries: Vec<(u32, u32)>,
     /// Raw xoshiro256++ states, one per engine stream.
     pub rng_states: Vec<[u64; 4]>,
-    /// Weight queues and capacity bounds — `Some` iff the layout version is
-    /// [`SNAPSHOT_VERSION_WEIGHTED`].
+    /// Weight queues and capacity bounds (see the invariants above).
     pub weighted: Option<WeightedSection>,
+    /// The `d` of a d-choice engine — `Some` iff the layout version is
+    /// [`SNAPSHOT_VERSION_BEST_OF`].
+    pub best_of: Option<usize>,
 }
 
 /// The version-2 weighted section: per-bin FIFO weight queues plus the
@@ -115,9 +129,10 @@ impl WeightedSection {
 }
 
 // Serialize/Deserialize are written by hand (not derived) so that the
-// optional `weighted` key is *omitted* — not rendered as `null` — when
-// absent: version-1 snapshots must stay byte-identical to the pre-weighted
-// layout, which the serve golden and every checkpoint on disk pin down.
+// optional `weighted` and `best_of` keys are *omitted* — not rendered as
+// `null` — when absent: version-1 snapshots must stay byte-identical to the
+// pre-weighted layout, which the serve golden and every checkpoint on disk
+// pin down.
 impl Serialize for SnapshotState {
     fn serialize(&self) -> Value {
         let mut fields = vec![
@@ -132,6 +147,9 @@ impl Serialize for SnapshotState {
         ];
         if let Some(w) = &self.weighted {
             fields.push(("weighted".to_string(), w.serialize()));
+        }
+        if let Some(d) = self.best_of {
+            fields.push(("best_of".to_string(), d.serialize()));
         }
         Value::Object(fields)
     }
@@ -158,6 +176,8 @@ impl Deserialize for SnapshotState {
                 .map_err(|e: serde::DeError| e.in_field("rng_states"))?,
             weighted: Deserialize::deserialize(get("weighted")?)
                 .map_err(|e: serde::DeError| e.in_field("weighted"))?,
+            best_of: Deserialize::deserialize(get("best_of")?)
+                .map_err(|e: serde::DeError| e.in_field("best_of"))?,
         })
     }
 }
@@ -168,15 +188,45 @@ impl SnapshotState {
     /// actionable message instead of resuming a wrong trajectory.
     pub fn validate(&self) -> Result<(), SnapshotError> {
         let err = |msg: String| Err(SnapshotError(msg));
-        if self.version != SNAPSHOT_VERSION && self.version != SNAPSHOT_VERSION_WEIGHTED {
+        if !(SNAPSHOT_VERSION..=SNAPSHOT_VERSION_BEST_OF).contains(&self.version) {
             return err(format!(
                 "snapshot version {} unsupported (this build reads versions \
-                 {SNAPSHOT_VERSION} and {SNAPSHOT_VERSION_WEIGHTED})",
+                 {SNAPSHOT_VERSION} to {SNAPSHOT_VERSION_BEST_OF})",
                 self.version
             ));
         }
+        match (self.best_of, self.version) {
+            (Some(d), SNAPSHOT_VERSION_BEST_OF) => {
+                if !(2..=MAX_BEST_OF).contains(&d) {
+                    return err(format!(
+                        "best_of = {d}: a d-choice snapshot needs 2 <= d <= {MAX_BEST_OF}"
+                    ));
+                }
+                if self.engine != ENGINE_DENSE {
+                    return err(format!(
+                        "best_of applies to dense snapshots only, not '{}'",
+                        self.engine
+                    ));
+                }
+            }
+            (None, SNAPSHOT_VERSION_BEST_OF) => {
+                return err(format!(
+                    "version {SNAPSHOT_VERSION_BEST_OF} snapshots require a best_of key"
+                ));
+            }
+            (Some(_), _) => {
+                return err(format!(
+                    "version {} snapshots carry no best_of key (that is version \
+                     {SNAPSHOT_VERSION_BEST_OF})",
+                    self.version
+                ));
+            }
+            (None, _) => {}
+        }
         match (&self.weighted, self.version) {
-            (None, SNAPSHOT_VERSION) | (Some(_), SNAPSHOT_VERSION_WEIGHTED) => {}
+            (None, SNAPSHOT_VERSION)
+            | (Some(_), SNAPSHOT_VERSION_WEIGHTED)
+            | (_, SNAPSHOT_VERSION_BEST_OF) => {}
             (Some(_), _) => {
                 return err(format!(
                     "version {} snapshots carry no weighted section (that is version \
@@ -347,6 +397,7 @@ mod tests {
             entries: vec![(0, 3), (2, 4), (7, 1)],
             rng_states: vec![Xoshiro256pp::seed_from(1).state()],
             weighted: None,
+            best_of: None,
         }
     }
 
@@ -499,6 +550,44 @@ mod tests {
             v2.as_object().unwrap().iter().any(|(k, _)| k == "weighted"),
             "version-2 snapshots must carry the weighted key"
         );
+    }
+
+    #[test]
+    fn best_of_layout_is_version_3_on_dense_snapshots_only() {
+        let mut v3 = valid_state();
+        v3.version = SNAPSHOT_VERSION_BEST_OF;
+        v3.best_of = Some(2);
+        v3.validate().unwrap();
+        let value = v3.serialize();
+        assert!(value
+            .as_object()
+            .unwrap()
+            .iter()
+            .any(|(k, _)| k == "best_of"));
+        assert_eq!(SnapshotState::deserialize(&value).unwrap(), v3);
+        // A weighted d-choice engine keeps its section at version 3.
+        let mut weighted = v3.clone();
+        weighted.weighted = valid_weighted_state().weighted;
+        weighted.validate().unwrap();
+        let cases: Vec<Corruption> = vec![
+            (
+                "v1 with best_of",
+                Box::new(|s| s.version = SNAPSHOT_VERSION),
+            ),
+            ("v3 without best_of", Box::new(|s| s.best_of = None)),
+            ("d = 1", Box::new(|s| s.best_of = Some(1))),
+            (
+                "d above MAX_BEST_OF",
+                Box::new(|s| s.best_of = Some(MAX_BEST_OF + 1)),
+            ),
+            ("d = usize::MAX", Box::new(|s| s.best_of = Some(usize::MAX))),
+            ("sparse", Box::new(|s| s.engine = ENGINE_SPARSE.into())),
+        ];
+        for (what, corrupt) in cases {
+            let mut s = v3.clone();
+            corrupt(&mut s);
+            assert!(s.validate().is_err(), "corruption '{what}' must be caught");
+        }
     }
 
     #[test]

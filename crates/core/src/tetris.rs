@@ -156,9 +156,7 @@ impl Tetris {
     }
 }
 
-/// The run family is provided by [`Engine`]. Tetris has no batched kernel
-/// (arrival counts already amortize the sampling), so `step_batched`
-/// defaults to the scalar step. Faults are unsupported: Tetris does not
+/// The run family is provided by [`Engine`]. Faults are unsupported: Tetris does not
 /// conserve balls, so an arbitrary placement has no well-defined meaning.
 impl Engine for Tetris {
     #[inline]

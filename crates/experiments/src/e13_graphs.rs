@@ -32,9 +32,9 @@ pub struct E13Row {
 
 fn topology_spec(name: &str) -> TopologySpec {
     match name {
-        // Through the *graph* engine (neighbor sampler), keeping every row
-        // of the table on the same sampling footing — and the historical
-        // RNG stream.
+        // Through the graph walk's neighbor sampler, keeping every row of
+        // the table on the same sampling footing (bit-identical to the
+        // clique engine: the neighbor draw is the uniform draw).
         "clique+loops" => TopologySpec::CompleteGraph,
         "ring" => TopologySpec::Ring,
         "torus" => TopologySpec::Torus,
@@ -73,9 +73,10 @@ pub fn spec_for(name: &str, n: usize, window_factor: u64) -> ScenarioSpec {
 /// Computes the topology table at size ~`n` (exact for powers of two /
 /// perfect squares; the builders round as needed).
 ///
-/// Note the clique row runs through [`TopologySpec::Complete`]'s graph
-/// engine — the same uniform-destination walk as the dedicated load engine,
-/// drawn through the neighbor sampler, exactly as E13 always did.
+/// Note the clique row runs through [`TopologySpec::CompleteGraph`], the
+/// graph walk on the complete graph with self-loops: its neighbor draw is
+/// the uniform draw, so the row is bit-identical to the dedicated load
+/// engine's uniform walk.
 pub fn compute(ctx: &ExpContext, n: usize, trials: usize, window_factor: u64) -> Vec<E13Row> {
     TOPOLOGIES
         .iter()

@@ -6,7 +6,9 @@
 //! the maximum load behaves on general (regular) graphs; this crate provides
 //! the topologies (ring, torus, hypercube, random regular, Erdős–Rényi,
 //! clique with/without self-loops), single random walks with cover/hitting
-//! times, and both load-only and token-identity constrained parallel walks.
+//! times, the neighbor draw of the load-only constrained parallel walk
+//! (the core load engine under `Rule::Neighbors`), and the token-identity
+//! walk.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,6 +22,6 @@ pub use graph::{
     complete, complete_with_loops, erdos_renyi, hypercube, path, random_regular, ring, star, torus,
     Graph,
 };
-pub use parallel::{GraphLoadProcess, GraphTokenProcess};
+pub use parallel::GraphTokenProcess;
 pub use properties::{bfs_distances, degree_stats, diameter, eccentricity, spectral_gap};
 pub use walk::{cover_time, hitting_time, RandomWalk};

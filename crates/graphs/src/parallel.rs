@@ -5,130 +5,32 @@
 //! Each node holds a queue of tokens. Per round, every non-empty node
 //! forwards exactly one token to a neighbor chosen uniformly at random
 //! (on [`crate::graph::complete_with_loops`] this is *exactly* the paper's
-//! process). [`GraphLoadProcess`] tracks loads only; [`GraphTokenProcess`]
-//! carries token identities (under any [`QueueStrategy`]) and visited-sets
-//! for cover-time measurement on general topologies. Both own their graph,
-//! so they can stand behind the unified [`Engine`] trait and be built by
-//! the `rbb_sim` scenario factory.
+//! process). The load-only walk is the core load engine under
+//! [`Rule::Neighbors`], which [`Graph`] serves through the core
+//! [`Neighbors`] trait; [`GraphTokenProcess`] carries token identities
+//! (under any [`QueueStrategy`]) and visited-sets for cover-time
+//! measurement on general topologies. It owns its graph, so it can stand
+//! behind the unified [`Engine`] trait and be built by the `rbb_sim`
+//! scenario factory.
+//!
+//! [`Rule::Neighbors`]: rbb_core::load::Rule::Neighbors
 
 use rbb_core::config::Config;
 use rbb_core::engine::Engine;
+use rbb_core::load::Neighbors;
 use rbb_core::rng::Xoshiro256pp;
 use rbb_core::strategy::QueueStrategy;
 
 use crate::graph::Graph;
 
-/// Load-only constrained parallel walk on a graph.
-#[derive(Debug, Clone)]
-pub struct GraphLoadProcess {
-    graph: Graph,
-    config: Config,
-    rng: Xoshiro256pp,
-    round: u64,
-    /// Scratch: arrivals per node this round.
-    arrivals: Vec<u32>,
-}
-
-impl GraphLoadProcess {
-    /// Creates the process; `config` must have one load entry per vertex.
-    pub fn new(graph: Graph, config: Config, rng: Xoshiro256pp) -> Self {
-        assert_eq!(config.n(), graph.n(), "config size must match graph");
-        let n = graph.n();
-        Self {
-            graph,
-            config,
-            rng,
-            round: 0,
-            arrivals: vec![0; n],
-        }
+/// The load-only walk's neighbor draw: [`Graph::random_neighbor`].
+impl Neighbors for Graph {
+    fn random_neighbor(&self, v: usize, rng: &mut Xoshiro256pp) -> usize {
+        Graph::random_neighbor(self, v, rng)
     }
 
-    /// One token per node.
-    pub fn one_per_node(graph: Graph, seed: u64) -> Self {
-        let config = Config::one_per_bin(graph.n());
-        Self::new(graph, config, Xoshiro256pp::seed_from(seed))
-    }
-
-    /// The topology being walked.
-    #[inline]
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    #[inline]
-    /// Current configuration.
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
-    #[inline]
-    /// Current round.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Advances one round; returns the number of tokens that moved.
-    pub fn step(&mut self) -> usize {
-        let n = self.graph.n();
-        self.arrivals.iter_mut().for_each(|a| *a = 0);
-        let mut moved = 0usize;
-        {
-            let loads = self.config.loads();
-            for (u, &load) in loads.iter().enumerate().take(n) {
-                if load > 0 {
-                    let v = self.graph.random_neighbor(u, &mut self.rng);
-                    self.arrivals[v] += 1;
-                    moved += 1;
-                }
-            }
-        }
-        let loads = self.config.loads_slice_mut();
-        for (load, &arrived) in loads.iter_mut().zip(&self.arrivals).take(n) {
-            if *load > 0 {
-                *load -= 1;
-            }
-            *load += arrived;
-        }
-        self.round += 1;
-        moved
-    }
-}
-
-/// The run family is provided by [`Engine`]. Faults reassign loads by
-/// placement (token identities are irrelevant to the load-only walk).
-impl Engine for GraphLoadProcess {
-    #[inline]
-    fn step(&mut self) -> usize {
-        GraphLoadProcess::step(self)
-    }
-
-    #[inline]
-    fn round(&self) -> u64 {
-        self.round
-    }
-
-    #[inline]
-    fn config(&self) -> &Config {
-        &self.config
-    }
-
-    fn supports_faults(&self) -> bool {
-        true
-    }
-
-    fn apply_fault(&mut self, placement: &[usize]) {
-        assert_eq!(
-            placement.len() as u64,
-            self.config.total_balls(),
-            "adversary must conserve tokens"
-        );
-        let n = self.graph.n();
-        let loads = self.config.loads_slice_mut();
-        loads.iter_mut().for_each(|l| *l = 0);
-        for &v in placement {
-            assert!(v < n, "placement out of range");
-            loads[v] += 1;
-        }
+    fn n(&self) -> usize {
+        Graph::n(self)
     }
 }
 
@@ -344,12 +246,19 @@ impl Engine for GraphTokenProcess {
 mod tests {
     use super::*;
     use crate::graph::{complete_with_loops, hypercube, ring, torus};
+    use rbb_core::load::Rule;
     use rbb_core::metrics::{EmptyBinsTracker, MaxLoadTracker};
+    use rbb_core::process::LoadProcess;
+    use std::sync::Arc;
+
+    /// The load-only walk on `graph`, one token per node.
+    fn walk(graph: Graph, seed: u64) -> LoadProcess {
+        LoadProcess::legitimate_start(graph.n(), seed).with_rule(Rule::Neighbors(Arc::new(graph)))
+    }
 
     #[test]
     fn load_process_conserves_tokens() {
-        let g = ring(20);
-        let mut p = GraphLoadProcess::one_per_node(g, 1);
+        let mut p = walk(ring(20), 1);
         for _ in 0..100 {
             p.step();
             assert_eq!(p.config().total_balls(), 20);
@@ -360,17 +269,34 @@ mod tests {
     fn load_process_on_clique_matches_paper_dynamics() {
         // On K_n with self-loops the destination is uniform over all bins:
         // max load should stay logarithmic as in the paper.
-        let g = complete_with_loops(256);
-        let mut p = GraphLoadProcess::one_per_node(g, 2);
+        let mut p = walk(complete_with_loops(256), 2);
         let mut t = MaxLoadTracker::new();
         p.run(1000, &mut t);
         assert!(t.window_max() < 24, "max load {}", t.window_max());
     }
 
     #[test]
+    fn complete_with_loops_walk_is_the_uniform_process_bit_for_bit() {
+        // `complete_with_loops(n)` lists every vertex's neighbors as 0..n
+        // in order, so a neighbor draw is the uniform draw: same loads
+        // every round, same stream state at the end.
+        for (n, seed) in [(2usize, 31u64), (97, 32), (256, 33)] {
+            let mut uniform = LoadProcess::legitimate_start(n, seed);
+            let mut clique = walk(complete_with_loops(n), seed);
+            for r in 0..300 {
+                assert_eq!(uniform.step(), clique.step(), "n = {n}, round {r}");
+                assert_eq!(uniform.config(), clique.config(), "n = {n}, round {r}");
+            }
+            // Back on the uniform rule, the walk snapshots: entries, round
+            // and stream state must all agree.
+            let clique = clique.with_rule(Rule::Uniform);
+            assert_eq!(Engine::snapshot(&uniform), Engine::snapshot(&clique));
+        }
+    }
+
+    #[test]
     fn clique_empty_fraction_quarter() {
-        let g = complete_with_loops(512);
-        let mut p = GraphLoadProcess::one_per_node(g, 3);
+        let mut p = walk(complete_with_loops(512), 3);
         let mut t = EmptyBinsTracker::new();
         p.run(500, &mut t);
         assert_eq!(t.violations_below_quarter(), 0);
@@ -380,12 +306,12 @@ mod tests {
     fn regular_graphs_keep_load_moderate() {
         // The Section-5 conjecture: max load stays logarithmic-ish on
         // regular graphs over moderate windows.
-        let mut p = GraphLoadProcess::one_per_node(hypercube(8), 4); // 256 vertices
+        let mut p = walk(hypercube(8), 4); // 256 vertices
         let mut t = MaxLoadTracker::new();
         p.run(1000, &mut t);
         assert!(t.window_max() < 30, "hypercube max load {}", t.window_max());
 
-        let mut p = GraphLoadProcess::one_per_node(torus(16, 16), 5);
+        let mut p = walk(torus(16, 16), 5);
         let mut t = MaxLoadTracker::new();
         p.run(1000, &mut t);
         assert!(t.window_max() < 30, "torus max load {}", t.window_max());
@@ -393,7 +319,7 @@ mod tests {
 
     #[test]
     fn load_process_fault_reassigns_loads() {
-        let mut p = GraphLoadProcess::one_per_node(ring(8), 11);
+        let mut p = walk(ring(8), 11);
         p.apply_fault(&[3; 8]);
         assert_eq!(p.config().loads()[3], 8);
         assert_eq!(p.config().total_balls(), 8);

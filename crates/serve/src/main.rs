@@ -26,7 +26,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 
 use rbb_serve::clock::{Clock, MockClock, MonotonicClock};
-use rbb_serve::session::{serve_lines, Session};
+use rbb_serve::session::{serve_lines, Session, MAX_RESTORE_BINS};
 use rbb_sim::spec::EngineSpec;
 use rbb_sim::{build_engine, ScenarioSpec};
 
@@ -242,7 +242,9 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
 }
 
 /// Builds the spec (file or defaults), applies overrides, validates, and
-/// wraps the engine into a session.
+/// wraps the engine into a session. A dense or sharded session holds at
+/// most [`MAX_RESTORE_BINS`] bins, so that every snapshot it takes
+/// restores.
 fn build_session(args: &Args) -> Result<Session, String> {
     let mut spec = match &args.spec_path {
         Some(path) => {
@@ -260,6 +262,13 @@ fn build_session(args: &Args) -> Result<Session, String> {
     }
     if let Some(shards) = args.shards {
         spec.shards = Some(shards);
+    }
+    if spec.resolved_engine() != EngineSpec::Sparse && spec.n > MAX_RESTORE_BINS {
+        return Err(format!(
+            "n = {} bins: dense and sharded sessions are limited to {MAX_RESTORE_BINS} \
+             bins, the most a restore allocates; use --engine sparse",
+            spec.n
+        ));
     }
     let engine = build_engine(&spec).map_err(|e| format!("building the engine: {e}"))?;
     let clock: Box<dyn Clock> = if args.mock_clock {
@@ -300,6 +309,17 @@ mod tests {
     impl Connection for Scripted {
         fn split(self) -> std::io::Result<(impl BufRead, impl Write)> {
             Ok((self.requests, Sink(self.responses)))
+        }
+    }
+
+    #[test]
+    fn sessions_above_the_restore_limit_are_refused_before_building() {
+        let over = (MAX_RESTORE_BINS + 1).to_string();
+        for engine in ["dense", "sharded"] {
+            let argv = ["--stdio", "--n", &over, "--engine", engine];
+            let args = parse_args(argv.iter().map(|a| a.to_string())).unwrap();
+            let err = build_session(&args).err().expect("refused");
+            assert!(err.contains("--engine sparse"), "{err}");
         }
     }
 

@@ -9,7 +9,9 @@
 //! A request line may hold at most [`MAX_LINE_BYTES`] (64 MiB) before its
 //! newline; a longer one gets one error response, its rest is skipped, and
 //! the session keeps serving. A larger state restores from a file through
-//! `restore`'s `path`.
+//! `restore`'s `path`. A dense or sharded state restores only up to
+//! [`MAX_RESTORE_BINS`] bins, since its restore allocates every bin; a
+//! sparse state has no such limit.
 //!
 //! | op | request fields | response fields |
 //! |----|----------------|-----------------|
@@ -34,7 +36,7 @@ use std::io::{BufRead, Read, Write};
 
 use rbb_core::engine::{Engine, Incremental};
 use rbb_core::prelude::LegitimacyThreshold;
-use rbb_core::snapshot::{restore, SnapshotState};
+use rbb_core::snapshot::{restore, SnapshotState, ENGINE_DENSE, ENGINE_SHARDED};
 use serde::{Deserialize as _, Serialize as _, Value};
 
 use crate::clock::Clock;
@@ -51,6 +53,13 @@ pub const MAX_STEP_BATCH: u64 = 10_000_000;
 /// a sender that never writes a newline cannot grow the daemon's memory
 /// past it. States larger than this go through `restore`'s `path` field.
 pub const MAX_LINE_BYTES: u64 = 64 << 20;
+
+/// Most bins a dense or sharded `restore` may ask for (2^26, 256 MiB of
+/// loads): those restores allocate a `u32` per bin, so a state naming
+/// `n = 2^32` would otherwise abort the daemon on allocation. Checked
+/// before anything is allocated; sparse states are exempt. `rbb-serve`
+/// builds no larger dense or sharded session, so its snapshots restore.
+pub const MAX_RESTORE_BINS: usize = 1 << 26;
 
 /// A live daemon session: one engine, one clock, running counters.
 pub struct Session {
@@ -345,6 +354,15 @@ impl Session {
             }
             (None, None) => return Err("restore needs a \"state\" or \"path\" field".to_string()),
         };
+        let every_bin = [ENGINE_DENSE, ENGINE_SHARDED].contains(&state.engine.as_str());
+        if every_bin && state.n > MAX_RESTORE_BINS {
+            return Err(format!(
+                "{} state with n = {} bins: dense and sharded restores are limited to \
+                 {MAX_RESTORE_BINS} bins (they allocate every bin); restore larger n \
+                 as a sparse state",
+                state.engine, state.n
+            ));
+        }
         self.engine = restore(&state).map_err(|e| e.0)?;
         Ok(render(&Value::Object(vec![
             ("ok".to_string(), Value::Bool(true)),
@@ -550,6 +568,91 @@ mod tests {
         assert!(resp.contains(r#""ok":false"#), "{resp}");
         let none = s.handle_line(r#"{"op":"restore"}"#);
         assert!(none.contains(r#""ok":false"#), "{none}");
+    }
+
+    #[test]
+    fn oversized_dense_and_sharded_restores_are_refused_before_allocating() {
+        // Each line names 2^32 bins: restoring it would allocate 16 GiB of
+        // loads. The session answers with an error and keeps its engine.
+        let mut s = session(16, 1);
+        let lines = [
+            r#"{"op":"restore","state":{"version":1,"engine":"dense","n":4294967296,"shards":1,"round":0,"balls":1,"entries":[[0,1]],"rng_states":[[1,2,3,4]]}}"#,
+            r#"{"op":"restore","state":{"version":1,"engine":"sharded","n":4294967296,"shards":2,"round":0,"balls":1,"entries":[[0,1]],"rng_states":[[1,2,3,4],[5,6,7,8]]}}"#,
+        ];
+        for (i, line) in lines.into_iter().enumerate() {
+            let resp = s.handle_line(line);
+            assert!(resp.starts_with(r#"{"ok":false"#), "{resp}");
+            assert!(resp.contains(&MAX_RESTORE_BINS.to_string()), "{resp}");
+            assert!(resp.contains("sparse"), "{resp}");
+            assert_eq!(s.stats().errors, i as u64 + 1);
+            let query = s.handle_line(r#"{"op":"query"}"#);
+            assert!(query.contains(r#""n":16,"#), "{query}");
+        }
+        // The same state as a sparse one restores: it allocates per entry.
+        let sparse = lines[0].replace(r#""engine":"dense""#, r#""engine":"sparse""#);
+        let resp = s.handle_line(&sparse);
+        assert!(resp.contains(r#""ok":true"#), "{resp}");
+        assert!(resp.contains(r#""n":4294967296"#), "{resp}");
+    }
+
+    #[test]
+    fn a_restore_with_too_many_choices_is_refused() {
+        // `best_of` comes from the client: a huge d would make the next
+        // round draw d times per bin.
+        let mut s = session(16, 1);
+        let line = r#"{"op":"restore","state":{"version":3,"engine":"dense","n":2,"shards":1,"round":0,"balls":1,"entries":[[0,1]],"rng_states":[[1,2,3,4]],"best_of":18446744073709551615}}"#;
+        let resp = s.handle_line(line);
+        assert!(resp.starts_with(r#"{"ok":false"#), "{resp}");
+        assert!(resp.contains("best_of"), "{resp}");
+        assert_eq!(s.stats().errors, 1);
+        let step = s.handle_line(r#"{"op":"step"}"#);
+        assert!(step.contains(r#""ok":true"#), "{step}");
+        let query = s.handle_line(r#"{"op":"query"}"#);
+        assert!(query.contains(r#""n":16,"#), "{query}");
+    }
+
+    fn dchoice_session(n: usize, seed: u64) -> Session {
+        use rbb_core::load::Rule;
+        Session::new(
+            Box::new(LoadProcess::legitimate_start(n, seed).with_rule(Rule::BestOf(2))),
+            Box::new(MockClock::new(1000)),
+        )
+    }
+
+    #[test]
+    fn dchoice_sessions_place_depart_and_resume_from_a_snapshot() {
+        let mut a = dchoice_session(64, 19);
+        for req in [
+            r#"{"op":"place"}"#,
+            r#"{"op":"depart","bin":0}"#,
+            r#"{"op":"step","rounds":9}"#,
+            r#"{"op":"place","count":4}"#,
+        ] {
+            let resp = a.handle_line(req);
+            assert!(resp.contains(r#""ok":true"#), "{req} -> {resp}");
+        }
+        let snap = a.handle_line(r#"{"op":"snapshot"}"#);
+        assert!(snap.contains(r#""version":3,"#), "{snap}");
+        assert!(snap.contains(r#""best_of":2"#), "{snap}");
+        let state = serde_json::parse_value_str(&snap)
+            .unwrap()
+            .get("state")
+            .cloned()
+            .unwrap();
+        let mut b = session(8, 1);
+        let restore_req = render(&Value::Object(vec![
+            ("op".to_string(), Value::Str("restore".to_string())),
+            ("state".to_string(), state),
+        ]));
+        assert!(b.handle_line(&restore_req).contains(r#""ok":true"#));
+        for req in [
+            r#"{"op":"place"}"#,
+            r#"{"op":"step","rounds":5}"#,
+            r#"{"op":"place","count":3}"#,
+            r#"{"op":"query"}"#,
+        ] {
+            assert_eq!(a.handle_line(req), b.handle_line(req), "diverged at {req}");
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! adversary `stream(seed, 0xADFE)`) match the pre-spec experiments, so
 //! migrated experiments regenerate identical numbers.
 
-use rbb_baselines::DChoiceProcess;
+use std::sync::Arc;
+
 use rbb_core::adversary::{
     Adversary, AllInOneAdversary, FaultSchedule, FollowTheLeaderAdversary, PackedAdversary,
     RandomAdversary,
@@ -24,6 +25,7 @@ use rbb_core::adversary::{
 use rbb_core::ball_process::BallProcess;
 use rbb_core::config::LegitimacyThreshold;
 use rbb_core::engine::Engine;
+use rbb_core::load::Rule;
 use rbb_core::metrics::ObserverStack;
 use rbb_core::process::LoadProcess;
 use rbb_core::rng::Xoshiro256pp;
@@ -32,7 +34,7 @@ use crate::seed::{adversary_rng, engine_rng};
 use rbb_core::sharded::ShardedLoadProcess;
 use rbb_core::sparse::SparseLoadProcess;
 use rbb_core::tetris::{BatchedTetris, Tetris};
-use rbb_graphs::{GraphLoadProcess, GraphTokenProcess};
+use rbb_graphs::GraphTokenProcess;
 use rbb_traversal::Traversal;
 
 use crate::spec::{
@@ -46,14 +48,16 @@ use crate::spec::{
 /// | complete | uniform | — | any but covered | [`LoadProcess`] / [`SparseLoadProcess`] / [`ShardedLoadProcess`] |
 /// | complete | uniform | set | covered | [`Traversal`] |
 /// | complete | uniform | set | other | [`BallProcess`] |
-/// | complete | d-choice | — | any | [`DChoiceProcess`] |
+/// | complete | d-choice | — | any | [`LoadProcess`] under [`Rule::BestOf`] |
 /// | complete | tetris | — | any | [`Tetris`] |
 /// | complete | batched-tetris | — | any | [`BatchedTetris`] |
-/// | graph | uniform | — | any but covered | [`GraphLoadProcess`] |
+/// | graph | uniform | — | any but covered | [`LoadProcess`] under [`Rule::Neighbors`] |
 /// | graph | uniform | set | any | [`GraphTokenProcess`] |
 ///
-/// The load-only cell is one arm: it resolves dense vs sparse vs sharded
-/// through [`ScenarioSpec::resolved_engine`] (dense and sparse are
+/// The d-choice and graph-walk cells build dense storage only (the spec
+/// layer refuses other engines and weights there). The load-only cell is
+/// one arm: it resolves dense vs sparse vs sharded through
+/// [`ScenarioSpec::resolved_engine`] (dense and sparse are
 /// bit-identical; sharded is bit-identical at `shards: 1` and law-equal
 /// above — see the spec module docs) and hands the spec's weights and
 /// capacities to that storage's `with_weights` constructor. The sparse
@@ -74,11 +78,10 @@ pub fn build_engine(spec: &ScenarioSpec) -> Result<Box<dyn Engine>, SpecError> {
                 let config = spec
                     .start
                     .build(graph.n(), m_for_graph(&graph, m, spec)?, seed)?;
-                Ok(Box::new(GraphLoadProcess::new(
-                    graph,
-                    config,
-                    engine_rng(seed),
-                )))
+                let rule = Rule::Neighbors(Arc::new(graph));
+                Ok(Box::new(
+                    LoadProcess::new(config, engine_rng(seed)).with_rule(rule),
+                ))
             }
             Some(s) => Ok(Box::new(GraphTokenProcess::with_strategy(
                 graph,
@@ -135,7 +138,9 @@ pub fn build_engine(spec: &ScenarioSpec) -> Result<Box<dyn Engine>, SpecError> {
         },
         ArrivalSpec::DChoice { d } => {
             let config = spec.start.build(spec.n, m, seed)?;
-            Ok(Box::new(DChoiceProcess::new(config, d, engine_rng(seed))))
+            Ok(Box::new(
+                LoadProcess::new(config, engine_rng(seed)).with_rule(Rule::BestOf(d)),
+            ))
         }
         ArrivalSpec::Tetris => {
             let config = spec.start.build(spec.n, m, seed)?;
@@ -531,7 +536,8 @@ mod tests {
         let mut stack = ObserverStack::new().with_max_load();
         scenario.run_observed(&mut stack);
 
-        let mut p = GraphLoadProcess::one_per_node(rbb_graphs::ring(64), 21);
+        let mut p = LoadProcess::legitimate_start(64, 21)
+            .with_rule(Rule::Neighbors(Arc::new(rbb_graphs::ring(64))));
         let mut t = MaxLoadTracker::new();
         p.run(640, &mut t);
         assert_eq!(stack.max_load.unwrap().window_max(), t.window_max());
@@ -574,7 +580,7 @@ mod tests {
         let mut stack = ObserverStack::new().with_max_load();
         scenario.run_observed(&mut stack);
 
-        let mut p = DChoiceProcess::legitimate_start(256, 2, 17);
+        let mut p = LoadProcess::legitimate_start(256, 17).with_rule(Rule::BestOf(2));
         let mut t = MaxLoadTracker::new();
         p.run(2560, &mut t);
         assert_eq!(stack.max_load.unwrap().window_max(), t.window_max());
@@ -892,15 +898,23 @@ mod tests {
     }
 
     #[test]
-    fn fault_arm_requires_engine_support() {
+    fn dchoice_spec_with_an_adversary_runs_and_conserves_balls() {
+        // d-choice runs on the load engine, so it takes the unit fault
+        // path: every fault round reassigns all 64 balls, none is lost.
         let spec = ScenarioSpec::builder(64)
             .arrival(ArrivalSpec::DChoice { d: 2 })
             .adversary(
                 AdversaryKindSpec::AllInOne,
-                ScheduleSpec::Gamma { gamma: 6 },
+                ScheduleSpec::Period { period: 50 },
             )
+            .horizon_rounds(500)
+            .seed(8)
             .build();
-        assert!(spec.scenario().is_err());
+        let mut scenario = spec.scenario().unwrap();
+        let outcome = scenario.run();
+        assert_eq!(outcome.faults, 10);
+        assert_eq!(scenario.engine().balls(), 64);
+        assert_eq!(scenario.engine().config().total_balls(), 64);
     }
 
     #[test]

@@ -70,6 +70,7 @@
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use rbb_core::config::Config;
+use rbb_core::load::MAX_BEST_OF;
 use rbb_core::sampling::{random_assignment_entries, random_assignment_multinomial};
 use rbb_core::strategy::QueueStrategy;
 use rbb_core::weights::{Capacities, Weights, DEFAULT_ZIPF_W_MAX};
@@ -254,7 +255,8 @@ pub enum ArrivalSpec {
     Uniform,
     /// Least loaded of `d` uniform candidates (\[36\]; `d = 1` ≡ uniform).
     DChoice {
-        /// Number of uniform candidates per re-assignment.
+        /// Number of uniform candidates per re-assignment, 1 to
+        /// [`MAX_BEST_OF`].
         d: usize,
     },
     /// The Section-3 Tetris majorant: `⌊(3/4)n⌋` fresh arrivals per round.
@@ -393,10 +395,11 @@ pub enum TopologySpec {
     /// Complete graph with self-loops — exactly the paper's process, served
     /// by the dedicated (fast) clique engines.
     Complete,
-    /// The same complete-with-loops graph, but run through the generic
-    /// graph-walk engine. Identical in *law* to [`Complete`][Self::Complete]
-    /// while consuming the RNG through the neighbor sampler — use it when
-    /// comparing topologies on equal sampling footing (experiment E13).
+    /// The same complete-with-loops graph, but run through the graph walk's
+    /// neighbor sampler — use it when comparing topologies on equal
+    /// sampling footing (experiment E13). Bit-identical to
+    /// [`Complete`][Self::Complete]: every vertex lists its neighbors as
+    /// `0..n` in order, so a neighbor draw is the uniform draw.
     CompleteGraph,
     /// Cycle.
     Ring,
@@ -798,8 +801,10 @@ impl ScenarioSpec {
         }
         match self.arrival {
             ArrivalSpec::DChoice { d } => {
-                if d < 1 {
-                    return Err(SpecError("d-choice needs d >= 1".into()));
+                if !(1..=MAX_BEST_OF).contains(&d) {
+                    return Err(SpecError(format!(
+                        "d-choice needs 1 <= d <= {MAX_BEST_OF}, got {d}"
+                    )));
                 }
                 if self.strategy.is_some() {
                     return Err(SpecError(
@@ -1428,6 +1433,9 @@ mod tests {
             ScenarioSpec::builder(64).horizon_rounds(0).build(),
             ScenarioSpec::builder(64)
                 .arrival(ArrivalSpec::DChoice { d: 0 })
+                .build(),
+            ScenarioSpec::builder(64)
+                .arrival(ArrivalSpec::DChoice { d: MAX_BEST_OF + 1 })
                 .build(),
             ScenarioSpec::builder(64)
                 .arrival(ArrivalSpec::DChoice { d: 2 })

@@ -22,18 +22,6 @@ impl IntHistogram {
         self.total += 1;
     }
 
-    /// Adds `w` observations of value `v`.
-    pub fn add_weighted(&mut self, v: usize, w: u64) {
-        if w == 0 {
-            return;
-        }
-        if v >= self.counts.len() {
-            self.counts.resize(v + 1, 0);
-        }
-        self.counts[v] += w;
-        self.total += w;
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &IntHistogram) {
         if other.counts.len() > self.counts.len() {
@@ -160,9 +148,7 @@ mod tests {
 
     #[test]
     fn mean_is_weighted_average() {
-        let mut h = IntHistogram::new();
-        h.add_weighted(2, 3);
-        h.add_weighted(6, 1);
+        let h: IntHistogram = [2usize, 2, 2, 6].into_iter().collect();
         assert!((h.mean() - 3.0).abs() < 1e-12);
     }
 
@@ -183,13 +169,5 @@ mod tests {
         assert_eq!(h.quantile(0.0), Some(1));
         assert_eq!(h.quantile(0.5), Some(2));
         assert_eq!(h.quantile(1.0), Some(4));
-    }
-
-    #[test]
-    fn add_weighted_zero_is_noop() {
-        let mut h = IntHistogram::new();
-        h.add_weighted(5, 0);
-        assert_eq!(h.total(), 0);
-        assert_eq!(h.max_value(), None);
     }
 }

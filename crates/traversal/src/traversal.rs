@@ -150,9 +150,9 @@ impl Traversal {
 }
 
 /// The run family is provided by [`Engine`]. The traversal's visited-set
-/// bookkeeping rides on the scalar per-move hook, so `step_batched`
-/// defaults to the scalar step; `covered` exposes the Corollary-1 goal to
-/// generic drivers and stop conditions.
+/// bookkeeping rides on [`BallProcess::step_with`]'s per-move hook;
+/// `covered` exposes the Corollary-1 goal to generic drivers and stop
+/// conditions.
 impl Engine for Traversal {
     #[inline]
     fn step(&mut self) -> usize {

@@ -4,7 +4,8 @@
 //!
 //! Run: `cargo run --release --example process_zoo`
 
-use rbb_baselines::{DChoiceProcess, IndependentWalks, JacksonNetwork};
+use rbb_baselines::{IndependentWalks, JacksonNetwork};
+use rbb_core::load::Rule;
 use rbb_core::metrics::MaxLoadTracker;
 use rbb_core::prelude::*;
 
@@ -46,9 +47,9 @@ fn main() {
         );
     }
 
-    // d-choice ([36]).
+    // d-choice ([36]): the paper's process with the best of d uniform bins.
     for d in [1usize, 2] {
-        let mut dc = DChoiceProcess::legitimate_start(n, d, 4);
+        let mut dc = LoadProcess::legitimate_start(n, 4).with_rule(Rule::BestOf(d));
         let mut t = MaxLoadTracker::new();
         dc.run(window, &mut t);
         row(&format!("repeated {d}-choice"), t.window_max() as f64);

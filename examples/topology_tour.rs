@@ -7,12 +7,14 @@
 //!
 //! Run: `cargo run --release --example topology_tour`
 
+use std::sync::Arc;
+
 use rbb_core::engine::Engine;
+use rbb_core::load::Rule;
 use rbb_core::metrics::{EmptyBinsTracker, MaxLoadTracker};
+use rbb_core::process::LoadProcess;
 use rbb_core::rng::Xoshiro256pp;
-use rbb_graphs::{
-    complete_with_loops, hypercube, random_regular, ring, star, torus, Graph, GraphLoadProcess,
-};
+use rbb_graphs::{complete_with_loops, hypercube, random_regular, ring, star, torus, Graph};
 
 fn tour(name: &str, graph: Graph, rounds: u64) {
     let n = graph.n();
@@ -20,7 +22,10 @@ fn tour(name: &str, graph: Graph, rounds: u64) {
         .regular_degree()
         .map(|d| d.to_string())
         .unwrap_or_else(|| "irregular".into());
-    let mut p = GraphLoadProcess::one_per_node(graph, 0xD15C0);
+    // The load engine with each ball's destination drawn among the
+    // releasing node's neighbors.
+    let mut p =
+        LoadProcess::legitimate_start(n, 0xD15C0).with_rule(Rule::Neighbors(Arc::new(graph)));
     let mut max_t = MaxLoadTracker::new();
     let mut empty_t = EmptyBinsTracker::new();
     p.run(rounds, (&mut max_t, &mut empty_t));

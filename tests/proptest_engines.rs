@@ -1,21 +1,25 @@
 //! Cross-engine equivalence for **every** [`Engine`] implementation the
 //! scenario factory can build. The load engine's rows (dense, sparse and
-//! sharded storage, unit and weighted) step against the scalar
-//! `rbb_core::load::reference_round`, seeded from the engine's own
-//! snapshot; every other row checks that `step` and `step_batched` produce
-//! bit-identical trajectories (engines without a dedicated batched kernel
-//! default `step_batched` to `step`), so the contract stays honest as
-//! kernels get added. Mover counts are pinned as well as configurations.
+//! sharded storage, unit and weighted, and the d-choice and graph-walk
+//! destination rules) step against the scalar
+//! `rbb_core::load::reference_round` under their rule, seeded from the
+//! engine's own snapshot (from the spec for the graph walk, which has
+//! none); every other row checks that `step` and `step_batched` produce
+//! bit-identical trajectories, so the contract stays honest as kernels get
+//! added. Mover counts are pinned as well as configurations.
 //!
-//! Engines are built in pairs through `rbb_sim::build_engine` from one
-//! spec, so the matrix automatically tracks the factory table (clique
-//! engines, d-choice, Tetris variants, traversal, and both graph walkers).
+//! Engines are built through `rbb_sim::build_engine` from one spec, so the
+//! matrix automatically tracks the factory table (clique engines, d-choice,
+//! Tetris variants, traversal, and both graph walkers).
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use rbb_core::engine::Engine;
-use rbb_core::load::reference_round;
+use rbb_core::load::{reference_round, Rule};
 use rbb_core::rng::Xoshiro256pp;
+use rbb_sim::seed::engine_rng;
 use rbb_sim::{ArrivalSpec, ScenarioSpec, StopSpec, StrategySpec, TopologySpec};
 
 /// Every `impl Engine` type the matrix below drives (indirectly, through
@@ -25,23 +29,24 @@ use rbb_sim::{ArrivalSpec, ScenarioSpec, StopSpec, StrategySpec, TopologySpec};
 ///
 /// The load engine ([`rbb_core::load::LoadEngine`], behind the three
 /// storage aliases) is covered in both its unit and its **weighted**
-/// configurations (the `*-weighted` matrix labels); the weighted-specific
-/// laws — unit degeneration, weight obliviousness, snapshot round-trip —
-/// live in `tests/proptest_weighted.rs`.
+/// configurations (the `*-weighted` matrix labels) and, on dense storage,
+/// under the d-choice and graph-walk destination rules; the
+/// weighted-specific laws — unit degeneration, weight obliviousness,
+/// snapshot round-trip — live in `tests/proptest_weighted.rs`.
 const COVERED_ENGINES: &[&str] = &[
     "LoadEngine",
     "LoadProcess",
     "LoadProcess (weighted)",
+    "LoadProcess (best of d)",
+    "LoadProcess (neighbors)",
     "SparseLoadProcess",
     "SparseLoadProcess (weighted)",
     "ShardedLoadProcess",
     "ShardedLoadProcess (weighted)",
     "BallProcess",
-    "DChoiceProcess",
     "Tetris",
     "BatchedTetris",
     "Traversal",
-    "GraphLoadProcess",
     "GraphTokenProcess",
 ];
 
@@ -222,9 +227,14 @@ fn assert_paths_identical(combo: &Combo, n: usize, seed: u64, rounds: u64) {
     let spec = spec_for(combo, n, seed);
     spec.validate()
         .unwrap_or_else(|e| panic!("matrix combo '{}' must be a valid spec: {e}", combo.0));
-    if combo.0.starts_with("load") {
+    let label = combo.0;
+    if label.starts_with("load") || label == "dchoice" {
         let mut engine = rbb_sim::build_engine(&spec).expect("factory");
-        assert_matches_reference(engine.as_mut(), combo.0, seed, rounds);
+        assert_matches_reference(engine.as_mut(), label, seed, rounds);
+        return;
+    }
+    if label.starts_with("graph-load") {
+        assert_walk_matches_reference(&spec, label, rounds);
         return;
     }
     let mut scalar = rbb_sim::build_engine(&spec).expect("factory");
@@ -251,11 +261,13 @@ fn assert_paths_identical(combo: &Combo, n: usize, seed: u64, rounds: u64) {
 }
 
 /// Steps a load engine against the reference round seeded from its own
-/// snapshot (entries → loads, `rng_states` → streams), so one helper
-/// covers every storage at every shard count, weighted or not: mover
-/// counts and loads every round, stream states at the end.
+/// snapshot (entries → loads, `rng_states` → streams, `best_of` → rule),
+/// so one helper covers every storage at every shard count, weighted or
+/// not, and the d-choice rule: mover counts and loads every round, stream
+/// states at the end.
 fn assert_matches_reference(engine: &mut dyn Engine, label: &str, seed: u64, rounds: u64) {
     let snap = engine.snapshot().expect("load engines snapshot");
+    let rule = snap.best_of.map_or(Rule::Uniform, Rule::BestOf);
     let mut loads = vec![0u32; snap.n];
     for &(bin, load) in &snap.entries {
         loads[bin as usize] = load;
@@ -268,7 +280,7 @@ fn assert_matches_reference(engine: &mut dyn Engine, label: &str, seed: u64, rou
     for r in 0..rounds {
         assert_eq!(
             engine.step(),
-            reference_round(&mut loads, &mut streams),
+            reference_round(&mut loads, &mut streams, &rule),
             "{label}: mover count diverged at round {r} (seed = {seed})"
         );
         assert_eq!(
@@ -281,6 +293,50 @@ fn assert_matches_reference(engine: &mut dyn Engine, label: &str, seed: u64, rou
     let snap = engine.snapshot().expect("load engines snapshot");
     assert_eq!(snap.rng_states, states, "{label}: stream states diverged");
     assert_eq!(snap.round, rounds);
+}
+
+/// Steps a graph walk against the reference round under its neighbor
+/// rule. The walk has no snapshot (it cannot carry the graph), so the
+/// reference starts from the spec: its graph, its one-per-node start and
+/// the engine stream of its seed. Mover counts and loads every round; at
+/// the end one placement, a uniform draw from the engine stream, must
+/// match the reference stream's next draw.
+fn assert_walk_matches_reference(spec: &ScenarioSpec, label: &str, rounds: u64) {
+    let mut engine = rbb_sim::build_engine(spec).expect("factory");
+    assert!(
+        engine.snapshot().is_none(),
+        "{label}: walks do not snapshot"
+    );
+    let graph = spec.topology.build(spec.n, spec.seed);
+    let n = graph.n();
+    let mut loads = spec
+        .start
+        .build(n, n as u64, spec.seed)
+        .expect("one per node")
+        .loads()
+        .to_vec();
+    let mut streams = [engine_rng(spec.seed)];
+    let rule = Rule::Neighbors(Arc::new(graph));
+    for r in 0..rounds {
+        assert_eq!(
+            engine.step(),
+            reference_round(&mut loads, &mut streams, &rule),
+            "{label}: mover count diverged at round {r} (seed = {})",
+            spec.seed
+        );
+        assert_eq!(
+            engine.config().loads(),
+            &loads[..],
+            "{label}: trajectory diverged at round {r} (seed = {})",
+            spec.seed
+        );
+    }
+    let placed = engine.incremental().expect("walks place").place();
+    assert_eq!(
+        placed,
+        streams[0].uniform_usize(n),
+        "{label}: stream states diverged"
+    );
 }
 
 proptest! {

@@ -1,5 +1,6 @@
 //! Snapshot/restore round trip: for every load engine (dense, sparse,
-//! sharded), a snapshot taken mid-trajectory — serialized to JSON and
+//! sharded, and the d-choice rule on dense storage), a snapshot taken
+//! mid-trajectory — serialized to JSON and
 //! parsed back — restores an engine whose remaining trajectory is
 //! bit-identical to the uninterrupted original, across seeds, start
 //! configurations, shard counts, and interleaved `place`/`depart` traffic.
@@ -9,24 +10,25 @@ use proptest::prelude::*;
 
 use rbb_core::engine::{Engine, Incremental};
 use rbb_core::snapshot::{restore, SnapshotState};
-use rbb_sim::{EngineSpec, ScenarioSpec, StartSpec};
+use rbb_sim::{ArrivalSpec, EngineSpec, ScenarioSpec, StartSpec};
 use serde::Deserialize as _;
 
 /// The three engines with a snapshot surface, with a shard-count axis for
-/// the sharded one.
-fn engine_axis() -> Vec<(EngineSpec, Option<usize>)> {
+/// the sharded one, and the d-choice rule (layout version 3) on the dense
+/// one.
+fn engine_axis() -> Vec<(EngineSpec, Option<usize>, ArrivalSpec)> {
     vec![
-        (EngineSpec::Dense, None),
-        (EngineSpec::Sparse, None),
-        (EngineSpec::Sharded, Some(1)),
-        (EngineSpec::Sharded, Some(3)),
-        (EngineSpec::Sharded, Some(4)),
+        (EngineSpec::Dense, None, ArrivalSpec::Uniform),
+        (EngineSpec::Dense, None, ArrivalSpec::DChoice { d: 3 }),
+        (EngineSpec::Sparse, None, ArrivalSpec::Uniform),
+        (EngineSpec::Sharded, Some(1), ArrivalSpec::Uniform),
+        (EngineSpec::Sharded, Some(3), ArrivalSpec::Uniform),
+        (EngineSpec::Sharded, Some(4), ArrivalSpec::Uniform),
     ]
 }
 
 fn build(
-    engine: EngineSpec,
-    shards: Option<usize>,
+    (engine, shards, arrival): (EngineSpec, Option<usize>, ArrivalSpec),
     start: StartSpec,
     n: usize,
     seed: u64,
@@ -35,6 +37,7 @@ fn build(
         .name("snapshot-roundtrip")
         .start(start)
         .seed(seed)
+        .arrival(arrival)
         .engine(engine);
     if let Some(k) = shards {
         b = b.shards(k);
@@ -82,16 +85,15 @@ fn assert_twins(a: &dyn Engine, b: &dyn Engine, context: &str) {
 /// the state through JSON, restores, then drives original and restoree in
 /// lockstep for `m` more rounds of mixed traffic.
 fn assert_roundtrip(
-    engine: EngineSpec,
-    shards: Option<usize>,
+    axis: (EngineSpec, Option<usize>, ArrivalSpec),
     start: StartSpec,
     n: usize,
     seed: u64,
     k: u64,
     m: u64,
 ) {
-    let label = format!("({engine:?}, shards {shards:?}, n {n}, seed {seed})");
-    let mut original = build(engine, shards, start, n, seed);
+    let label = format!("({axis:?}, n {n}, seed {seed})");
+    let mut original = build(axis, start, n, seed);
     for _ in 0..k {
         original.step_batched();
     }
@@ -144,9 +146,9 @@ proptest! {
         k in 1u64..30,
         m in 5u64..20,
     ) {
-        for (engine, shards) in engine_axis() {
+        for axis in engine_axis() {
             for start in [StartSpec::OnePerBin, StartSpec::AllInOne, StartSpec::Geometric] {
-                assert_roundtrip(engine, shards, start, n, seed, k, m);
+                assert_roundtrip(axis, start, n, seed, k, m);
             }
         }
     }
@@ -156,9 +158,9 @@ proptest! {
 /// runner.
 #[test]
 fn snapshot_axis_pinned_seeds() {
-    for (engine, shards) in engine_axis() {
+    for axis in engine_axis() {
         for seed in [1u64, 0xBEEF] {
-            assert_roundtrip(engine, shards, StartSpec::OnePerBin, 33, seed, 25, 10);
+            assert_roundtrip(axis, StartSpec::OnePerBin, 33, seed, 25, 10);
         }
     }
 }
@@ -167,7 +169,8 @@ fn snapshot_axis_pinned_seeds() {
 /// independent engines on the same trajectory (no shared mutability).
 #[test]
 fn one_snapshot_restores_many_identical_engines() {
-    let mut e = build(EngineSpec::Sharded, Some(4), StartSpec::AllInOne, 48, 7);
+    let axis = (EngineSpec::Sharded, Some(4), ArrivalSpec::Uniform);
+    let mut e = build(axis, StartSpec::AllInOne, 48, 7);
     for _ in 0..20 {
         e.step();
     }
@@ -184,7 +187,8 @@ fn one_snapshot_restores_many_identical_engines() {
 /// Corrupted snapshots are rejected by `restore`, not trusted.
 #[test]
 fn restore_rejects_corruption() {
-    let mut e = build(EngineSpec::Dense, None, StartSpec::OnePerBin, 16, 3);
+    let axis = (EngineSpec::Dense, None, ArrivalSpec::Uniform);
+    let mut e = build(axis, StartSpec::OnePerBin, 16, 3);
     e.step();
     let good = e.snapshot().expect("snapshot");
     let json = serde_json::to_string(&good).expect("serialize");

@@ -4,10 +4,10 @@
 
 use proptest::prelude::*;
 
-use rbb_baselines::DChoiceProcess;
 use rbb_core::ball_process::BallProcess;
 use rbb_core::config::Config;
 use rbb_core::engine::Engine;
+use rbb_core::load::Rule;
 use rbb_core::process::LoadProcess;
 use rbb_core::rng::Xoshiro256pp;
 use rbb_core::strategy::QueueStrategy;
@@ -216,11 +216,10 @@ fn spec_engines_match_hand_built_for_all_strategy_arrival_combos() {
                         },
                         Xoshiro256pp::seed_from(seed),
                     )),
-                    (None, ArrivalSpec::DChoice { d }) => Box::new(DChoiceProcess::new(
-                        Config::one_per_bin(n),
-                        d,
-                        Xoshiro256pp::seed_from(seed),
-                    )),
+                    (None, ArrivalSpec::DChoice { d }) => Box::new(
+                        LoadProcess::new(Config::one_per_bin(n), Xoshiro256pp::seed_from(seed))
+                            .with_rule(Rule::BestOf(d)),
+                    ),
                     (None, ArrivalSpec::Tetris) => Box::new(Tetris::new(
                         Config::one_per_bin(n),
                         Xoshiro256pp::seed_from(seed),
@@ -265,7 +264,7 @@ fn scenario_run_equals_scalar_reference() {
     let mut loads = vec![1u32; 96];
     let mut streams = [Xoshiro256pp::seed_from(5)];
     for _ in 0..300 {
-        rbb_core::load::reference_round(&mut loads, &mut streams);
+        rbb_core::load::reference_round(&mut loads, &mut streams, &Rule::Uniform);
     }
     assert_eq!(scenario.engine().config().loads(), &loads[..]);
 }
