@@ -19,7 +19,9 @@
 #                proptests, rbb-exp smoke
 #   specs        committed specs run; ensemble + sharded determinism diffs
 #   weighted     weighted regime: specs/weighted-*.json byte-diffed against
-#                their goldens; unit-degeneration/obliviousness proptests
+#                their goldens; the weighted sparse ensemble byte-diffed
+#                against its dense twin; unit-degeneration/obliviousness
+#                proptests
 #   serve        rbb-serve daemon end to end: socket session, snapshot →
 #                restore → resume byte-diffed against an uninterrupted run,
 #                unit and weighted sessions on each load engine, and a
@@ -200,6 +202,26 @@ stage_weighted() {
     done
     if [ "${found}" -eq 0 ]; then
         echo "ERROR: no weighted specs found under specs/" >&2
+        exit 1
+    fi
+
+    # Sparse = dense end to end: the weighted sparse ensemble and its twin
+    # on dense storage print the same report byte for byte.
+    echo "==> weighted sparse ensemble byte-diffed against its dense twin"
+    local sparse_spec=specs/ensemble-weighted-sparse.json
+    local dense_spec=target/ensemble-weighted-sparse-as-dense.json
+    sed 's/"engine": *"sparse"/"engine": "dense"/' "${sparse_spec}" > "${dense_spec}"
+    if cmp -s "${sparse_spec}" "${dense_spec}" || ! grep -q '"engine": "dense"' "${dense_spec}"; then
+        echo "ERROR: could not write a dense twin of ${sparse_spec}" >&2
+        exit 1
+    fi
+    RAYON_NUM_THREADS=2 cargo run -q --release --bin rbb -- \
+        ensemble --spec "${sparse_spec}" --quick > target/ensemble-weighted-twin-sparse.json
+    RAYON_NUM_THREADS=2 cargo run -q --release --bin rbb -- \
+        ensemble --spec "${dense_spec}" --quick > target/ensemble-weighted-twin-dense.json
+    if ! cmp -s target/ensemble-weighted-twin-sparse.json target/ensemble-weighted-twin-dense.json; then
+        echo "ERROR: the weighted sparse ensemble and its dense twin report differently" >&2
+        diff target/ensemble-weighted-twin-sparse.json target/ensemble-weighted-twin-dense.json >&2 || true
         exit 1
     fi
 

@@ -122,14 +122,18 @@ impl Config {
     /// Number of empty bins (`a(q)` in Lemma 1).
     #[inline]
     pub fn empty_bins(&self) -> usize {
-        self.loads.iter().filter(|&&x| x == 0).count()
+        self.n() - self.nonempty_bins()
     }
 
     /// Number of non-empty bins (`|W|` in Lemma 3): exactly the number of
     /// balls that move in the next round.
     #[inline]
     pub fn nonempty_bins(&self) -> usize {
-        self.loads.iter().filter(|&&x| x > 0).count()
+        // Counted in u32 lanes, chunk by chunk: a chunk's count fits u32
+        // whatever the loads.
+        const CHUNK: usize = 1 << 16;
+        let count = |chunk: &[u32]| chunk.iter().map(|&x| u32::from(x > 0)).sum::<u32>();
+        self.loads.chunks(CHUNK).map(|c| count(c) as usize).sum()
     }
 
     /// Immutable view of the raw load vector.

@@ -178,8 +178,7 @@ pub struct Draws {
     /// (see [`LoadStore::BIN_HANDLES`]): the handle of each draw in
     /// `dests`.
     pub(crate) handles: Vec<u32>,
-    /// The sparse storage's radix-sort buffer; the rule round's departing
-    /// bins.
+    /// The rule round's departing bins.
     pub(crate) scratch: Vec<u32>,
 }
 

@@ -44,29 +44,35 @@ impl LoadStore for DenseStore {
         self.config.n()
     }
 
-    /// The departure scan, then the batched throw of
-    /// [`throw_uniform_batched`].
+    /// The departure scan, then one draw per departure: straight into the
+    /// loads on a unit round, through the batched throw of
+    /// [`throw_uniform_batched`] (which leaves the draws in `draws.dests`)
+    /// on a weighted one.
     fn round(&mut self, draws: &mut Draws, srcs: Option<&mut Vec<u32>>) -> usize {
         let loads = self.config.loads_mut();
-        let mut departures = 0usize;
-        match srcs {
-            None => {
-                for l in loads.iter_mut() {
-                    // Branchless: at ~63% occupancy in equilibrium the
-                    // `l > 0` branch is close to worst-case unpredictable.
-                    let occupied = u32::from(*l > 0);
-                    *l -= occupied;
-                    departures += occupied as usize;
-                }
+        let Some(srcs) = srcs else {
+            // Counted in u32 lanes: the non-empty bins never outnumber the
+            // balls, which every load engine keeps at or below u32::MAX.
+            let mut departures = 0u32;
+            for l in loads.iter_mut() {
+                // Branchless: at ~63% occupancy in equilibrium the `l > 0`
+                // branch is close to worst-case unpredictable.
+                let occupied = u32::from(*l > 0);
+                *l -= occupied;
+                departures += occupied;
             }
-            Some(srcs) => {
-                for (l, b) in loads.iter_mut().zip(0u32..) {
-                    if *l > 0 {
-                        *l -= 1;
-                        departures += 1;
-                        srcs.push(b);
-                    }
-                }
+            let rng = &mut draws.streams[0];
+            for _ in 0..departures {
+                loads[draws.sampler.sample(rng) as usize] += 1;
+            }
+            return departures as usize;
+        };
+        let mut departures = 0usize;
+        for (l, b) in loads.iter_mut().zip(0u32..) {
+            if *l > 0 {
+                *l -= 1;
+                departures += 1;
+                srcs.push(b);
             }
         }
         throw_uniform_batched(
@@ -230,15 +236,24 @@ impl LoadProcess {
     /// Advances one round, recording each mover's destination in `dests`
     /// (bin indices in the order the source bins were scanned). Used by the
     /// Lemma-3 coupling, which reuses these choices for the Tetris copy.
+    /// Panics on a weighted engine or a rule other than `Uniform`.
+    ///
+    /// # RNG stream
+    ///
+    /// Consumes what [`Engine::step`] does: the recorded destinations are
+    /// the round's `moved` draws, replayed from a copy of the engine
+    /// stream taken before the step.
     pub fn step_recording(&mut self, dests: &mut Vec<usize>) -> usize {
         assert!(
-            self.weighted.is_none(),
-            "step_recording is a unit-path primitive (the Lemma-3 coupling); \
-             weighted rounds go through step"
+            self.weighted.is_none() && matches!(self.rule, Rule::Uniform),
+            "step_recording is a unit-path primitive of the uniform process (the \
+             Lemma-3 coupling); weighted rounds and destination rules go through step"
         );
+        let mut replay = self.draws.streams[0].clone();
         let moved = self.step();
+        let sampler = self.draws.sampler;
         dests.clear();
-        dests.extend(self.draws.dests.iter().map(|&d| d as usize));
+        dests.extend((0..moved).map(|_| sampler.sample(&mut replay) as usize));
         moved
     }
 

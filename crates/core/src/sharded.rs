@@ -150,27 +150,29 @@ fn depart_and_throw(
     sampler: &UniformSampler,
     router: Router,
 ) -> usize {
-    let mut departures = 0usize;
-    let mut still = 0usize;
+    // Counted in u32 lanes: a shard's non-empty bins never outnumber the
+    // balls, which the engine keeps at or below u32::MAX.
+    let mut departures = 0u32;
+    let mut still = 0u32;
     for l in shard.loads.iter_mut() {
         // Branchless, like the dense kernel: at equilibrium occupancy the
         // `l > 0` branch is close to worst-case unpredictable.
         let occupied = u32::from(*l > 0);
         *l -= occupied;
-        departures += occupied as usize;
-        still += usize::from(*l > 0);
+        departures += occupied;
+        still += u32::from(*l > 0);
     }
-    shard.nonempty = still;
+    shard.nonempty = still as usize;
     for dest in row.iter_mut() {
         dest.clear();
     }
-    shard.dests.resize(departures, 0);
+    shard.dests.resize(departures as usize, 0);
     sampler.fill_u32(rng, &mut shard.dests);
     for &b in &shard.dests {
         let (t, idx) = router.route(b);
         row[t].push(idx);
     }
-    departures
+    departures as usize
 }
 
 /// Phase 2 for one shard: applies the inbound arrivals addressed to shard

@@ -3,14 +3,24 @@
 //!
 //! [`crate::process::LoadProcess`] scans a dense `Vec<u32>` of all `n` bins
 //! every round, so a round costs `O(n)` even when only a few thousand bins
-//! are ever occupied. [`SparseStore`] holds **only the occupied bins** — one
-//! hash map from each occupied bin to its load and handle, plus an
-//! unordered worklist of occupied indices — so one round of
-//! [`SparseLoadProcess`] costs `O(#non-empty bins + departures)`, one map
-//! probe per departure and one per arrival, and resident memory is `O(m)`,
-//! independent of `n`. That unlocks the regime the paper's stability claims
-//! are most interesting in at scale (`n = 10^8`, `m = 10^3..10^5`), where
-//! the dense engine cannot even afford its own load vector comfortably.
+//! are ever occupied. [`SparseStore`] holds **only the occupied bins**, in
+//! one hash map from each occupied bin to its load and handle, so one round
+//! of [`SparseLoadProcess`] costs `O(#non-empty bins + departures)` and
+//! resident memory is `O(m)`, independent of `n`. That unlocks the regime
+//! the paper's stability claims are most interesting in at scale
+//! (`n = 10^8`, `m = 10^3..10^5`), where the dense engine cannot even
+//! afford its own load vector comfortably.
+//!
+//! # Rebuilding the map every round
+//!
+//! Every occupied bin releases a ball each round, and at `m ≪ n` almost
+//! every occupied bin holds one ball, so the set of occupied bins turns
+//! over almost completely each round. A round therefore rebuilds the map:
+//! one pass keeps each surviving bin (its load minus one, and its handle)
+//! and frees the handles of the bins that empty; then the map is cleared,
+//! leaving no tombstones and keeping its capacity unless an earlier peak
+//! left that over 8× the occupancy, the survivors are re-inserted, and the
+//! arrivals are added, one map probe each.
 //!
 //! # Why the two engines are bit-identical
 //!
@@ -31,16 +41,16 @@
 //! # Weighted rounds
 //!
 //! The weight overlay pairs the `k`-th departing bin with the `k`-th draw,
-//! and the dense scan departs in ascending bin order. So a weighted round
-//! first sorts the worklist in place, with an 11-bit LSD radix sort over
-//! scratch in [`Draws`] (two passes for `n ≤ 2^22`, three beyond). The
+//! and the dense scan departs in ascending bin order. So the pass of a
+//! weighted round also collects `bin << 32 | handle` for every departing
+//! bin, and an 11-bit LSD radix sort on the bin (two passes for
+//! `n ≤ 2^22`, three beyond) puts the departing handles in that order. The
 //! overlay files each bin's weight queue under the bin's *handle*, a small
 //! index kept in the bin's map entry: a bin takes a handle when it becomes
 //! occupied (the last one freed, or a new one) and frees it when it
-//! empties. The departure pass pushes the departing handles and the arrival
-//! pass records the destination handles, so a weighted move probes the map
-//! once at each end and the overlay probes no map of its own. The overlay's
-//! queue records then number at most the peak count of occupied bins.
+//! empties. The arrivals record their handles as they are added, so the
+//! overlay probes no map of its own, and its queue records number at most
+//! the peak count of occupied bins.
 //!
 //! # Observing without densifying
 //!
@@ -83,28 +93,29 @@ struct Slot {
 /// uniform draws, so no adversarial-key defense is needed.
 type LoadMap = DetHashMap<u32, Slot>;
 
-/// Digit width of [`radix_sort`]: two passes sort any key below 2^22, and
+/// Digit width of [`radix_sort`]: two passes sort any bin below 2^22, and
 /// three any `u32`.
 const RADIX_BITS: u32 = 11;
 
-/// The number of [`radix_sort`] passes over keys below `n`.
+/// The number of [`radix_sort`] passes over bins below `n`.
 fn radix_passes(n: usize) -> u32 {
     let key_bits = usize::BITS - n.saturating_sub(1).leading_zeros();
     key_bits.div_ceil(RADIX_BITS)
 }
 
-/// Sorts `keys`, each below `n`, ascending: a least-significant-digit
-/// radix sort over 11-bit digits, one counting pass and one scatter into
-/// `scratch` per digit, swapping the two buffers after each pass (so an odd
-/// pass count leaves the result in the buffer that was `scratch`).
-fn radix_sort(keys: &mut Vec<u32>, scratch: &mut Vec<u32>, n: usize) {
-    const MASK: u32 = (1 << RADIX_BITS) - 1;
-    scratch.resize(keys.len(), 0);
+/// Sorts `pairs`, each `bin << 32 | handle` with `bin < n`, by bin,
+/// ascending: a least-significant-digit radix sort over 11-bit digits of
+/// the bin, one counting pass and one scatter into `scratch` per digit,
+/// swapping the two buffers after each pass (so an odd pass count leaves
+/// the result in the buffer that was `scratch`).
+fn radix_sort(pairs: &mut Vec<u64>, scratch: &mut Vec<u64>, n: usize) {
+    const MASK: u64 = (1 << RADIX_BITS) - 1;
+    scratch.resize(pairs.len(), 0);
     for pass in 0..radix_passes(n) {
-        let shift = pass * RADIX_BITS;
+        let shift = 32 + pass * RADIX_BITS;
         let mut starts = [0u32; 1 << RADIX_BITS];
-        for &k in keys.iter() {
-            starts[((k >> shift) & MASK) as usize] += 1;
+        for &p in pairs.iter() {
+            starts[((p >> shift) & MASK) as usize] += 1;
         }
         let mut sum = 0;
         for start in &mut starts {
@@ -112,12 +123,12 @@ fn radix_sort(keys: &mut Vec<u32>, scratch: &mut Vec<u32>, n: usize) {
             *start = sum;
             sum += count;
         }
-        for &k in keys.iter() {
-            let start = &mut starts[((k >> shift) & MASK) as usize];
-            scratch[*start as usize] = k;
+        for &p in pairs.iter() {
+            let start = &mut starts[((p >> shift) & MASK) as usize];
+            scratch[*start as usize] = p;
             *start += 1;
         }
-        std::mem::swap(keys, scratch);
+        std::mem::swap(pairs, scratch);
     }
 }
 
@@ -127,14 +138,17 @@ pub struct SparseStore {
     n: usize,
     /// Occupied bins only.
     loads: LoadMap,
-    /// Unordered worklist of the occupied bin indices — the round's
-    /// departure scan iterates this, never `[0, n)`.
-    occupied: Vec<u32>,
     /// Handles of emptied bins, reissued (last freed first) before new
     /// ones.
     free: Vec<u32>,
     /// Handles issued so far: every one is an occupied bin's or free.
     issued: u32,
+    /// Round scratch, empty between rounds: the bins that keep a ball
+    /// through the round, with their new loads.
+    survivors: Vec<(u32, Slot)>,
+    /// Weighted-round scratch: `bin << 32 | handle` per departing bin, and
+    /// the radix sort's second buffer.
+    departing: [Vec<u64>; 2],
     /// Lazily materialized dense view for `Engine::config`; invalidated on
     /// every mutation, so steady-state stepping never allocates `O(n)`.
     dense: OnceCell<Config>,
@@ -155,9 +169,10 @@ impl SparseStore {
         let mut store = Self {
             n,
             loads: LoadMap::default(),
-            occupied: Vec::new(),
             free: Vec::new(),
             issued: 0,
+            survivors: Vec::new(),
+            departing: [Vec::new(), Vec::new()],
             dense: OnceCell::new(),
         };
         let mut balls = 0u64;
@@ -176,8 +191,8 @@ impl SparseStore {
     }
 
     /// Adds `load` balls to bin `b` (one map probe), without invalidating
-    /// the dense view; returns the bin's handle. A bin that was empty joins
-    /// the worklist and takes the last freed handle, or a new one.
+    /// the dense view; returns the bin's handle. A bin that was empty takes
+    /// the last freed handle, or a new one.
     #[inline]
     fn add(&mut self, b: u32, load: u32) -> u32 {
         match self.loads.entry(b) {
@@ -191,7 +206,6 @@ impl SparseStore {
                     self.issued += 1;
                     self.issued - 1
                 });
-                self.occupied.push(b);
                 e.insert(Slot { load, handle });
                 handle
             }
@@ -212,42 +226,53 @@ impl LoadStore for SparseStore {
         self.n
     }
 
-    /// Every occupied bin releases one ball (bins reaching zero leave the
-    /// map and the worklist, and free their handles), then the departures
-    /// draw their destinations in one batch and arrive. One map probe per
-    /// departure and one per arrival. On a weighted round the worklist is
-    /// first radix-sorted in place, so departures enter `srcs` in
-    /// **ascending bin order** — the dense scan's order — and the weighted
-    /// sparse engine is bit-identical to the weighted dense engine; the
-    /// arrivals record their handles in `draws.handles`.
-    fn round(&mut self, draws: &mut Draws, mut srcs: Option<&mut Vec<u32>>) -> usize {
-        if srcs.is_some() {
-            radix_sort(&mut self.occupied, &mut draws.scratch, self.n);
+    /// Every occupied bin releases one ball: one pass over the map keeps
+    /// the survivors and frees the handles of the bins that empty, then
+    /// the map is cleared and the survivors re-inserted (see the module
+    /// docs). The departures draw their destinations in one batch and
+    /// arrive, one map probe each. On a weighted round the pass also
+    /// collects the departing bins with their handles, radix-sorted so
+    /// that they enter `srcs` in **ascending bin order** — the dense
+    /// scan's order — and the weighted sparse engine is bit-identical to
+    /// the weighted dense engine; the arrivals record their handles in
+    /// `draws.handles`.
+    fn round(&mut self, draws: &mut Draws, srcs: Option<&mut Vec<u32>>) -> usize {
+        let weighted = srcs.is_some();
+        let departures = self.loads.len();
+        let [departing, scratch] = &mut self.departing;
+        // rbb-lint: allow(unordered-iter, reason = "the map is rebuilt by key, a freed handle names an empty queue whichever bin takes it next, and the departing pairs are radix-sorted by bin before use")
+        for (&bin, slot) in &self.loads {
+            if weighted {
+                departing.push((u64::from(bin) << 32) | u64::from(slot.handle));
+            }
+            if slot.load > 1 {
+                let load = slot.load - 1;
+                self.survivors.push((bin, Slot { load, ..*slot }));
+            } else {
+                self.free.push(slot.handle);
+            }
         }
-        let (loads, free) = (&mut self.loads, &mut self.free);
-        let departures = self.occupied.len();
-        self.occupied.retain(|&b| {
-            // The worklist holds exactly the map's bins.
-            let Entry::Occupied(mut e) = loads.entry(b) else {
-                return false;
-            };
-            let slot = e.get_mut();
-            if let Some(srcs) = srcs.as_deref_mut() {
-                srcs.push(slot.handle);
-            }
-            slot.load -= 1;
-            if slot.load > 0 {
-                return true;
-            }
-            free.push(slot.handle);
-            e.remove();
-            false
-        });
+        self.loads.clear();
+        // The pass and the clear walk the whole table. A table that an
+        // earlier peak left over 8x larger than the occupancy (a daemon
+        // that placed and then departed many balls) is cut back to what
+        // this round refills, the survivors and the arrivals; the factor
+        // keeps a fluctuating occupancy from shrinking and regrowing it.
+        if self.loads.capacity() > 8 * departures.max(64) {
+            self.loads.shrink_to(2 * departures);
+        }
+        for (bin, slot) in self.survivors.drain(..) {
+            self.loads.insert(bin, slot);
+        }
+        if let Some(srcs) = srcs {
+            radix_sort(departing, scratch, self.n);
+            // rbb-lint: allow(lossy-cast, reason = "the low half of a pair is its handle")
+            srcs.extend(departing.drain(..).map(|pair| pair as u32));
+        }
         draws.dests.resize(departures, 0);
         draws
             .sampler
             .fill_u32(&mut draws.streams[0], &mut draws.dests);
-        let weighted = srcs.is_some();
         draws.handles.clear();
         for &b in &draws.dests {
             let handle = self.add(b, 1);
@@ -256,7 +281,6 @@ impl LoadStore for SparseStore {
             }
         }
         self.dense.take();
-        debug_assert_eq!(self.loads.len(), self.occupied.len());
         departures
     }
 
@@ -267,12 +291,14 @@ impl LoadStore for SparseStore {
     }
 
     fn remove(&mut self, bin: u32) -> Option<u32> {
-        let slot = self.loads.get_mut(&bin)?;
+        let Entry::Occupied(mut e) = self.loads.entry(bin) else {
+            return None;
+        };
+        let slot = e.get_mut();
         let handle = slot.handle;
         slot.load -= 1;
         if slot.load == 0 {
-            self.loads.remove(&bin);
-            self.occupied.retain(|&x| x != bin);
+            e.remove();
             self.free.push(handle);
         }
         self.dense.take();
@@ -286,7 +312,6 @@ impl LoadStore for SparseStore {
 
     fn clear(&mut self) {
         self.loads.clear();
-        self.occupied.clear();
         self.free.clear();
         self.issued = 0;
         self.dense.take();
@@ -542,8 +567,7 @@ mod tests {
         let b = p.place();
         assert!(p.depart(10));
         assert!(p.depart(10) || b == 10, "bin 10 had 2 balls");
-        assert_eq!(p.store.occupied.len(), p.store.loads.len());
-        assert!(p.store.loads.values().all(|slot| slot.load > 0));
+        assert_store_consistent(&p.store);
     }
 
     #[test]
@@ -569,6 +593,28 @@ mod tests {
     }
 
     #[test]
+    fn rounds_cut_back_a_map_left_large_by_departures() {
+        // 4096 balls depart down to 10: the next round walks and refills a
+        // table sized for what is left, on the dense engine's trajectory.
+        let n = 1 << 16;
+        let entries = crate::sampling::random_assignment_entries(&mut rng(95), n, 4096);
+        let mut sparse = SparseLoadProcess::from_entries(n, entries.iter().copied(), rng(96));
+        let mut dense = LoadProcess::new(Engine::config(&sparse).clone(), rng(96));
+        for &(bin, load) in &entries {
+            for _ in 0..load {
+                if sparse.balls() > 10 {
+                    assert!(sparse.depart(bin as usize) && dense.depart(bin as usize));
+                }
+            }
+        }
+        let peak = sparse.store.loads.capacity();
+        assert_eq!(sparse.step(), dense.step());
+        let after = sparse.store.loads.capacity();
+        assert!(after * 8 < peak, "capacity {peak} -> {after}");
+        assert_twins(dense, sparse, 50);
+    }
+
+    #[test]
     fn engine_run_family_works() {
         let mut p = SparseLoadProcess::legitimate_start(64, 11);
         let hit = p.run_until(10_000, |c| c.max_load() >= 3);
@@ -579,22 +625,25 @@ mod tests {
         assert_eq!(q.balls(), 64);
     }
 
+    /// Every mapped bin holds a ball, and every issued handle is held by
+    /// one bin or free, once.
+    fn assert_store_consistent(store: &SparseStore) {
+        assert!(store.loads.values().all(|slot| slot.load > 0));
+        let mut handles: Vec<u32> = store.loads.values().map(|slot| slot.handle).collect();
+        handles.extend(&store.free);
+        handles.sort_unstable();
+        assert!(
+            handles.iter().copied().eq(0..store.issued),
+            "every issued handle is held or free, once"
+        );
+    }
+
     #[test]
-    fn worklist_and_map_stay_consistent_under_churn() {
+    fn map_and_handles_stay_consistent_under_churn() {
         let mut p = SparseLoadProcess::from_entries(50, vec![(10, 40)], rng(13));
         for _ in 0..300 {
             p.step();
-            let store = &p.store;
-            assert_eq!(store.occupied.len(), store.loads.len());
-            assert!(store.occupied.iter().all(|b| store.loads.contains_key(b)));
-            assert!(store.loads.values().all(|slot| slot.load > 0));
-            let mut handles: Vec<u32> = store.loads.values().map(|slot| slot.handle).collect();
-            handles.extend(&store.free);
-            handles.sort_unstable();
-            assert!(
-                handles.iter().copied().eq(0..store.issued),
-                "every issued handle is held or free, once"
-            );
+            assert_store_consistent(&p.store);
         }
     }
 
@@ -738,41 +787,77 @@ mod tests {
 
     #[test]
     fn reissued_handles_keep_the_overlay_in_step_with_dense() {
-        // Bins 0 and 1 hold one ball each (weights 7 and 3) under handles 0
-        // and 1. Seed 64 draws bins 2 and 1 in round 1, then places in bin 3.
+        // Bins 0 and 1 hold one ball each (weights 7 and 3). Seed 64 draws
+        // bins 2 and 1 in round 1, then places in bin 3.
         let weights = Weights::Explicit(vec![7, 3]);
         let caps = Capacities::Explicit(vec![6, 5, 4, 3]);
         let start = Config::from_loads(vec![1, 1, 0, 0]);
         let mut dense = LoadProcess::with_weights(start, rng(64), weights.clone(), caps.clone());
         let mut sparse =
             SparseLoadProcess::with_weights(4, [(0, 1), (1, 1)], rng(64), weights, caps);
-        let handles = |p: &SparseLoadProcess| (0..4).map(|b| p.store.handle(b)).collect::<Vec<_>>();
-        assert_eq!(handles(&sparse), [Some(0), Some(1), None, None]);
+        let handle = |p: &SparseLoadProcess, bin| p.store.handle(bin);
+        assert_eq!(sparse.store.issued, 2);
         assert_weighted_twins(&dense, &sparse, "start");
 
-        // Both bins release their last ball, freeing handles 0 then 1. Bin
-        // 0's ball lands in the empty bin 2, which takes handle 1; bin 1's
-        // lands back in bin 1, which takes handle 0.
+        // Both bins release their last ball and free their handles. Bin 0's
+        // ball lands in the empty bin 2 and bin 1's back in bin 1: both
+        // take a handle freed this round, so none is issued.
         assert_eq!(sparse.step(), dense.step());
-        assert_eq!(handles(&sparse), [None, Some(0), Some(1), None]);
+        assert_eq!((handle(&sparse, 0), handle(&sparse, 3)), (None, None));
+        let (Some(h1), Some(h2)) = (handle(&sparse, 1), handle(&sparse, 2)) else {
+            panic!("bins 1 and 2 are occupied");
+        };
+        assert_ne!(h1, h2);
+        assert_eq!(sparse.store.issued, 2, "bin 2 reuses a freed handle");
         assert_eq!(Engine::weighted_bin_load(&sparse, 2), 7);
         assert_eq!(Engine::weighted_bin_load(&sparse, 1), 3);
         assert_weighted_twins(&dense, &sparse, "after round 1");
 
-        // An incremental departure empties bin 2 and frees handle 1, which
-        // the next placement's empty bin 3 takes.
+        // An incremental departure empties bin 2 and frees its handle,
+        // which the next placement's empty bin 3 takes.
         assert!(sparse.depart(2) && dense.depart(2));
-        assert_eq!(handles(&sparse), [None, Some(0), None, None]);
+        assert_eq!(handle(&sparse, 2), None);
         assert_weighted_twins(&dense, &sparse, "after the depart");
         assert_eq!(sparse.place_weighted(5), 3);
         assert_eq!(dense.place_weighted(5), 3);
-        assert_eq!(handles(&sparse), [None, Some(0), None, Some(1)]);
+        assert_eq!(handle(&sparse, 3), Some(h2));
+        assert_eq!(handle(&sparse, 1), Some(h1));
         assert_weighted_twins(&dense, &sparse, "after the placement");
 
         for r in 2..40 {
             assert_eq!(sparse.step(), dense.step());
             assert_weighted_twins(&dense, &sparse, &format!("round {r}"));
+            assert_store_consistent(&sparse.store);
         }
+    }
+
+    #[test]
+    fn weighted_twins_agree_when_most_bins_keep_balls() {
+        // At m = 8n nearly every occupied bin survives a round, so the
+        // rebuilt map carries queues across rounds under kept handles while
+        // the bins that empty hand theirs on.
+        let (n, m) = (64, 512);
+        let start = Config::random(&mut rng(91), n, m);
+        let weights = Weights::zipf(m, 0.5, 60);
+        let caps = Capacities::Explicit((0..n as u64).map(|b| 20 + 7 * (b % 9)).collect());
+        let mut dense =
+            LoadProcess::with_weights(start.clone(), rng(92), weights.clone(), caps.clone());
+        let entries = start.loads().iter().zip(0u32..).map(|(&l, b)| (b, l));
+        let mut sparse = SparseLoadProcess::with_weights(n, entries, rng(92), weights, caps);
+        assert_weighted_twins(&dense, &sparse, "start");
+        let mut violated = false;
+        for r in 0..300 {
+            let survivors = (0..n).filter(|&b| Engine::bin_load(&sparse, b) > 1).count();
+            assert!(
+                survivors > n / 2,
+                "round {r}: only {survivors} bins survive"
+            );
+            assert_eq!(dense.step(), sparse.step(), "round {r}");
+            assert_weighted_twins(&dense, &sparse, &format!("round {r}"));
+            violated |= Engine::capacity_violations(&sparse) > 0;
+        }
+        assert!(violated, "the capacities never bind");
+        assert_store_consistent(&sparse.store);
     }
 
     #[test]
@@ -785,17 +870,20 @@ mod tests {
             ((1 << 22) + 1, 3),
             (1 << 32, 3),
         ];
+        // The low half is a scrambled copy of the bin: repeated bins make
+        // equal pairs, so any correct sort gives one order.
+        let pair = |bin: u64| (bin << 32) | u64::from((bin as u32).wrapping_mul(0x9E37_79B1));
         let mut rng = rng(2016);
-        let mut scratch = Vec::new();
+        let (mut pairs, mut scratch) = (Vec::new(), Vec::new());
         for (n, passes) in cases {
             assert_eq!(radix_passes(n), passes, "n = {n}");
             for len in [0, 1, 2, 255, 2049, 10_000] {
-                let keys: Vec<u32> = (0..len).map(|_| rng.uniform_usize(n) as u32).collect();
-                let mut want = keys.clone();
-                want.sort_unstable();
-                let mut got = keys;
-                radix_sort(&mut got, &mut scratch, n);
-                assert_eq!(got, want, "n = {n}, {len} keys");
+                pairs.clear();
+                pairs.extend((0..len).map(|_| pair(rng.uniform_usize(n) as u64)));
+                let mut want = pairs.clone();
+                want.sort_unstable_by_key(|&p| p >> 32);
+                radix_sort(&mut pairs, &mut scratch, n);
+                assert_eq!(pairs, want, "n = {n}, {len} pairs");
             }
         }
     }

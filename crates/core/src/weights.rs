@@ -33,8 +33,9 @@
 //! storage, so one record per bin, and a reissued small index on sparse
 //! storage, so one per occupied bin at the peak. A round's transport
 //! moves slot indices between records, so the overlay makes no map probe
-//! and no allocation per weighted move; on sparse storage the move's only
-//! probes are the storage's own, one at each end.
+//! and no allocation per weighted move. On sparse storage the move's only
+//! map work is the storage's own: its source is read in the round's one
+//! pass over the map, and its arrival probes the map once.
 //!
 //! [`LoadStore::handle`]: crate::load::LoadStore::handle
 
@@ -60,11 +61,19 @@ impl Weights {
     pub fn zipf(balls: u64, s: f64, w_max: u32) -> Self {
         assert!(s.is_finite() && s > 0.0, "zipf exponent must be positive");
         assert!(w_max >= 1, "zipf w_max must be at least 1");
+        // The profile is non-increasing in k, so once a weight reaches the
+        // floor of 1, every later one is 1 too.
+        let mut floor = false;
         let ws = (0..balls)
             .map(|k| {
+                if floor {
+                    return 1;
+                }
                 let scaled = f64::from(w_max) / ((k + 1) as f64).powf(s);
                 // rbb-lint: allow(lossy-cast, reason = "value is clamped into [1, w_max] before the cast")
-                scaled.round().clamp(1.0, f64::from(w_max)) as u32
+                let w = scaled.round().clamp(1.0, f64::from(w_max)) as u32;
+                floor = w == 1;
+                w
             })
             .collect();
         Weights::Explicit(ws).normalized()
@@ -526,6 +535,28 @@ mod tests {
             ws.windows(2).all(|p| p[0] >= p[1]),
             "monotone non-increasing"
         );
+    }
+
+    #[test]
+    fn zipf_matches_the_per_ball_formula() {
+        // The tail past the first weight of 1 is filled without `powf`;
+        // the per-ball formula must agree with it everywhere.
+        let balls = 200_000;
+        for s in [0.05, 0.2, 0.5, 1.0, 1.7, 3.0, 7.5] {
+            for w_max in [1, 2, 7, 100, 4_096, 1_000_000] {
+                let formula = (0..balls)
+                    .map(|k| {
+                        let scaled = f64::from(w_max) / ((k + 1) as f64).powf(s);
+                        scaled.round().clamp(1.0, f64::from(w_max)) as u32
+                    })
+                    .collect();
+                assert_eq!(
+                    Weights::zipf(balls, s, w_max),
+                    Weights::Explicit(formula).normalized(),
+                    "s = {s}, w_max = {w_max}"
+                );
+            }
+        }
     }
 
     #[test]

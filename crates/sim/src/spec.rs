@@ -55,8 +55,8 @@
 //!   iff the spec is in the load-only cell **and** `64·balls ≤ n`
 //!   ([`SPARSE_AUTO_RATIO`]). The 1/64 density cut-off is deliberately
 //!   conservative: benchmarks put the throughput crossover near 1/100 (a
-//!   dense round streams `4n` bytes branchlessly, a sparse round pays two
-//!   hash-map probes per move, one at each end), and below 1/64 the sparse
+//!   dense round streams `4n` bytes branchlessly, a sparse round rebuilds
+//!   a hash map of the occupied bins), and below 1/64 the sparse
 //!   engine also wins `O(n) → O(m)` on memory, which at `n = 10^8` is the
 //!   difference between a 400 MB load vector and a few megabytes. Denser
 //!   load-only cells at `n ≥ `[`SHARDED_AUTO_MIN_N`] resolve to the

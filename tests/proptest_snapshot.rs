@@ -62,7 +62,7 @@ fn assert_twins(a: &dyn Engine, b: &dyn Engine, context: &str) {
         b.empty_bins(),
         "empty bins diverged {context}"
     );
-    // The sparse engine's occupancy worklist order is history-dependent and
+    // The sparse engine's occupancy map order is history-dependent and
     // deliberately not trajectory state (each round draws once per occupied
     // bin, destinations i.i.d.), so compare the sets, then per-bin loads.
     let sort = |e: &dyn Engine| {
