@@ -345,6 +345,21 @@ EOF
             echo "    ${kind} ${engine}: snapshot (v${version}) -> restore -> resume is byte-identical"
         done
     done
+
+    # A request line holding a 4 MiB string (an ignored field) must parse in
+    # one pass: a parser that rescans the rest of the line per character
+    # holds the daemon for hours on it.
+    echo "--> a 4 MiB request line is answered within 20 s, and so is the next"
+    { printf '{"op":"query","pad":"'
+      head -c $((4 << 20)) /dev/zero | tr '\0' x
+      printf '"}\n{"op":"query"}\n'
+    } | timeout 20 "${bin}" --stdio --n 64 > "${dir}/long-line.out" \
+        || { echo "ERROR: the 4 MiB request line was not served within 20 s" >&2; exit 1; }
+    if [ "$(grep -c '^{"ok":true' "${dir}/long-line.out")" -ne 2 ]; then
+        echo "ERROR: the 4 MiB request line and the next did not both get an answer" >&2
+        cat "${dir}/long-line.out" >&2
+        exit 1
+    fi
 }
 
 stage_conformance() {

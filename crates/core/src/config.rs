@@ -44,9 +44,11 @@ impl Config {
         Self::from_loads(vec![1; n])
     }
 
-    /// The empty configuration over `n` bins (used as scratch space).
+    /// The empty configuration over `n` bins (used as scratch space). Its
+    /// zeroed pages are first touched when written, not here.
     pub fn empty(n: usize) -> Self {
-        Self::from_loads(vec![0; n])
+        assert!(n > 0, "a configuration needs at least one bin");
+        Self { loads: vec![0; n] }
     }
 
     /// All `m` balls in bin 0 — the worst case for convergence

@@ -9,11 +9,12 @@
 //! is one algorithm however the loads are stored. [`LoadEngine`] owns
 //! everything about it that does not depend on the layout — the RNG
 //! streams, the round and ball counters, the weight overlay and the
-//! capacities, the weighted constructor, snapshot/restore, incremental
-//! placement, faults, and the single [`Engine`] impl — over a [`LoadStore`]
-//! that supplies only the round kernel, arrivals and removals, load
-//! lookups, cheap statistics, the occupied bins, and the handles under
-//! which the weight overlay files each occupied bin's queue:
+//! capacities, construction, snapshot/restore, incremental placement,
+//! faults, and the single [`Engine`] impl — over a [`LoadStore`] that
+//! supplies only one constructor (filling itself from sorted `(bin, load)`
+//! entries), the round kernel, arrivals and removals, load lookups, cheap
+//! statistics, the occupied bins, and the handles under which the weight
+//! overlay files each occupied bin's queue:
 //!
 //! * [`DenseStore`] — a dense `Vec<u32>` of all `n` bins
 //!   ([`LoadProcess`](crate::process::LoadProcess));
@@ -21,6 +22,18 @@
 //!   ([`SparseLoadProcess`](crate::sparse::SparseLoadProcess));
 //! * [`ShardedStore`] — strided per-shard columns, one RNG stream per shard
 //!   ([`ShardedLoadProcess`](crate::sharded::ShardedLoadProcess)).
+//!
+//! # One construction pass
+//!
+//! Every load engine is built in one pass over its start's `(bin, load)`
+//! entries in ascending bin order ([`LoadEngine::from_sorted_entries`], and
+//! the restore from a snapshot's entries): [`LoadStore::fill`] writes each
+//! entry into the storage and hands back its handle, and the engine counts
+//! the balls and files the weights, ball by ball in bin order, in the
+//! overlay as it goes. So construction holds the storage and the overlay
+//! and nothing else of size `n`: no list of entries, no dense copy of the
+//! start, no sort. (Dense storage also adopts a ready `Config`,
+//! [`LoadProcess::with_weights`], with the same pass over its loads.)
 //!
 //! # One round path
 //!
@@ -43,6 +56,7 @@
 //! [`SparseStore`]: crate::sparse::SparseStore
 //! [`ShardedStore`]: crate::sharded::ShardedStore
 //! [`LoadProcess::with_rule`]: crate::process::LoadProcess::with_rule
+//! [`LoadProcess::with_weights`]: crate::process::LoadProcess::with_weights
 
 use std::sync::Arc;
 
@@ -205,9 +219,19 @@ pub trait LoadStore: Clone + std::fmt::Debug {
     /// `draws.handles`.
     const BIN_HANDLES: bool;
 
-    /// Rebuilds the storage from a validated snapshot's loads (and shard
-    /// count).
-    fn restore(state: &SnapshotState) -> Self;
+    /// Fills a storage of `n` bins, drawn for by `shards` streams, from
+    /// `(bin, load)` entries in strictly ascending bin order, and hands
+    /// each occupied bin back as `filed(bin, handle, load)`, in that order.
+    /// Zero loads are skipped. Panics if `n` is 0 or above 2^32, on an
+    /// entry out of range or out of order, and on a shard count the
+    /// storage cannot serve: not 1 for dense and sparse storage, 0 or above
+    /// `n` for sharded storage.
+    fn fill(
+        n: usize,
+        shards: usize,
+        entries: impl Iterator<Item = (u32, u32)>,
+        filed: impl FnMut(u32, u32, u32),
+    ) -> Self;
 
     /// Number of bins.
     fn n(&self) -> usize;
@@ -260,11 +284,6 @@ pub trait LoadStore: Clone + std::fmt::Debug {
         self.occupied().map(|(_, l)| l).max().unwrap_or(0)
     }
 
-    /// Total load; one pass, at construction.
-    fn total(&self) -> u64 {
-        self.occupied().map(|(_, l)| u64::from(l)).sum()
-    }
-
     /// The occupied bins sorted by bin — the canonical snapshot encoding.
     fn entries(&self) -> Vec<(u32, u32)> {
         let mut entries: Vec<(u32, u32)> = self.occupied().collect();
@@ -275,13 +294,129 @@ pub trait LoadStore: Clone + std::fmt::Debug {
 
 /// Materializes occupied `(bin, load)` pairs into a dense configuration:
 /// the cached [`LoadStore::config`] view of the sparse and sharded
-/// storages, and the dense and sharded restores.
+/// storages.
 pub(crate) fn densify(n: usize, occupied: impl Iterator<Item = (u32, u32)>) -> Config {
-    let mut loads = vec![0u32; n];
+    let mut config = Config::empty(n);
+    let loads = config.loads_mut();
     for (bin, load) in occupied {
         loads[bin as usize] = load;
     }
-    Config::from_loads(loads)
+    config
+}
+
+/// `entries` as [`LoadStore::fill`] takes them, zero loads dropped. Panics
+/// at once if `n` is 0 or beyond the `u32` index range, and on reaching a
+/// bin that is out of range or not above the bin before it.
+pub(crate) fn ascending(
+    n: usize,
+    entries: impl Iterator<Item = (u32, u32)>,
+) -> impl Iterator<Item = (u32, u32)> {
+    assert!(n > 0, "a configuration needs at least one bin");
+    // Bin indices are u32 throughout the workspace; a larger n would
+    // silently truncate destination draws in release builds.
+    assert!(
+        n <= u32::MAX as usize + 1,
+        "bin count {n} exceeds the u32 index range"
+    );
+    // The least bin the next entry may name.
+    let mut floor = 0u64;
+    entries.filter(move |&(bin, load)| {
+        assert!((bin as usize) < n, "bin {bin} out of range 0..{n}");
+        assert!(
+            u64::from(bin) >= floor,
+            "entries out of order at bin {bin}: a storage fills from strictly ascending bins"
+        );
+        floor = u64::from(bin) + 1;
+        load > 0
+    })
+}
+
+/// What a [`LoadEngine`] constructor gathers in the pass that fills its
+/// storage: the ball count and, under non-unit weights, the overlay, each
+/// bin's balls weighed as the storage hands back the bin's handle.
+struct Filing<'w> {
+    weights: &'w Weights,
+    /// The weights not filed yet, ball by ball in bin order.
+    unfiled: &'w [u32],
+    overlay: Option<WeightOverlay>,
+    balls: u64,
+}
+
+impl<'w> Filing<'w> {
+    /// Reserves the overlay, if `weights` build one, for every weight and
+    /// for the handles below `records`.
+    fn new(weights: &'w Weights, records: usize) -> Self {
+        let (unfiled, overlay) = match weights {
+            Weights::Unit => (&[][..], None),
+            Weights::Explicit(ws) => (
+                &ws[..],
+                Some(WeightOverlay::with_capacity(records, ws.len())),
+            ),
+        };
+        Self {
+            weights,
+            unfiled,
+            overlay,
+            balls: 0,
+        }
+    }
+
+    /// Files the `load` balls of `bin`, whose handle is `handle`.
+    #[inline]
+    fn file(&mut self, bin: u32, handle: u32, load: u32) {
+        self.balls += u64::from(load);
+        if let Some(overlay) = &mut self.overlay {
+            // Too few weights file what there is; `finish` reports it.
+            let (ws, rest) = (self.unfiled).split_at(self.unfiled.len().min(load as usize));
+            for &w in ws {
+                overlay.place(bin, handle, w);
+            }
+            self.unfiled = rest;
+        }
+    }
+
+    /// The engine over the filled `store`. Panics on more balls than a
+    /// `u32` load can hold, and on weights or capacities that do not fit.
+    fn finish<S: LoadStore>(
+        self,
+        store: S,
+        streams: Vec<Xoshiro256pp>,
+        capacities: Capacities,
+    ) -> LoadEngine<S> {
+        let (n, balls) = (store.n(), self.balls);
+        assert!(
+            balls <= u64::from(u32::MAX),
+            "total ball count {balls} exceeds u32::MAX and could overflow a single bin"
+        );
+        let checked = (self.weights.validate(balls))
+            .map_err(|e| format!("invalid weights: {e}"))
+            .and_then(|()| {
+                capacities
+                    .validate(n)
+                    .map_err(|e| format!("invalid capacities: {e}"))
+            });
+        if let Err(e) = checked {
+            // rbb-lint: allow(panic, reason = "constructor contract violation, caught by spec-layer validation first")
+            panic!("{e}");
+        }
+        let engine = LoadEngine {
+            draws: Draws {
+                streams,
+                sampler: UniformSampler::new(n as u64),
+                dests: Vec::new(),
+                handles: Vec::new(),
+                scratch: Vec::new(),
+            },
+            store,
+            round: 0,
+            balls,
+            weighted: self.overlay,
+            capacities,
+            rule: Rule::Uniform,
+        };
+        debug_assert_eq!(engine.check_overlay(), Ok(()), "weight overlay misfiled");
+        engine
+    }
 }
 
 /// The repeated balls-into-bins load process over a [`LoadStore`].
@@ -304,56 +439,96 @@ pub struct LoadEngine<S> {
 }
 
 impl<S: LoadStore> LoadEngine<S> {
-    /// Wraps a filled storage and its streams (one per storage stream).
-    /// [`Weights::Unit`] (or an explicit all-ones vector) builds no
-    /// overlay; non-unit weights are assigned ball by ball in bin order.
-    /// Panics on weights or capacities that do not fit the storage.
+    /// Builds an engine over `n` bins from `(bin, load)` entries in strictly
+    /// ascending bin order, zero loads skipped, in one pass: the storage
+    /// fills from the entries while the engine counts the balls and files
+    /// the weights in the overlay, ball by ball in bin order.
+    /// [`Weights::Unit`] (or an explicit all-ones vector) builds no overlay.
+    /// On sparse storage the entries' size hint reserves the map, so pass
+    /// the occupied bins rather than a zero load for every empty one.
+    /// Panics on an entry out of range or out of order, a stream count the
+    /// storage cannot serve (see [`LoadStore::fill`]), more than `u32::MAX`
+    /// balls, and weights or capacities that do not fit.
+    ///
+    /// ```
+    /// use rbb_core::prelude::*;
+    /// use rbb_core::weights::{Capacities, Weights};
+    ///
+    /// // One ball per bin, never listed: the entries are made as they fill.
+    /// let n = 1 << 12;
+    /// let p = LoadProcess::from_sorted_entries(
+    ///     n,
+    ///     (0..n as u32).map(|bin| (bin, 1)),
+    ///     vec![Xoshiro256pp::seed_from(7)],
+    ///     Weights::Unit,
+    ///     Capacities::Unbounded,
+    /// );
+    /// assert_eq!(p.config(), &Config::one_per_bin(n));
+    /// ```
     ///
     /// # RNG stream
     ///
-    /// Takes ownership of `streams` as the engine streams: stream `k` draws
-    /// for the bins it serves (see [`LoadStore::round`]), and stream 0 also
-    /// for [`Incremental::place`]. Weights never touch them.
-    pub(crate) fn from_parts(
+    /// Takes ownership of `streams` as the engine streams, one per storage
+    /// stream (one for dense and sparse storage, one per shard for sharded
+    /// storage): stream `k` draws for the bins it serves (see
+    /// [`LoadStore::round`]), and stream 0 also for [`Incremental::place`].
+    /// Weights never touch them.
+    pub fn from_sorted_entries(
+        n: usize,
+        entries: impl IntoIterator<Item = (u32, u32)>,
+        streams: Vec<Xoshiro256pp>,
+        weights: Weights,
+        capacities: Capacities,
+    ) -> Self {
+        let weights = weights.normalized();
+        Self::filled(n, entries.into_iter(), streams, &weights, capacities)
+    }
+
+    /// The pass behind [`Self::from_sorted_entries`] and
+    /// [`Self::from_snapshot`]; takes `weights` as they are, all-ones or
+    /// not. Reserves the overlay's queue records for every bin where the
+    /// bins are the handles, for the entries' size hint where they are not.
+    fn filled(
+        n: usize,
+        entries: impl Iterator<Item = (u32, u32)>,
+        streams: Vec<Xoshiro256pp>,
+        weights: &Weights,
+        capacities: Capacities,
+    ) -> Self {
+        let records = if S::BIN_HANDLES {
+            n
+        } else {
+            entries.size_hint().0
+        };
+        let mut filing = Filing::new(weights, records);
+        let store = S::fill(n, streams.len(), entries, |bin, handle, load| {
+            filing.file(bin, handle, load);
+        });
+        filing.finish(store, streams, capacities)
+    }
+
+    /// Wraps a storage that is already filled (dense storage adopting a
+    /// `Config`), counting its balls and filing `weights` in the same kind
+    /// of pass over its occupied bins, which must come in ascending order
+    /// and be their own handles.
+    ///
+    /// # RNG stream
+    ///
+    /// Takes ownership of `streams` as the engine streams, as
+    /// [`Self::from_sorted_entries`] does.
+    pub(crate) fn adopt(
         store: S,
         streams: Vec<Xoshiro256pp>,
         weights: Weights,
         capacities: Capacities,
     ) -> Self {
-        let n = store.n();
-        let balls = store.total();
+        debug_assert!(S::BIN_HANDLES, "adopted bins are their own handles");
         let weights = weights.normalized();
-        let checked = weights
-            .validate(balls)
-            .map_err(|e| format!("invalid weights: {e}"))
-            .and_then(|()| {
-                capacities
-                    .validate(n)
-                    .map_err(|e| format!("invalid capacities: {e}"))
-            });
-        if let Err(e) = checked {
-            // rbb-lint: allow(panic, reason = "constructor contract violation, caught by spec-layer validation first")
-            panic!("{e}");
+        let mut filing = Filing::new(&weights, store.n());
+        for (bin, load) in store.occupied() {
+            filing.file(bin, bin, load);
         }
-        let weighted = match &weights {
-            Weights::Unit => None,
-            Weights::Explicit(ws) => Some(Self::overlay(&store, ws)),
-        };
-        Self {
-            draws: Draws {
-                streams,
-                sampler: UniformSampler::new(n as u64),
-                dests: Vec::new(),
-                handles: Vec::new(),
-                scratch: Vec::new(),
-            },
-            store,
-            round: 0,
-            balls,
-            weighted,
-            capacities,
-            rule: Rule::Uniform,
-        }
+        filing.finish(store, streams, capacities)
     }
 
     /// Rebuilds an engine from a snapshot (validated first); the restored
@@ -373,33 +548,27 @@ impl<S: LoadStore> LoadEngine<S> {
             // rbb-lint: allow(rng-construct, reason = "restoring serialized stream states captured from a live engine snapshot, not seeding new streams")
             .map(|&s| Xoshiro256pp::from_state(s))
             .collect();
-        let capacities = match &state.weighted {
-            Some(w) => w.capacities()?,
-            None => Capacities::Unbounded,
+        let (weights, capacities) = match &state.weighted {
+            // Validated queues mirror the entries, so their weights in bin
+            // order are the per-ball weights. An all-ones list still builds
+            // the overlay the snapshotted engine had.
+            Some(w) => (
+                match &w.queues[..] {
+                    [] => Weights::Unit,
+                    queues => {
+                        Weights::Explicit(queues.iter().flat_map(|(_, ws)| ws).copied().collect())
+                    }
+                },
+                w.capacities()?,
+            ),
+            None => (Weights::Unit, Capacities::Unbounded),
         };
-        let mut engine = Self::from_parts(S::restore(state), streams, Weights::Unit, capacities);
+        let entries = state.entries.iter().copied();
+        let mut engine = Self::filled(state.n, entries, streams, &weights, capacities);
         engine.round = state.round;
         // Validation admits `best_of` on dense snapshots only.
         engine.rule = state.best_of.map_or(Rule::Uniform, Rule::BestOf);
-        // Validated queues mirror the entries, so their weights in bin
-        // order are the per-ball weight vector.
-        engine.weighted = (state.weighted.iter())
-            .find(|w| !w.queues.is_empty())
-            .map(|w| {
-                let ws: Vec<u32> = w.queues.iter().flat_map(|(_, ws)| ws).copied().collect();
-                Self::overlay(&engine.store, &ws)
-            });
         Ok(engine)
-    }
-
-    /// The overlay of `store`'s balls, weighed ball by ball in bin order.
-    fn overlay(store: &S, weights: &[u32]) -> WeightOverlay {
-        let entries = store.entries().into_iter();
-        // Every occupied bin has a handle.
-        let handled = entries.filter_map(|(bin, load)| Some((bin, store.handle(bin)?, load)));
-        // Where a bin is its own handle, the handles reach n - 1.
-        let records = if S::BIN_HANDLES { store.n() } else { 0 };
-        WeightOverlay::from_entries(records, handled, weights)
     }
 
     /// Checks the overlay, if any, against the storage's occupied bins and
@@ -521,7 +690,14 @@ impl<S: LoadStore> Engine for LoadEngine<S> {
             overlay.transport(dests, if S::BIN_HANDLES { dests } else { handles });
         }
         self.round += 1;
-        debug_assert_eq!(self.store.total(), self.balls, "mass violated");
+        debug_assert_eq!(
+            self.store
+                .occupied()
+                .map(|(_, l)| u64::from(l))
+                .sum::<u64>(),
+            self.balls,
+            "mass violated"
+        );
         debug_assert_eq!(
             self.check_overlay(),
             Ok(()),

@@ -17,10 +17,10 @@
 
 use crate::config::Config;
 use crate::engine::Engine;
-use crate::load::{densify, Draws, LoadEngine, LoadStore, Rule, MAX_BEST_OF};
+use crate::load::{ascending, Draws, LoadEngine, LoadStore, Rule, MAX_BEST_OF};
 use crate::rng::Xoshiro256pp;
 use crate::sampling::throw_uniform_batched;
-use crate::snapshot::{SnapshotState, ENGINE_DENSE};
+use crate::snapshot::ENGINE_DENSE;
 use crate::weights::{Capacities, Weights};
 
 /// Dense load storage: one `u32` per bin.
@@ -33,10 +33,23 @@ impl LoadStore for DenseStore {
     const KIND: &'static str = ENGINE_DENSE;
     const BIN_HANDLES: bool = true;
 
-    fn restore(state: &SnapshotState) -> Self {
-        Self {
-            config: densify(state.n, state.entries.iter().copied()),
-        }
+    /// Writes the entries into a zeroed `Vec<u32>`: the only `O(n)` buffer
+    /// construction allocates.
+    fn fill(
+        n: usize,
+        shards: usize,
+        entries: impl Iterator<Item = (u32, u32)>,
+        mut filed: impl FnMut(u32, u32, u32),
+    ) -> Self {
+        let entries = ascending(n, entries);
+        assert_eq!(shards, 1, "dense storage draws from one stream");
+        let mut config = Config::empty(n);
+        let loads = config.loads_mut();
+        entries.for_each(|(bin, load)| {
+            loads[bin as usize] = load;
+            filed(bin, bin, load);
+        });
+        Self { config }
     }
 
     #[inline]
@@ -129,10 +142,6 @@ impl LoadStore for DenseStore {
             .map(|(&l, b)| (b, l))
     }
 
-    fn total(&self) -> u64 {
-        self.config.total_balls()
-    }
-
     #[inline]
     fn config(&self) -> &Config {
         &self.config
@@ -168,7 +177,9 @@ impl LoadProcess {
     /// (or an explicit all-ones vector) builds no overlay at all, so the
     /// unit configuration is the *same engine* as [`Self::new`] — identical
     /// trajectory, RNG stream, and snapshot bytes. Non-unit weights are
-    /// assigned ball by ball in bin order over `config`.
+    /// assigned ball by ball in bin order over `config`. The process adopts
+    /// `config` as its storage: one pass over it counts the balls and files
+    /// the weights, and nothing else of size `n` is allocated.
     ///
     /// # RNG stream
     ///
@@ -180,7 +191,7 @@ impl LoadProcess {
         weights: Weights,
         capacities: Capacities,
     ) -> Self {
-        Self::from_parts(DenseStore { config }, vec![rng], weights, capacities)
+        Self::adopt(DenseStore { config }, vec![rng], weights, capacities)
     }
 
     /// The same process with its released balls sent by `rule`:
@@ -859,6 +870,58 @@ mod tests {
         assert!(snap.weighted.is_some() && snap.best_of == Some(2));
         let fresh = zipf_process(96, 86, Capacities::Uniform(60)).with_rule(Rule::BestOf(2));
         assert_snapshot_round_trip(fresh, 17);
+    }
+
+    #[test]
+    fn sorted_entries_fill_the_engine_the_config_builds() {
+        // One pass over lazy entries builds what adopting the densified
+        // start builds, overlay included; zero loads are skipped.
+        let start = Config::from_loads(vec![3, 0, 1, 0, 0, 2, 1]);
+        let entries = start.loads().iter().zip(0u32..).map(|(&l, b)| (b, l));
+        let weights = Weights::Explicit(vec![9, 8, 7, 6, 5, 4, 3]);
+        let caps = Capacities::Uniform(10);
+        let rng = Xoshiro256pp::seed_from(62);
+        let mut filled = LoadProcess::from_sorted_entries(
+            7,
+            entries,
+            vec![rng.clone()],
+            weights.clone(),
+            caps.clone(),
+        );
+        let mut adopted = LoadProcess::with_weights(start, rng, weights, caps);
+        filled.check_overlay().unwrap();
+        assert_eq!(Engine::snapshot(&filled), Engine::snapshot(&adopted));
+        for _ in 0..30 {
+            assert_eq!(filled.step(), adopted.step());
+            assert_eq!(
+                Engine::weighted_max_load(&filled),
+                Engine::weighted_max_load(&adopted)
+            );
+        }
+        assert_eq!(Engine::snapshot(&filled), Engine::snapshot(&adopted));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order at bin 1")]
+    fn sorted_entries_must_ascend() {
+        let entries = [(2, 1), (1, 1)];
+        let rng = vec![Xoshiro256pp::seed_from(63)];
+        LoadProcess::from_sorted_entries(4, entries, rng, Weights::Unit, Capacities::Unbounded);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order at bin 2")]
+    fn sorted_entries_must_not_repeat_a_bin() {
+        let entries = [(2, 1), (2, 1)];
+        let rng = vec![Xoshiro256pp::seed_from(64)];
+        LoadProcess::from_sorted_entries(4, entries, rng, Weights::Unit, Capacities::Unbounded);
+    }
+
+    #[test]
+    #[should_panic(expected = "one stream")]
+    fn dense_storage_takes_one_stream() {
+        let rngs = vec![Xoshiro256pp::seed_from(65), Xoshiro256pp::seed_from(66)];
+        LoadProcess::from_sorted_entries(4, [(0, 4)], rngs, Weights::Unit, Capacities::Unbounded);
     }
 
     #[test]

@@ -47,10 +47,10 @@ use std::sync::Mutex;
 use rayon::prelude::*;
 
 use crate::config::Config;
-use crate::load::{densify, Draws, LoadEngine, LoadStore};
+use crate::load::{ascending, densify, Draws, LoadEngine, LoadStore};
 use crate::rng::Xoshiro256pp;
 use crate::sampling::UniformSampler;
-use crate::snapshot::{SnapshotState, ENGINE_SHARDED};
+use crate::snapshot::ENGINE_SHARDED;
 use crate::weights::{Capacities, Weights};
 
 /// Base salt of the per-shard RNG streams: shard `s ≥ 1` draws from
@@ -204,45 +204,6 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
-    /// Scatters `config` into `shards` columns. Panics if `shards` is zero,
-    /// exceeds `n`, or `n` exceeds the `u32` index range.
-    fn new(config: &Config, shards: usize) -> Self {
-        let n = config.n();
-        assert!(shards >= 1, "need at least one shard");
-        assert!(
-            shards <= n,
-            "shard count {shards} exceeds the bin count {n}"
-        );
-        // Bin indices are u32 throughout the workspace; a larger n would
-        // silently truncate destination draws in release builds.
-        assert!(
-            n <= u32::MAX as usize + 1,
-            "bin count {n} exceeds the u32 index range"
-        );
-        let router = Router::of(shards);
-        let mut store = Self {
-            n,
-            router,
-            shards: (0..shards)
-                .map(|s| Shard {
-                    loads: vec![0u32; (n - s).div_ceil(shards)],
-                    nonempty: 0,
-                    dests: Vec::new(),
-                })
-                .collect(),
-            outboxes: vec![vec![Vec::new(); shards]; shards],
-            dense: OnceCell::new(),
-        };
-        for (&l, b) in config.loads().iter().zip(0u32..) {
-            if l > 0 {
-                let (s, idx) = router.route(b);
-                store.shards[s].loads[idx as usize] = l;
-                store.shards[s].nonempty += 1;
-            }
-        }
-        store
-    }
-
     /// Both phases in shard-index order on the calling thread. With
     /// `srcs`, each shard's departing bins are recorded in column order and
     /// its draws appended to `draws.dests` in draw order — at `S = 1`
@@ -311,11 +272,42 @@ impl LoadStore for ShardedStore {
     const KIND: &'static str = ENGINE_SHARDED;
     const BIN_HANDLES: bool = true;
 
-    fn restore(state: &SnapshotState) -> Self {
-        Self::new(
-            &densify(state.n, state.entries.iter().copied()),
-            state.shards,
-        )
+    /// Routes each entry straight into its shard's column: the columns are
+    /// the only `O(n)` buffers construction allocates.
+    fn fill(
+        n: usize,
+        shards: usize,
+        entries: impl Iterator<Item = (u32, u32)>,
+        mut filed: impl FnMut(u32, u32, u32),
+    ) -> Self {
+        let entries = ascending(n, entries);
+        assert!(shards >= 1, "need at least one shard");
+        assert!(
+            shards <= n,
+            "shard count {shards} exceeds the bin count {n}"
+        );
+        let router = Router::of(shards);
+        let mut columns: Vec<Shard> = (0..shards)
+            .map(|s| Shard {
+                loads: vec![0u32; (n - s).div_ceil(shards)],
+                nonempty: 0,
+                dests: Vec::new(),
+            })
+            .collect();
+        entries.for_each(|(bin, load)| {
+            let (s, idx) = router.route(bin);
+            let shard = &mut columns[s];
+            shard.loads[idx as usize] = load;
+            shard.nonempty += 1;
+            filed(bin, bin, load);
+        });
+        Self {
+            n,
+            router,
+            shards: columns,
+            outboxes: vec![vec![Vec::new(); shards]; shards],
+            dense: OnceCell::new(),
+        }
     }
 
     #[inline]
@@ -403,11 +395,6 @@ impl LoadStore for ShardedStore {
         })
     }
 
-    fn total(&self) -> u64 {
-        let loads = self.shards.iter().flat_map(|s| &s.loads);
-        loads.map(|&l| u64::from(l)).sum()
-    }
-
     /// Materializes (and caches) the dense view — `O(n)`, so per-round
     /// drivers use the cheap accessors instead.
     fn config(&self) -> &Config {
@@ -455,7 +442,14 @@ impl ShardedLoadProcess {
     /// so the unit configuration is the same engine as [`Self::new`]. At
     /// `shards = 1` the weighted trajectory — and every weighted metric —
     /// is bit-identical to the dense `with_weights`; at `shards > 1` it is
-    /// law-equal, exactly as in the unit regime.
+    /// law-equal, exactly as in the unit regime. One pass over `config`
+    /// fills the shard columns, counts the balls and files the weights;
+    /// starts that need no dense copy at all go to
+    /// [`LoadEngine::from_sorted_entries`] with [`shard_streams`].
+    ///
+    /// # RNG stream
+    ///
+    /// As [`Self::new`]; weights never touch the streams.
     pub fn with_weights(
         config: Config,
         seed: u64,
@@ -463,9 +457,9 @@ impl ShardedLoadProcess {
         weights: Weights,
         capacities: Capacities,
     ) -> Self {
-        let store = ShardedStore::new(&config, shards);
-        let streams = (0..shards).map(|s| shard_rng(seed, s)).collect();
-        Self::from_parts(store, streams, weights, capacities)
+        let entries = config.loads().iter().zip(0u32..).map(|(&l, b)| (b, l));
+        let streams = shard_streams(seed, shards);
+        Self::from_sorted_entries(config.n(), entries, streams, weights, capacities)
     }
 
     /// Convenience constructor: `n` balls into `n` bins, one per bin.
@@ -474,15 +468,25 @@ impl ShardedLoadProcess {
     }
 }
 
-/// The RNG stream of shard `s` — see the module docs.
-fn shard_rng(seed: u64, s: usize) -> Xoshiro256pp {
-    if s == 0 {
-        // rbb-lint: allow(rng-construct, reason = "shard 0 is the engine-convention stream, so shards = 1 is bit-identical to the dense engine; core cannot depend on rbb_sim::seed")
-        Xoshiro256pp::seed_from(seed)
-    } else {
-        // rbb-lint: allow(rng-construct, reason = "per-shard streams are derived from the scenario seed at the documented reserved salts; core cannot depend on rbb_sim::seed")
-        Xoshiro256pp::stream(seed, SHARD_STREAM_SALT + s as u64)
-    }
+/// The `shards` RNG streams of a sharded engine seeded with `seed`, in
+/// shard order.
+///
+/// # RNG stream
+///
+/// Shard 0 gets the engine-convention stream (`seed_from(seed)`, so one
+/// shard reproduces the dense engine bit-for-bit), shard `s ≥ 1` stream
+/// `SHARD_STREAM_SALT + s` of `seed` — see the module docs.
+pub fn shard_streams(seed: u64, shards: usize) -> Vec<Xoshiro256pp> {
+    let stream = |s: usize| {
+        if s == 0 {
+            // rbb-lint: allow(rng-construct, reason = "shard 0 is the engine-convention stream, so shards = 1 is bit-identical to the dense engine; core cannot depend on rbb_sim::seed")
+            Xoshiro256pp::seed_from(seed)
+        } else {
+            // rbb-lint: allow(rng-construct, reason = "per-shard streams are derived from the scenario seed at the documented reserved salts; core cannot depend on rbb_sim::seed")
+            Xoshiro256pp::stream(seed, SHARD_STREAM_SALT + s as u64)
+        }
+    };
+    (0..shards).map(stream).collect()
 }
 
 #[cfg(test)]
@@ -861,9 +865,7 @@ mod tests {
 
     #[test]
     fn shard_streams_are_decorrelated() {
-        let mut r0 = shard_rng(99, 0);
-        let mut r1 = shard_rng(99, 1);
-        let mut r2 = shard_rng(99, 2);
+        let [mut r0, mut r1, mut r2]: [Xoshiro256pp; 3] = shard_streams(99, 3).try_into().unwrap();
         let same01 = (0..64).filter(|_| r0.next_u64() == r1.next_u64()).count();
         let same12 = (0..64).filter(|_| r1.next_u64() == r2.next_u64()).count();
         assert_eq!(same01 + same12, 0);

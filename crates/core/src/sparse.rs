@@ -72,9 +72,9 @@ use std::collections::hash_map::Entry;
 
 use crate::config::Config;
 use crate::det_hash::DetHashMap;
-use crate::load::{densify, Draws, LoadEngine, LoadStore};
+use crate::load::{ascending, densify, Draws, LoadEngine, LoadStore};
 use crate::rng::Xoshiro256pp;
-use crate::snapshot::{SnapshotState, ENGINE_SPARSE};
+use crate::snapshot::ENGINE_SPARSE;
 use crate::weights::{Capacities, Weights};
 
 /// One occupied bin of the sparse storage.
@@ -155,41 +155,6 @@ pub struct SparseStore {
 }
 
 impl SparseStore {
-    /// Builds from `(bin, load)` entries: duplicate bins merge, zero loads
-    /// are ignored. Panics if `n == 0`, a bin is out of range, or the total
-    /// exceeds `u32::MAX` (the per-bin capacity — see [`Config::from_loads`]).
-    fn from_entries(n: usize, entries: impl IntoIterator<Item = (u32, u32)>) -> Self {
-        assert!(n > 0, "a configuration needs at least one bin");
-        // Bin indices are u32 throughout the workspace; a larger n would
-        // silently truncate destination draws in release builds.
-        assert!(
-            n <= u32::MAX as usize + 1,
-            "bin count {n} exceeds the u32 index range"
-        );
-        let mut store = Self {
-            n,
-            loads: LoadMap::default(),
-            free: Vec::new(),
-            issued: 0,
-            survivors: Vec::new(),
-            departing: [Vec::new(), Vec::new()],
-            dense: OnceCell::new(),
-        };
-        let mut balls = 0u64;
-        for (bin, load) in entries {
-            assert!((bin as usize) < n, "bin {bin} out of range 0..{n}");
-            if load > 0 {
-                balls += u64::from(load);
-                store.add(bin, load);
-            }
-        }
-        assert!(
-            balls <= u64::from(u32::MAX),
-            "total ball count {balls} exceeds u32::MAX and could overflow a single bin"
-        );
-        store
-    }
-
     /// Adds `load` balls to bin `b` (one map probe), without invalidating
     /// the dense view; returns the bin's handle. A bin that was empty takes
     /// the last freed handle, or a new one.
@@ -217,8 +182,40 @@ impl LoadStore for SparseStore {
     const KIND: &'static str = ENGINE_SPARSE;
     const BIN_HANDLES: bool = false;
 
-    fn restore(state: &SnapshotState) -> Self {
-        Self::from_entries(state.n, state.entries.iter().copied())
+    /// Inserts each entry under the next new handle, into a map reserved
+    /// for the entries' size hint (so callers pass the occupied bins, not
+    /// a zero load for every empty one).
+    fn fill(
+        n: usize,
+        shards: usize,
+        entries: impl Iterator<Item = (u32, u32)>,
+        mut filed: impl FnMut(u32, u32, u32),
+    ) -> Self {
+        let reserve = entries.size_hint().0;
+        let entries = ascending(n, entries);
+        assert_eq!(shards, 1, "sparse storage draws from one stream");
+        let mut loads = LoadMap::with_capacity_and_hasher(reserve, Default::default());
+        let mut issued = 0;
+        entries.for_each(|(bin, load)| {
+            loads.insert(
+                bin,
+                Slot {
+                    load,
+                    handle: issued,
+                },
+            );
+            filed(bin, issued, load);
+            issued += 1;
+        });
+        Self {
+            n,
+            loads,
+            free: Vec::new(),
+            issued,
+            survivors: Vec::new(),
+            departing: [Vec::new(), Vec::new()],
+            dense: OnceCell::new(),
+        }
     }
 
     #[inline]
@@ -366,7 +363,10 @@ pub type SparseLoadProcess = LoadEngine<SparseStore>;
 impl SparseLoadProcess {
     /// Creates a sparse process from occupied-bin `(bin, load)` entries —
     /// the `O(#entries)` constructor that never touches a dense vector.
-    /// Duplicate bins are merged; zero loads are ignored.
+    /// Entries may come in any order: unless their bins strictly ascend
+    /// they are sorted first, and duplicate bins merged. Zero loads are
+    /// ignored. Ascending entries, which every start builder yields, can go
+    /// to [`LoadEngine::from_sorted_entries`] without being listed.
     ///
     /// Panics if `n == 0`, a bin index is out of range, or the total ball
     /// count exceeds `u32::MAX` (the per-bin capacity — see
@@ -387,7 +387,9 @@ impl SparseLoadProcess {
 
     /// The weighted, capacity-observing form of [`Self::from_entries`],
     /// bit-identical to the dense `with_weights` from the same seed and
-    /// start, weighted metrics included. Unit weights build no overlay.
+    /// start, weighted metrics included: the weights go to the balls in
+    /// bin order after the entries are sorted. Unit weights build no
+    /// overlay.
     ///
     /// # RNG stream
     ///
@@ -399,8 +401,21 @@ impl SparseLoadProcess {
         weights: Weights,
         capacities: Capacities,
     ) -> Self {
-        let store = SparseStore::from_entries(n, entries);
-        Self::from_parts(store, vec![rng], weights, capacities)
+        let mut entries: Vec<(u32, u32)> = entries.into_iter().collect();
+        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            entries.sort_unstable_by_key(|&(bin, _)| bin);
+            entries.dedup_by(|next, kept| {
+                let merged = next.0 == kept.0;
+                if merged {
+                    kept.1 = kept.1.checked_add(next.1).unwrap_or_else(|| {
+                        // rbb-lint: allow(panic, reason = "constructor contract violation, as for any total above u32::MAX")
+                        panic!("total ball count exceeds u32::MAX and could overflow a single bin")
+                    });
+                }
+                merged
+            });
+        }
+        Self::from_sorted_entries(n, entries, vec![rng], weights, capacities)
     }
 
     /// Creates a sparse process from a dense configuration (collecting its
@@ -412,8 +427,16 @@ impl SparseLoadProcess {
     /// Takes ownership of `rng` as the engine stream — see
     /// [`Self::from_entries`] for the per-round draw contract.
     pub fn new(config: Config, rng: Xoshiro256pp) -> Self {
-        let entries = config.loads().iter().zip(0u32..).map(|(&l, b)| (b, l));
-        Self::from_entries(config.n(), entries, rng)
+        // Filtered here, so the size hint does not count the empty bins.
+        let occupied = config.loads().iter().zip(0u32..).filter(|&(&l, _)| l > 0);
+        let entries = occupied.map(|(&l, b)| (b, l));
+        Self::from_sorted_entries(
+            config.n(),
+            entries,
+            vec![rng],
+            Weights::Unit,
+            Capacities::Unbounded,
+        )
     }
 
     /// Convenience constructor: `n` balls into `n` bins, one per bin.
@@ -433,6 +456,7 @@ mod tests {
         assert_weighted_place_and_depart,
     };
     use crate::process::LoadProcess;
+    use crate::snapshot::SnapshotState;
 
     fn rng(seed: u64) -> Xoshiro256pp {
         Xoshiro256pp::seed_from(seed)
@@ -484,6 +508,37 @@ mod tests {
         assert_eq!(Engine::bin_load(&p, 9), 5);
         assert_eq!(Engine::bin_load(&p, 0), 0);
         assert_eq!(Engine::config(&p).loads()[3], 3);
+    }
+
+    #[test]
+    fn from_entries_sorts_and_merges_weighted_input() {
+        // Unsorted, with duplicate bins and a zero load: the entries are
+        // sorted and merged before the weights go to the balls in bin
+        // order, so this is the dense engine over the merged start.
+        let entries = [(7, 2), (2, 1), (7, 1), (0, 0), (4, 2), (2, 3)];
+        let start = Config::from_loads(vec![0, 0, 4, 0, 2, 0, 0, 3]);
+        let weights = Weights::Explicit((1..=9).collect());
+        let caps = Capacities::Uniform(12);
+        let mut sparse =
+            SparseLoadProcess::with_weights(8, entries, rng(77), weights.clone(), caps.clone());
+        let mut dense = LoadProcess::with_weights(start, rng(77), weights, caps);
+        let queues = Engine::snapshot(&sparse).unwrap().weighted.unwrap().queues;
+        let want = [(2, vec![1, 2, 3, 4]), (4, vec![5, 6]), (7, vec![7, 8, 9])];
+        assert_eq!(queues, want);
+        assert_weighted_twins(&dense, &sparse, "start");
+        for r in 0..40 {
+            assert_eq!(sparse.step(), dense.step(), "round {r}");
+            assert_weighted_twins(&dense, &sparse, &format!("round {r}"));
+        }
+        assert_eq!(
+            Engine::snapshot(&sparse),
+            Engine::snapshot(&dense).map(|s| {
+                SnapshotState {
+                    engine: ENGINE_SPARSE.to_string(),
+                    ..s
+                }
+            })
+        );
     }
 
     #[test]

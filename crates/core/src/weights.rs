@@ -274,35 +274,17 @@ struct Fifo {
 }
 
 impl WeightOverlay {
-    /// Builds the overlay from `(bin, handle, load)` triples sorted by bin
-    /// and the per-ball weight vector, consumed ball by ball in bin order
-    /// (the enumeration [`Weights`] documents). Reserves queue records for
-    /// the handles below `records` in one allocation: growing the records
-    /// one handle at a time would copy them and leave the old buffers
-    /// stranded in the allocator.
-    pub(crate) fn from_entries(
-        records: usize,
-        entries: impl IntoIterator<Item = (u32, u32, u32)>,
-        weights: &[u32],
-    ) -> Self {
-        let mut overlay = WeightOverlay {
+    /// An empty overlay with its slab reserved for `balls` balls and its
+    /// queue records for the handles below `records`, each in one
+    /// allocation: growing them ball by ball or handle by handle would copy
+    /// them and leave the old buffers stranded in the allocator.
+    pub(crate) fn with_capacity(records: usize, balls: usize) -> Self {
+        WeightOverlay {
+            weight: Vec::with_capacity(balls),
+            next: Vec::with_capacity(balls),
             queues: Vec::with_capacity(records),
             ..WeightOverlay::default()
-        };
-        let mut rest = weights;
-        for (bin, handle, load) in entries {
-            assert!(
-                load as usize <= rest.len(),
-                "weight vector shorter than the ball count"
-            );
-            let (ws, tail) = rest.split_at(load as usize);
-            for &w in ws {
-                overlay.place(bin, handle, w);
-            }
-            rest = tail;
         }
-        assert!(rest.is_empty(), "weight vector longer than the ball count");
-        overlay
     }
 
     /// Total weight currently in the system.
@@ -520,6 +502,28 @@ impl WeightOverlay {
 mod tests {
     use super::*;
 
+    impl WeightOverlay {
+        /// The overlay of `(bin, handle, load)` triples sorted by bin, with
+        /// the per-ball weights consumed ball by ball in bin order, as a
+        /// load engine files it.
+        fn from_entries(
+            entries: impl IntoIterator<Item = (u32, u32, u32)>,
+            weights: &[u32],
+        ) -> Self {
+            let mut overlay = WeightOverlay::with_capacity(0, weights.len());
+            let mut rest = weights;
+            for (bin, handle, load) in entries {
+                let (ws, tail) = rest.split_at(load as usize);
+                for &w in ws {
+                    overlay.place(bin, handle, w);
+                }
+                rest = tail;
+            }
+            assert!(rest.is_empty(), "weight vector longer than the ball count");
+            overlay
+        }
+    }
+
     #[test]
     fn zipf_is_deterministic_and_skewed() {
         let a = Weights::zipf(100, 1.0, 100);
@@ -612,7 +616,7 @@ mod tests {
         // Bins 0 (2 balls, handle 1), 3 (1 ball, handle 0): weights are
         // consumed in bin order, whatever the handles.
         let entries = [(0, 1, 2), (3, 0, 1)];
-        let o = WeightOverlay::from_entries(0, entries, &[10, 20, 30]);
+        let o = WeightOverlay::from_entries(entries, &[10, 20, 30]);
         assert_eq!(o.total(), 60);
         assert_eq!(o.weighted_load(1), 30);
         assert_eq!(o.weighted_load(0), 30);
@@ -631,7 +635,7 @@ mod tests {
         // bin 0's ball lands in bin 1 and bin 1's ball lands in bin 0.
         // Simultaneity: bin 1 must release its *original* front (5), not
         // the arriving 10.
-        let mut o = WeightOverlay::from_entries(0, [(0, 0, 2), (1, 1, 1)], &[10, 20, 5]);
+        let mut o = WeightOverlay::from_entries([(0, 0, 2), (1, 1, 1)], &[10, 20, 5]);
         o.srcs.extend([0, 1]);
         o.transport(&[1, 0], &[1, 0]);
         assert_eq!(o.total(), 35);
@@ -649,7 +653,7 @@ mod tests {
         // Bin 4 = [7] under handle 0 empties, and its freed handle goes to
         // bin 9, which was empty. Bin 2 = [3] under handle 1 releases its
         // last ball and receives one: it keeps handle 1 here.
-        let mut o = WeightOverlay::from_entries(0, [(2, 1, 1), (4, 0, 1)], &[3, 7]);
+        let mut o = WeightOverlay::from_entries([(2, 1, 1), (4, 0, 1)], &[3, 7]);
         o.srcs.extend([1, 0]);
         o.transport(&[9, 2], &[0, 1]);
         assert_eq!(o.queues_sorted(), [(2, vec![7]), (9, vec![3])]);
@@ -659,7 +663,7 @@ mod tests {
 
     #[test]
     fn place_and_depart_maintain_totals() {
-        let mut o = WeightOverlay::from_entries(0, [(2, 0, 1)], &[7]);
+        let mut o = WeightOverlay::from_entries([(2, 0, 1)], &[7]);
         o.place(2, 0, 3);
         o.place(5, 1, 11);
         assert_eq!(o.total(), 21);
@@ -676,14 +680,14 @@ mod tests {
     fn snapshot_queues_round_trip() {
         // A restore rebuilds from the bin-sorted queues, flattened into the
         // per-ball weight vector, under handles issued afresh in bin order.
-        let mut o = WeightOverlay::from_entries(0, [(1, 1, 2), (4, 0, 1)], &[9, 8, 7]);
+        let mut o = WeightOverlay::from_entries([(1, 1, 2), (4, 0, 1)], &[9, 8, 7]);
         o.srcs.push(1);
         o.transport(&[4], &[0]);
         let queues = o.queues_sorted();
         assert_eq!(queues, [(1, vec![8]), (4, vec![7, 9])]);
         let entries = (queues.iter().zip(0..)).map(|((bin, ws), h)| (*bin, h, ws.len() as u32));
         let weights: Vec<u32> = queues.iter().flat_map(|(_, ws)| ws).copied().collect();
-        let back = WeightOverlay::from_entries(0, entries, &weights);
+        let back = WeightOverlay::from_entries(entries, &weights);
         assert_eq!(back.total(), o.total());
         assert_eq!(back.queues_sorted(), queues);
         assert_eq!(back.weighted_load(1), o.weighted_load(0), "bin 4");
@@ -792,7 +796,7 @@ mod tests {
                         weights.extend(q);
                     }
                     model = rebuilt;
-                    o = WeightOverlay::from_entries(0, entries, &weights);
+                    o = WeightOverlay::from_entries(entries, &weights);
                     peak = balls;
                 }
                 _ if rng.uniform_usize(balls + target) < target => {
@@ -853,7 +857,7 @@ mod tests {
 
     #[test]
     fn capacity_violations_count_only_exceeding_bins() {
-        let o = WeightOverlay::from_entries(0, [(0, 1, 1), (1, 0, 1)], &[10, 3]);
+        let o = WeightOverlay::from_entries([(0, 1, 1), (1, 0, 1)], &[10, 3]);
         assert_eq!(o.capacity_violations(&Capacities::Unbounded), 0);
         assert_eq!(o.capacity_violations(&Capacities::Uniform(5)), 1);
         assert_eq!(o.capacity_violations(&Capacities::Uniform(2)), 2);

@@ -264,6 +264,9 @@ impl Session {
     fn op_query(&mut self, req: &Value) -> Result<String, String> {
         let n = self.engine.n();
         let max_load = self.engine.max_load();
+        // One count of the non-empty bins (an O(n) scan on dense storage);
+        // every engine's empty-bin count is n minus it.
+        let nonempty = self.engine.nonempty_bins();
         // The legitimacy threshold is defined for n ≥ 2; a 1-bin process is
         // trivially "legitimate" and reports bound 0.
         let (bound, legitimate) = if n >= 2 {
@@ -278,14 +281,8 @@ impl Session {
             ("round".to_string(), Value::UInt(self.engine.round())),
             ("balls".to_string(), Value::UInt(self.engine.balls())),
             ("max_load".to_string(), Value::UInt(max_load as u64)),
-            (
-                "empty_bins".to_string(),
-                Value::UInt(self.engine.empty_bins() as u64),
-            ),
-            (
-                "nonempty_bins".to_string(),
-                Value::UInt(self.engine.nonempty_bins() as u64),
-            ),
+            ("empty_bins".to_string(), Value::UInt((n - nonempty) as u64)),
+            ("nonempty_bins".to_string(), Value::UInt(nonempty as u64)),
             ("bound".to_string(), Value::UInt(bound as u64)),
             ("legitimate".to_string(), Value::Bool(legitimate)),
         ];
@@ -864,5 +861,22 @@ mod tests {
         assert!(lines[0].starts_with(r#"{"ok":false"#), "{}", lines[0]);
         assert!(lines[1].contains(r#""n":16"#), "{}", lines[1]);
         assert_eq!(s.stats().errors, 1);
+    }
+
+    #[test]
+    fn long_string_request_is_answered_and_the_next_too() {
+        // A 4 MiB string field: the parser copies it in one pass, so the
+        // line is answered (the unknown field is ignored) and so is the
+        // next request.
+        let mut s = session(16, 2);
+        let long = format!(r#"{{"op":"query","pad":"{}"}}"#, "x".repeat(4 << 20));
+        let input = format!("{long}\n{{\"op\":\"query\"}}\n");
+        let mut out = Vec::new();
+        serve_lines(&mut s, input.as_bytes(), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert_eq!(lines[0], lines[1]);
+        assert!(lines[1].contains(r#""n":16"#), "{}", lines[1]);
     }
 }

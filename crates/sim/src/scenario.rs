@@ -29,9 +29,10 @@ use rbb_core::load::Rule;
 use rbb_core::metrics::ObserverStack;
 use rbb_core::process::LoadProcess;
 use rbb_core::rng::Xoshiro256pp;
+use rbb_core::weights::{Capacities, Weights};
 
 use crate::seed::{adversary_rng, engine_rng};
-use rbb_core::sharded::ShardedLoadProcess;
+use rbb_core::sharded::{shard_streams, ShardedLoadProcess};
 use rbb_core::sparse::SparseLoadProcess;
 use rbb_core::tetris::{BatchedTetris, Tetris};
 use rbb_graphs::GraphTokenProcess;
@@ -60,28 +61,37 @@ use crate::spec::{
 /// [`ScenarioSpec::resolved_engine`] (dense and sparse are
 /// bit-identical; sharded is bit-identical at `shards: 1` and law-equal
 /// above — see the spec module docs) and hands the spec's weights and
-/// capacities to that storage's `with_weights` constructor. The sparse
-/// engine is built from [`StartSpec::build_entries`] without ever
-/// allocating a dense `O(n)` start vector, weighted or not; the sharded
-/// engine derives its per-shard streams from the spec seed.
+/// capacities to [`LoadEngine::from_sorted_entries`] on that storage; the
+/// sharded engine derives its per-shard streams from the spec seed
+/// ([`shard_streams`]). Every load engine is built in one pass over
+/// [`StartSpec::build_entries`], which fills its storage, counts the balls
+/// and files the weights: construction allocates the storage and the
+/// weight overlay, and no list of the start's entries or dense copy of it.
 ///
+/// [`LoadEngine::from_sorted_entries`]: rbb_core::load::LoadEngine::from_sorted_entries
 /// [`StartSpec::build_entries`]: crate::spec::StartSpec::build_entries
 pub fn build_engine(spec: &ScenarioSpec) -> Result<Box<dyn Engine>, SpecError> {
     spec.validate()?;
     let seed = spec.seed;
     let m = spec.balls_or_default();
+    // The unweighted dense engine of the d-choice and graph-walk cells.
+    let dense = |n: usize, m: u64| -> Result<LoadProcess, SpecError> {
+        Ok(LoadProcess::from_sorted_entries(
+            n,
+            spec.start.build_entries(n, m, seed)?,
+            vec![engine_rng(seed)],
+            Weights::Unit,
+            Capacities::Unbounded,
+        ))
+    };
 
     if !spec.topology.is_complete() {
         let graph = spec.topology.build(spec.n, seed);
         return match spec.strategy {
             None => {
-                let config = spec
-                    .start
-                    .build(graph.n(), m_for_graph(&graph, m, spec)?, seed)?;
+                let (n, m) = (graph.n(), m_for_graph(&graph, m, spec)?);
                 let rule = Rule::Neighbors(Arc::new(graph));
-                Ok(Box::new(
-                    LoadProcess::new(config, engine_rng(seed)).with_rule(rule),
-                ))
+                Ok(Box::new(dense(n, m)?.with_rule(rule)))
             }
             Some(s) => Ok(Box::new(GraphTokenProcess::with_strategy(
                 graph,
@@ -98,25 +108,28 @@ pub fn build_engine(spec: &ScenarioSpec) -> Result<Box<dyn Engine>, SpecError> {
                 // so every load engine is the same one a plain constructor
                 // builds, bit for bit. Weights are assigned in bin order
                 // over the start, the order `build_entries` yields.
-                let (weights, capacities) = (spec.core_weights(), spec.core_capacities());
+                let (n, weights, capacities) =
+                    (spec.n, spec.core_weights(), spec.core_capacities());
+                let entries = spec.start.build_entries(n, m, seed)?;
                 let engine: Box<dyn Engine> = match spec.resolved_engine() {
-                    EngineSpec::Sparse => Box::new(SparseLoadProcess::with_weights(
-                        spec.n,
-                        spec.start.build_entries(spec.n, m, seed)?,
-                        engine_rng(seed),
+                    EngineSpec::Sparse => Box::new(SparseLoadProcess::from_sorted_entries(
+                        n,
+                        entries,
+                        vec![engine_rng(seed)],
                         weights,
                         capacities,
                     )),
-                    EngineSpec::Sharded => Box::new(ShardedLoadProcess::with_weights(
-                        spec.start.build(spec.n, m, seed)?,
-                        seed,
-                        spec.resolved_shards(),
+                    EngineSpec::Sharded => Box::new(ShardedLoadProcess::from_sorted_entries(
+                        n,
+                        entries,
+                        shard_streams(seed, spec.resolved_shards()),
                         weights,
                         capacities,
                     )),
-                    _ => Box::new(LoadProcess::with_weights(
-                        spec.start.build(spec.n, m, seed)?,
-                        engine_rng(seed),
+                    _ => Box::new(LoadProcess::from_sorted_entries(
+                        n,
+                        entries,
+                        vec![engine_rng(seed)],
                         weights,
                         capacities,
                     )),
@@ -136,12 +149,7 @@ pub fn build_engine(spec: &ScenarioSpec) -> Result<Box<dyn Engine>, SpecError> {
                 )))
             }
         },
-        ArrivalSpec::DChoice { d } => {
-            let config = spec.start.build(spec.n, m, seed)?;
-            Ok(Box::new(
-                LoadProcess::new(config, engine_rng(seed)).with_rule(Rule::BestOf(d)),
-            ))
-        }
+        ArrivalSpec::DChoice { d } => Ok(Box::new(dense(spec.n, m)?.with_rule(Rule::BestOf(d)))),
         ArrivalSpec::Tetris => {
             let config = spec.start.build(spec.n, m, seed)?;
             Ok(Box::new(Tetris::new(config, engine_rng(seed))))
@@ -783,6 +791,90 @@ mod tests {
             stack_a.max_load.unwrap().window_max(),
             stack_b.max_load.unwrap().window_max()
         );
+    }
+
+    #[test]
+    fn one_pass_builds_the_engines_the_densified_start_builds() {
+        // `build_engine` fills each load engine in one pass over the
+        // start's entries; the public constructors fed the densified start
+        // must build the same engine, for every start, storage and
+        // weighting. Debug builds also check the overlay against the
+        // storage after construction and after every round.
+        use crate::spec::{CapacitiesSpec, WeightsSpec};
+        let (n, seed) = (60, 41);
+        let starts = [
+            (StartSpec::OnePerBin, 60u64),
+            (StartSpec::AllInOne, 45),
+            (StartSpec::Packed { k: 7 }, 45),
+            (StartSpec::Geometric, 45),
+            (StartSpec::Random { salt: 0xFEED }, 45),
+            (StartSpec::RandomMultinomial { salt: 0xBEEF }, 45),
+        ];
+        let storages = [
+            (EngineSpec::Dense, 1),
+            (EngineSpec::Sparse, 1),
+            (EngineSpec::Sharded, 1),
+            (EngineSpec::Sharded, 3),
+        ];
+        let snapshot = |e: &dyn Engine| serde_json::to_string(&e.snapshot().unwrap()).unwrap();
+        for (start, m) in starts {
+            for (engine, shards) in storages {
+                for weighted in [false, true] {
+                    let case = format!("{start:?} on {engine:?} x{shards}, weighted {weighted}");
+                    let mut spec = ScenarioSpec::builder(n)
+                        .balls(m)
+                        .start(start)
+                        .engine(engine)
+                        .seed(seed)
+                        .build();
+                    if engine == EngineSpec::Sharded {
+                        spec.shards = Some(shards);
+                    }
+                    if weighted {
+                        spec.weights = Some(WeightsSpec::Zipf {
+                            s: 0.8,
+                            w_max: Some(30),
+                        });
+                        let caps = (0..n as u64).map(|b| 3 + 4 * (b % 5)).collect();
+                        spec.capacities = Some(CapacitiesSpec::Explicit(caps));
+                    }
+                    let mut one_pass = build_engine(&spec).unwrap();
+                    let config = start.build(n, m, seed).unwrap();
+                    let (w, c) = (spec.core_weights(), spec.core_capacities());
+                    let mut densified: Box<dyn Engine> = match engine {
+                        EngineSpec::Sparse => {
+                            let entries = config.loads().iter().zip(0u32..).map(|(&l, b)| (b, l));
+                            let rng = engine_rng(seed);
+                            Box::new(SparseLoadProcess::with_weights(n, entries, rng, w, c))
+                        }
+                        EngineSpec::Sharded => {
+                            Box::new(ShardedLoadProcess::with_weights(config, seed, shards, w, c))
+                        }
+                        _ => Box::new(LoadProcess::with_weights(config, engine_rng(seed), w, c)),
+                    };
+                    assert_eq!(one_pass.weighted(), weighted, "{case}");
+                    assert_eq!(snapshot(&*one_pass), snapshot(&*densified), "{case}");
+                    for r in 0..50 {
+                        assert_eq!(one_pass.step(), densified.step(), "{case}, round {r}");
+                        let (a, b) = (&*one_pass, &*densified);
+                        assert_eq!(
+                            a.weighted_max_load(),
+                            b.weighted_max_load(),
+                            "{case}, round {r}"
+                        );
+                        assert_eq!(
+                            a.capacity_violations(),
+                            b.capacity_violations(),
+                            "{case}, round {r}"
+                        );
+                    }
+                    assert_eq!(one_pass.config(), densified.config(), "{case}");
+                    let (a, b) = (one_pass.snapshot().unwrap(), densified.snapshot().unwrap());
+                    assert_eq!(a.rng_states, b.rng_states, "{case}");
+                    assert_eq!(snapshot(&*one_pass), snapshot(&*densified), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -53,12 +53,14 @@
 //!   partition and is part of the reproducibility key.
 //! * `"auto"` (also the default when the field is omitted/`null`) — sparse
 //!   iff the spec is in the load-only cell **and** `64·balls ≤ n`
-//!   ([`SPARSE_AUTO_RATIO`]). The 1/64 density cut-off is deliberately
-//!   conservative: benchmarks put the throughput crossover near 1/100 (a
-//!   dense round streams `4n` bytes branchlessly, a sparse round rebuilds
-//!   a hash map of the occupied bins), and below 1/64 the sparse
-//!   engine also wins `O(n) → O(m)` on memory, which at `n = 10^8` is the
-//!   difference between a 400 MB load vector and a few megabytes. Denser
+//!   ([`SPARSE_AUTO_RATIO`]). The 1/64 density cut-off sits just past the
+//!   throughput crossover, which timed unit rounds at `n = 2^20` put
+//!   between 1/32 and 1/64 (near 1/45: sparse rounds take about 1.3× the
+//!   dense time at 1/32 and 0.8× at 1/64; a dense round streams `4n` bytes
+//!   branchlessly, a sparse round rebuilds a hash map of the occupied
+//!   bins), and below 1/64 the sparse engine also wins `O(n) → O(m)` on
+//!   memory, which at `n = 10^8` is the difference between a 400 MB load
+//!   vector and a few megabytes. Denser
 //!   load-only cells at `n ≥ `[`SHARDED_AUTO_MIN_N`] resolve to the
 //!   sharded engine (with [`DEFAULT_SHARDS`] shards — never the machine's
 //!   thread count, which would break cross-machine reproducibility);
@@ -130,36 +132,47 @@ impl StartSpec {
     /// constructors` and `build_entries_densify_to_build_for_every_start`
     /// tests.
     pub fn build(&self, n: usize, m: u64, seed: u64) -> Result<Config, SpecError> {
-        let mut loads = vec![0u32; n];
-        for (b, l) in self.build_entries(n, m, seed)? {
+        let entries = self.build_entries(n, m, seed)?;
+        let mut config = Config::empty(n);
+        let loads = config.loads_slice_mut();
+        for (b, l) in entries {
             loads[b as usize] = l;
         }
-        Ok(Config::from_loads(loads))
+        Ok(config)
     }
 
-    /// Builds the initial configuration as sparse occupied-bin `(bin, load)`
-    /// entries, without ever allocating an `O(n)` vector (except for the
-    /// inherently dense `one-per-bin` start). Densifying the result equals
+    /// Builds the initial configuration as occupied-bin `(bin, load)`
+    /// entries in strictly ascending bin order, the order a load engine
+    /// fills from ([`LoadEngine::from_sorted_entries`]), with an exact size
+    /// hint. Allocates nothing of size `n`: the `one-per-bin` start, whose
+    /// list alone would be `O(n)`, is yielded lazily, and every other start
+    /// lists its `O(#occupied)` entries. Densifying the result equals
     /// [`build`](StartSpec::build) exactly — same configuration, and for
     /// `random` the same `seed ^ salt` draw stream — so a sparse engine
     /// started from these entries is bit-identical to a dense engine
     /// started from `build`.
-    pub fn build_entries(&self, n: usize, m: u64, seed: u64) -> Result<Vec<(u32, u32)>, SpecError> {
+    ///
+    /// [`LoadEngine::from_sorted_entries`]: rbb_core::load::LoadEngine::from_sorted_entries
+    pub fn build_entries(
+        &self,
+        n: usize,
+        m: u64,
+        seed: u64,
+    ) -> Result<impl Iterator<Item = (u32, u32)>, SpecError> {
         let m32 = u32::try_from(m).map_err(|_| SpecError("balls must fit in u32".into()))?;
         if n == 0 {
             return Err(SpecError("need at least one bin".into()));
         }
-        match self {
+        let listed = match self {
             StartSpec::OnePerBin => {
                 if m != n as u64 {
                     return Err(SpecError(format!(
                         "start one-per-bin requires balls == n (got {m} balls, {n} bins)"
                     )));
                 }
-                // rbb-lint: allow(lossy-cast, reason = "validate() bounds n by the u32 bin-index range")
-                Ok((0..n as u32).map(|b| (b, 1)).collect())
+                return Ok(StartEntries::OnePerBin(0..m32));
             }
-            StartSpec::AllInOne => Ok(vec![(0, m32)]),
+            StartSpec::AllInOne => vec![(0, m32)],
             StartSpec::Packed { k } => {
                 if *k < 1 || *k > n {
                     return Err(SpecError(format!("packed k = {k} out of range 1..={n}")));
@@ -177,7 +190,7 @@ impl StartSpec {
                         entries.push((i, load));
                     }
                 }
-                Ok(entries)
+                entries
             }
             StartSpec::Geometric => {
                 // Mirrors Config::geometric_cascade: halve what's left per
@@ -196,16 +209,51 @@ impl StartSpec {
                 if left > 0 {
                     entries[0].1 += left;
                 }
-                Ok(entries)
+                entries
             }
             StartSpec::Random { salt } => {
                 let mut rng = crate::seed::xor_salted_rng(seed, *salt);
-                Ok(random_assignment_entries(&mut rng, n, m))
+                random_assignment_entries(&mut rng, n, m)
             }
             StartSpec::RandomMultinomial { salt } => {
                 let mut rng = crate::seed::xor_salted_rng(seed, *salt);
-                Ok(random_assignment_multinomial(&mut rng, n, m))
+                random_assignment_multinomial(&mut rng, n, m)
             }
+        };
+        Ok(StartEntries::Listed(listed.into_iter()))
+    }
+}
+
+/// The entries [`StartSpec::build_entries`] yields: the `one-per-bin`
+/// start's from its range of bins, every other start's from its list.
+enum StartEntries {
+    OnePerBin(std::ops::Range<u32>),
+    Listed(std::vec::IntoIter<(u32, u32)>),
+}
+
+impl Iterator for StartEntries {
+    type Item = (u32, u32);
+
+    fn next(&mut self) -> Option<(u32, u32)> {
+        match self {
+            StartEntries::OnePerBin(bins) => bins.next().map(|bin| (bin, 1)),
+            StartEntries::Listed(entries) => entries.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            StartEntries::OnePerBin(bins) => bins.size_hint(),
+            StartEntries::Listed(entries) => entries.size_hint(),
+        }
+    }
+
+    /// Picks the kind once, so that a storage filling from the entries
+    /// runs one tight loop over them.
+    fn fold<B, F: FnMut(B, (u32, u32)) -> B>(self, init: B, f: F) -> B {
+        match self {
+            StartEntries::OnePerBin(bins) => bins.map(|bin| (bin, 1)).fold(init, f),
+            StartEntries::Listed(entries) => entries.fold(init, f),
         }
     }
 }
@@ -1524,7 +1572,16 @@ mod tests {
         ];
         for (start, m) in cases {
             let dense = start.build(n, m, 9).unwrap();
+            // The iterator a load engine fills from: strictly ascending
+            // bins, and a size hint exact enough to reserve a map by.
             let entries = start.build_entries(n, m, 9).unwrap();
+            let hint = entries.size_hint();
+            let entries: Vec<(u32, u32)> = entries.collect();
+            assert_eq!(hint, (entries.len(), Some(entries.len())), "{start:?}");
+            assert!(
+                entries.windows(2).all(|w| w[0].0 < w[1].0),
+                "{start:?}: bins not strictly ascending"
+            );
             let mut rebuilt = vec![0u32; n];
             for (b, l) in entries {
                 assert!(l > 0, "{start:?}: zero entry");
