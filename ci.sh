@@ -25,7 +25,8 @@
 #   serve        rbb-serve daemon end to end: socket session, snapshot →
 #                restore → resume byte-diffed against an uninterrupted run,
 #                unit and weighted sessions on each load engine, and a
-#                d-choice session on dense storage
+#                d-choice session on dense storage; a 4 MiB request line and
+#                a field its op does not read get their errors
 #   conformance  theory-conformance suite at 1 and 4 threads (300s budget)
 #   bench        rbb-bench ratio gates
 #
@@ -346,18 +347,33 @@ EOF
         done
     done
 
-    # A request line holding a 4 MiB string (an ignored field) must parse in
-    # one pass: a parser that rescans the rest of the line per character
-    # holds the daemon for hours on it.
+    # A request line holding a 4 MiB string must parse in one pass: a
+    # parser that rescans the rest of the line per character holds the
+    # daemon for hours on it. The string sits in a field `query` does not
+    # read, so the whole line is read, then refused with an error naming
+    # the field, and the next request is answered.
     echo "--> a 4 MiB request line is answered within 20 s, and so is the next"
     { printf '{"op":"query","pad":"'
       head -c $((4 << 20)) /dev/zero | tr '\0' x
       printf '"}\n{"op":"query"}\n'
     } | timeout 20 "${bin}" --stdio --n 64 > "${dir}/long-line.out" \
         || { echo "ERROR: the 4 MiB request line was not served within 20 s" >&2; exit 1; }
-    if [ "$(grep -c '^{"ok":true' "${dir}/long-line.out")" -ne 2 ]; then
-        echo "ERROR: the 4 MiB request line and the next did not both get an answer" >&2
+    if [ "$(wc -l < "${dir}/long-line.out")" -ne 2 ] \
+        || ! sed -n 1p "${dir}/long-line.out" | grep -q "^{\"ok\":false.*'pad'" \
+        || ! sed -n 2p "${dir}/long-line.out" | grep -q '^{"ok":true'; then
+        echo "ERROR: the 4 MiB request line was not refused for its field 'pad', or the next got no answer" >&2
         cat "${dir}/long-line.out" >&2
+        exit 1
+    fi
+
+    # A misspelt field is refused, not ignored: this place must not happen.
+    echo "--> a field its op does not read is refused, and nothing is placed"
+    printf '{"op":"place","cuont":3}\n{"op":"query"}\n' \
+        | "${bin}" --stdio --n 64 > "${dir}/unknown-field.out"
+    if ! sed -n 1p "${dir}/unknown-field.out" | grep -q "^{\"ok\":false.*'cuont'" \
+        || ! sed -n 2p "${dir}/unknown-field.out" | grep -q '"balls":64,'; then
+        echo "ERROR: {\"op\":\"place\",\"cuont\":3} was not refused, or it placed a ball" >&2
+        cat "${dir}/unknown-field.out" >&2
         exit 1
     fi
 }

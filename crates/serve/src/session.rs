@@ -19,10 +19,24 @@
 //! | `depart` | `bin` | `removed`, `load`, `balls` |
 //! | `step` | `rounds?` (default 1) | `round`, `moved` (last round's movers) |
 //! | `query` | `bin?` | `n`, `round`, `balls`, `max_load`, `empty_bins`, `nonempty_bins`, `bound`, `legitimate` (+ `load` when `bin` given; + `total_weight`, `weighted_max_load`, `weighted_bound`, `capacity_violations` on weighted engines) |
-//! | `snapshot` | `path?` | `state` (the [`SnapshotState`] object; also written to `path` when given) |
-//! | `restore` | `state` or `path` | `engine`, `n`, `round`, `balls` |
+//! | `snapshot` | `path?` (a string) | `state` (the [`SnapshotState`] object; also written to `path` when given) |
+//! | `restore` | `state` or `path` (a string) | `engine`, `n`, `round`, `balls` |
 //! | `stats` | | the [`crate::stats::StatsReport`] fields |
 //! | `shutdown` | | `shutting_down` |
+//!
+//! A field the op does not list is refused: the error names it and lists
+//! the op's fields, so a mistyped `{"op":"place","cuont":3}` places
+//! nothing. A field set to `null` reads as absent, and of duplicate keys
+//! the first counts. A line that is not JSON gets the parser's error
+//! whatever its fields, since the whole line is read before any of them is
+//! judged.
+//!
+//! Every request takes one path. [`serde_json::Members`] walks the line
+//! once into a typed `Request`: keys and strings are borrowed from the
+//! line and integers read in place, and only a nested value, such as
+//! `restore`'s `state`, is built as a [`Value`]. `place`, `depart`, `step`
+//! and `query` write their responses straight into the one buffer
+//! [`serve_lines`] reuses for every response.
 //!
 //! ## Determinism
 //!
@@ -32,12 +46,15 @@
 //! uninterrupted session would have — the `ci.sh` serve stage byte-diffs
 //! exactly that. Only `stats` reads the clock.
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::io::{BufRead, Read, Write};
 
 use rbb_core::engine::{Engine, Incremental};
 use rbb_core::prelude::LegitimacyThreshold;
 use rbb_core::snapshot::{restore, SnapshotState, ENGINE_DENSE, ENGINE_SHARDED};
-use serde::{Deserialize as _, Serialize as _, Value};
+use serde::{Deserialize, Serialize as _, Value};
+use serde_json::{Field, Members};
 
 use crate::clock::Clock;
 use crate::stats::ServeStats;
@@ -60,6 +77,193 @@ pub const MAX_LINE_BYTES: u64 = 64 << 20;
 /// before anything is allocated; sparse states are exempt. `rbb-serve`
 /// builds no larger dense or sharded session, so its snapshots restore.
 pub const MAX_RESTORE_BINS: usize = 1 << 26;
+
+/// The answer to a line without a string `op`.
+const NEEDS_OP: &str = "request needs a string \"op\" field";
+
+/// A request's operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Place,
+    Depart,
+    Step,
+    Query,
+    Snapshot,
+    Restore,
+    Stats,
+    Shutdown,
+}
+
+impl Op {
+    fn named(name: &str) -> Option<Op> {
+        Some(match name {
+            "place" => Op::Place,
+            "depart" => Op::Depart,
+            "step" => Op::Step,
+            "query" => Op::Query,
+            "snapshot" => Op::Snapshot,
+            "restore" => Op::Restore,
+            "stats" => Op::Stats,
+            "shutdown" => Op::Shutdown,
+            _ => return None,
+        })
+    }
+
+    /// The fields this op reads; a request holding any other is refused.
+    fn keys(self) -> &'static [Key] {
+        match self {
+            Op::Place => &[Key::Count, Key::Weight],
+            Op::Depart | Op::Query => &[Key::Bin],
+            Op::Step => &[Key::Rounds],
+            Op::Snapshot => &[Key::Path],
+            Op::Restore => &[Key::State, Key::Path],
+            Op::Stats | Op::Shutdown => &[],
+        }
+    }
+}
+
+/// A request key that the protocol defines: `op` and the fields some op
+/// reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Key {
+    Op,
+    Count,
+    Weight,
+    Bin,
+    Rounds,
+    Path,
+    State,
+}
+
+impl Key {
+    const ALL: [Key; 7] = [
+        Key::Op,
+        Key::Count,
+        Key::Weight,
+        Key::Bin,
+        Key::Rounds,
+        Key::Path,
+        Key::State,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            Key::Op => "op",
+            Key::Count => "count",
+            Key::Weight => "weight",
+            Key::Bin => "bin",
+            Key::Rounds => "rounds",
+            Key::Path => "path",
+            Key::State => "state",
+        }
+    }
+
+    fn named(name: &str) -> Option<Key> {
+        Key::ALL.into_iter().find(|key| key.name() == name)
+    }
+}
+
+/// One request line read into typed fields: each key the protocol defines,
+/// from its first occurrence. Strings borrow from the line and numbers are
+/// read in place; only a nested value is a [`Value`].
+struct Request<'a> {
+    fields: [Option<Field<'a>>; Key::ALL.len()],
+    /// The first key the protocol does not define.
+    stray: Option<Cow<'a, str>>,
+}
+
+impl<'a> Request<'a> {
+    /// Reads the whole line, so a line that is not JSON gets the parser's
+    /// error whatever its fields.
+    fn read(line: &'a str) -> Result<Self, String> {
+        let bad = |e: serde_json::Error| format!("bad request: {e}");
+        let Some(members) = Members::new(line).map_err(bad)? else {
+            return Err(NEEDS_OP.to_string());
+        };
+        let mut req = Request {
+            fields: Default::default(),
+            stray: None,
+        };
+        for member in members {
+            let (key, value) = member.map_err(bad)?;
+            match Key::named(&key) {
+                Some(k) => {
+                    req.fields[k as usize].get_or_insert(value);
+                }
+                None => {
+                    req.stray.get_or_insert(key);
+                }
+            }
+        }
+        Ok(req)
+    }
+
+    /// The op, once every field present is one it reads.
+    fn op(&self) -> Result<Op, String> {
+        let Some(Field::Str(name)) = &self.fields[Key::Op as usize] else {
+            return Err(NEEDS_OP.to_string());
+        };
+        let op = Op::named(name).ok_or_else(|| {
+            format!(
+                "unknown op '{name}' (place | depart | step | query | snapshot | restore | stats | shutdown)"
+            )
+        })?;
+        let unread = self.stray.as_deref().or_else(|| {
+            Key::ALL
+                .into_iter()
+                .find(|&k| {
+                    k != Key::Op && self.fields[k as usize].is_some() && !op.keys().contains(&k)
+                })
+                .map(Key::name)
+        });
+        match unread {
+            None => Ok(op),
+            Some(key) if op.keys().is_empty() => {
+                Err(format!("op '{name}' has no field '{key}' (it takes none)"))
+            }
+            Some(key) => {
+                let fields: Vec<&str> = op.keys().iter().map(|k| k.name()).collect();
+                Err(format!(
+                    "op '{name}' has no field '{key}' (its fields: {})",
+                    fields.join(" | ")
+                ))
+            }
+        }
+    }
+
+    /// Takes a field; `null` reads as absent.
+    fn take(&mut self, key: Key) -> Option<Field<'a>> {
+        self.fields[key as usize]
+            .take()
+            .filter(|field| !matches!(field, Field::Null))
+    }
+
+    /// Takes an unsigned-integer field, read in place.
+    fn uint(&mut self, key: Key) -> Result<Option<u64>, String> {
+        match self.take(key) {
+            Some(Field::UInt(x)) => Ok(Some(x)),
+            other => other.map(|field| via_value(key, field)).transpose(),
+        }
+    }
+
+    /// Takes a string field.
+    fn string(&mut self, key: Key) -> Result<Option<String>, String> {
+        match self.take(key) {
+            Some(Field::Str(s)) => Ok(Some(s.into_owned())),
+            other => other.map(|field| via_value(key, field)).transpose(),
+        }
+    }
+}
+
+/// Reads a field whose shape is not `T`'s own through a [`Value`], as
+/// `T`'s `Deserialize` reads it, so it gets the answer a parsed tree got:
+/// the type error, or 0 for a `-0` read as a `u64`.
+fn via_value<T: Deserialize>(key: Key, field: Field<'_>) -> Result<T, String> {
+    T::deserialize(&Value::from(field)).map_err(|e| format!("field \"{}\": {}", key.name(), e.0))
+}
+
+// Writing into a `String` cannot fail, so the responses below drop the
+// `fmt::Result` of each `write!`.
 
 /// A live daemon session: one engine, one clock, running counters.
 pub struct Session {
@@ -99,52 +303,48 @@ impl Session {
     /// newline). Never panics on malformed input: protocol failures become
     /// `{"ok":false,…}` responses.
     pub fn handle_line(&mut self, line: &str) -> String {
+        // Room for any response of `place` (one ball), `depart`, `step` or
+        // `query`, so writing one allocates once.
+        let mut out = String::with_capacity(256);
+        self.respond(line, &mut out);
+        out
+    }
+
+    /// Appends the response to one request line to `out`, without a
+    /// newline.
+    fn respond(&mut self, line: &str, out: &mut String) {
         self.stats.requests += 1;
-        // Fast path for the bare hot-loop request: skips the generic JSON
-        // parse (same semantics as the general path below).
-        if line == r#"{"op":"place"}"# {
-            return match self.place_one(1) {
-                Ok(resp) => resp,
-                Err(e) => self.fail(e),
-            };
-        }
-        let value = match serde_json::parse_value_str(line) {
-            Ok(v) => v,
-            Err(e) => return self.fail(format!("bad request: {e}")),
-        };
-        let op = match value.get("op").and_then(Value::as_str) {
-            Some(op) => op.to_string(),
-            None => return self.fail("request needs a string \"op\" field".to_string()),
-        };
-        let result = match op.as_str() {
-            "place" => self.op_place(&value),
-            "depart" => self.op_depart(&value),
-            "step" => self.op_step(&value),
-            "query" => self.op_query(&value),
-            "snapshot" => self.op_snapshot(&value),
-            "restore" => self.op_restore(&value),
-            "stats" => self.op_stats(),
-            "shutdown" => {
-                self.shutdown = true;
-                Ok(r#"{"ok":true,"shutting_down":true}"#.to_string())
-            }
-            other => Err(format!(
-                "unknown op '{other}' (place | depart | step | query | snapshot | restore | stats | shutdown)"
-            )),
-        };
-        match result {
-            Ok(resp) => resp,
-            Err(e) => self.fail(e),
+        let start = out.len();
+        if let Err(e) = Request::read(line).and_then(|req| self.dispatch(req, out)) {
+            out.truncate(start);
+            self.fail(e, out);
         }
     }
 
-    /// Renders an error response and counts it.
-    fn fail(&mut self, error: String) -> String {
+    fn dispatch(&mut self, mut req: Request<'_>, out: &mut String) -> Result<(), String> {
+        match req.op()? {
+            Op::Place => self.op_place(&mut req, out),
+            Op::Depart => self.op_depart(&mut req, out),
+            Op::Step => self.op_step(&mut req, out),
+            Op::Query => self.op_query(&mut req, out),
+            Op::Snapshot => self.op_snapshot(&mut req, out),
+            Op::Restore => self.op_restore(&mut req, out),
+            Op::Stats => self.op_stats(out),
+            Op::Shutdown => {
+                self.shutdown = true;
+                out.push_str(r#"{"ok":true,"shutting_down":true}"#);
+                Ok(())
+            }
+        }
+    }
+
+    /// Appends an error response and counts it.
+    fn fail(&mut self, error: String, out: &mut String) {
         self.stats.errors += 1;
-        render(&Value::Object(vec![
+        out.push_str(&render(&Value::Object(vec![
             ("ok".to_string(), Value::Bool(false)),
             ("error".to_string(), Value::Str(error)),
-        ]))
+        ])));
     }
 
     /// The engine's incremental surface: the guard shared by `place` and
@@ -156,9 +356,8 @@ impl Session {
         }
     }
 
-    /// One timed placement of a ball of weight `weight`, with the hot-path
-    /// response rendered by hand.
-    fn place_one(&mut self, weight: u32) -> Result<String, String> {
+    /// One timed placement of a ball of weight `weight`.
+    fn place_one(&mut self, weight: u32, out: &mut String) -> Result<(), String> {
         let balls = self.engine.balls();
         let inc = Self::guard_incremental(self.engine.as_mut())?;
         if balls >= u32::MAX as u64 {
@@ -171,16 +370,18 @@ impl Session {
         self.stats.placements += 1;
         let load = self.engine.bin_load(bin);
         let balls = self.engine.balls();
-        Ok(format!(
+        let _ = write!(
+            out,
             r#"{{"ok":true,"bin":{bin},"load":{load},"balls":{balls}}}"#
-        ))
+        );
+        Ok(())
     }
 
-    /// Parses and guards the optional `weight` field: `None` when absent,
+    /// Reads and guards the optional `weight` field: 1 when absent,
     /// otherwise a validated non-zero weight the engine can carry.
-    fn opt_weight(&self, req: &Value) -> Result<Option<u32>, String> {
-        let Some(w) = opt_u64(req, "weight")? else {
-            return Ok(None);
+    fn weight(&self, req: &mut Request<'_>) -> Result<u32, String> {
+        let Some(w) = req.uint(Key::Weight)? else {
+            return Ok(1);
         };
         if w == 0 {
             return Err("weight must be at least 1".to_string());
@@ -193,41 +394,41 @@ impl Session {
                 "non-unit weight needs a weighted engine (this engine is unit-weight)".to_string(),
             );
         }
-        Ok(Some(w))
+        Ok(w)
     }
 
-    fn op_place(&mut self, req: &Value) -> Result<String, String> {
-        let weight = self.opt_weight(req)?;
-        let Some(count) = opt_u64(req, "count")? else {
-            return self.place_one(weight.unwrap_or(1));
+    fn op_place(&mut self, req: &mut Request<'_>, out: &mut String) -> Result<(), String> {
+        let weight = self.weight(req)?;
+        let Some(count) = req.uint(Key::Count)? else {
+            return self.place_one(weight, out);
         };
         if count == 0 || count > MAX_PLACE_BATCH {
             return Err(format!("count must be in 1..={MAX_PLACE_BATCH}"));
         }
         let start = self.engine.balls();
         let inc = Self::guard_incremental(self.engine.as_mut())?;
-        let mut bins = Vec::with_capacity(count.min(4096) as usize);
+        out.push_str(r#"{"ok":true,"bins":["#);
         for placed in 0..count {
             if start + placed >= u32::MAX as u64 {
                 return Err("ball count reached the u32 load bound mid-batch".to_string());
             }
             let t0 = self.clock.now_nanos();
-            let bin = inc.place_weighted(weight.unwrap_or(1));
+            let bin = inc.place_weighted(weight);
             let t1 = self.clock.now_nanos();
             self.stats.place_latency.record(t1.saturating_sub(t0));
             self.stats.placements += 1;
-            bins.push(Value::UInt(bin as u64));
+            if placed > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{bin}");
         }
-        Ok(render(&Value::Object(vec![
-            ("ok".to_string(), Value::Bool(true)),
-            ("bins".to_string(), Value::Array(bins)),
-            ("balls".to_string(), Value::UInt(self.engine.balls())),
-        ])))
+        let _ = write!(out, r#"],"balls":{}}}"#, self.engine.balls());
+        Ok(())
     }
 
-    fn op_depart(&mut self, req: &Value) -> Result<String, String> {
+    fn op_depart(&mut self, req: &mut Request<'_>, out: &mut String) -> Result<(), String> {
         let inc = Self::guard_incremental(self.engine.as_mut())?;
-        let bin = opt_u64(req, "bin")?.ok_or("depart needs a \"bin\" field")? as usize;
+        let bin = req.uint(Key::Bin)?.ok_or("depart needs a \"bin\" field")? as usize;
         let removed = inc.depart(bin);
         if removed {
             self.stats.departures += 1;
@@ -237,14 +438,16 @@ impl Session {
         } else {
             0
         };
-        Ok(format!(
+        let _ = write!(
+            out,
             r#"{{"ok":true,"removed":{removed},"load":{load},"balls":{}}}"#,
             self.engine.balls()
-        ))
+        );
+        Ok(())
     }
 
-    fn op_step(&mut self, req: &Value) -> Result<String, String> {
-        let rounds = opt_u64(req, "rounds")?.unwrap_or(1);
+    fn op_step(&mut self, req: &mut Request<'_>, out: &mut String) -> Result<(), String> {
+        let rounds = req.uint(Key::Rounds)?.unwrap_or(1);
         if rounds == 0 || rounds > MAX_STEP_BATCH {
             return Err(format!("rounds must be in 1..={MAX_STEP_BATCH}"));
         }
@@ -253,16 +456,22 @@ impl Session {
             moved = self.engine.step_batched();
         }
         self.stats.rounds += rounds;
-        Ok(format!(
+        let _ = write!(
+            out,
             r#"{{"ok":true,"round":{},"moved":{moved}}}"#,
             self.engine.round()
-        ))
+        );
+        Ok(())
     }
 
     /// The cheap metric surface: never materializes a dense config (the
     /// sparse engine answers in `O(#occupied)`).
-    fn op_query(&mut self, req: &Value) -> Result<String, String> {
+    fn op_query(&mut self, req: &mut Request<'_>, out: &mut String) -> Result<(), String> {
         let n = self.engine.n();
+        let bin = req.uint(Key::Bin)?.map(|bin| bin as usize);
+        if let Some(bin) = bin.filter(|&bin| bin >= n) {
+            return Err(format!("bin {bin} out of range 0..{n}"));
+        }
         let max_load = self.engine.max_load();
         // One count of the non-empty bins (an O(n) scan on dense storage);
         // every engine's empty-bin count is n minus it.
@@ -275,17 +484,13 @@ impl Session {
         } else {
             (0, true)
         };
-        let mut fields = vec![
-            ("ok".to_string(), Value::Bool(true)),
-            ("n".to_string(), Value::UInt(n as u64)),
-            ("round".to_string(), Value::UInt(self.engine.round())),
-            ("balls".to_string(), Value::UInt(self.engine.balls())),
-            ("max_load".to_string(), Value::UInt(max_load as u64)),
-            ("empty_bins".to_string(), Value::UInt((n - nonempty) as u64)),
-            ("nonempty_bins".to_string(), Value::UInt(nonempty as u64)),
-            ("bound".to_string(), Value::UInt(bound as u64)),
-            ("legitimate".to_string(), Value::Bool(legitimate)),
-        ];
+        let _ = write!(
+            out,
+            r#"{{"ok":true,"n":{n},"round":{},"balls":{},"max_load":{max_load},"empty_bins":{},"nonempty_bins":{nonempty},"bound":{bound},"legitimate":{legitimate}"#,
+            self.engine.round(),
+            self.engine.balls(),
+            n - nonempty,
+        );
         // Weighted surface: appended only on weighted engines, so unit
         // sessions keep the pre-weighted response bytes.
         if self.engine.weighted() {
@@ -295,31 +500,21 @@ impl Session {
             } else {
                 0
             };
-            fields.push(("total_weight".to_string(), Value::UInt(total_weight)));
-            fields.push((
-                "weighted_max_load".to_string(),
-                Value::UInt(self.engine.weighted_max_load()),
-            ));
-            fields.push(("weighted_bound".to_string(), Value::UInt(weighted_bound)));
-            fields.push((
-                "capacity_violations".to_string(),
-                Value::UInt(self.engine.capacity_violations()),
-            ));
+            let _ = write!(
+                out,
+                r#","total_weight":{total_weight},"weighted_max_load":{},"weighted_bound":{weighted_bound},"capacity_violations":{}"#,
+                self.engine.weighted_max_load(),
+                self.engine.capacity_violations(),
+            );
         }
-        if let Some(bin) = opt_u64(req, "bin")? {
-            let bin = bin as usize;
-            if bin >= n {
-                return Err(format!("bin {bin} out of range 0..{n}"));
-            }
-            fields.push((
-                "load".to_string(),
-                Value::UInt(self.engine.bin_load(bin) as u64),
-            ));
+        if let Some(bin) = bin {
+            let _ = write!(out, r#","load":{}"#, self.engine.bin_load(bin));
         }
-        Ok(render(&Value::Object(fields)))
+        out.push('}');
+        Ok(())
     }
 
-    fn op_snapshot(&mut self, req: &Value) -> Result<String, String> {
+    fn op_snapshot(&mut self, req: &mut Request<'_>, out: &mut String) -> Result<(), String> {
         let state = self
             .engine
             .snapshot()
@@ -328,25 +523,24 @@ impl Session {
             ("ok".to_string(), Value::Bool(true)),
             ("state".to_string(), state.serialize()),
         ];
-        if let Some(path) = req.get("path").and_then(Value::as_str) {
+        if let Some(path) = req.string(Key::Path)? {
             let mut text = serde_json::to_string_pretty(&state).map_err(|e| e.to_string())?;
             text.push('\n');
-            std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
-            fields.push(("path".to_string(), Value::Str(path.to_string())));
+            std::fs::write(&path, text).map_err(|e| format!("writing {path}: {e}"))?;
+            fields.push(("path".to_string(), Value::Str(path)));
         }
-        Ok(render(&Value::Object(fields)))
+        out.push_str(&render(&Value::Object(fields)));
+        Ok(())
     }
 
-    fn op_restore(&mut self, req: &Value) -> Result<String, String> {
-        // `Value::get` yields `Null` for absent keys, so filter it out.
-        let state_field = req.get("state").filter(|v| !matches!(v, Value::Null));
-        let state = match (state_field, req.get("path").and_then(Value::as_str)) {
-            (Some(value), _) => {
-                SnapshotState::deserialize(value).map_err(|e| format!("bad state: {}", e.0))?
-            }
+    fn op_restore(&mut self, req: &mut Request<'_>, out: &mut String) -> Result<(), String> {
+        let path = req.string(Key::Path)?;
+        let state = match (req.take(Key::State), path) {
+            (Some(state), _) => SnapshotState::deserialize(&Value::from(state))
+                .map_err(|e| format!("bad state: {}", e.0))?,
             (None, Some(path)) => {
                 let text =
-                    std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+                    std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
                 serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?
             }
             (None, None) => return Err("restore needs a \"state\" or \"path\" field".to_string()),
@@ -361,28 +555,20 @@ impl Session {
             ));
         }
         self.engine = restore(&state).map_err(|e| e.0)?;
-        Ok(render(&Value::Object(vec![
+        out.push_str(&render(&Value::Object(vec![
             ("ok".to_string(), Value::Bool(true)),
             ("engine".to_string(), Value::Str(state.engine.clone())),
             ("n".to_string(), Value::UInt(self.engine.n() as u64)),
             ("round".to_string(), Value::UInt(self.engine.round())),
             ("balls".to_string(), Value::UInt(self.engine.balls())),
-        ])))
+        ])));
+        Ok(())
     }
 
-    fn op_stats(&mut self) -> Result<String, String> {
+    fn op_stats(&mut self, out: &mut String) -> Result<(), String> {
         let elapsed = self.clock.now_nanos();
-        Ok(render(&self.stats.report(elapsed).serialize()))
-    }
-}
-
-/// Reads an optional unsigned-integer request field.
-fn opt_u64(req: &Value, key: &str) -> Result<Option<u64>, String> {
-    match req.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => u64::deserialize(v)
-            .map(Some)
-            .map_err(|e| format!("field \"{key}\": {}", e.0)),
+        out.push_str(&render(&self.stats.report(elapsed).serialize()));
+        Ok(())
     }
 }
 
@@ -396,13 +582,14 @@ fn render(value: &Value) -> String {
 /// lines are skipped, and a line that is not UTF-8 or longer than
 /// [`MAX_LINE_BYTES`] gets an error response (the rest of an over-long line
 /// is skipped unread); the loop ends at EOF or after a `shutdown` request
-/// is answered.
+/// is answered. Every response is written from one reused buffer.
 pub fn serve_lines(
     session: &mut Session,
     mut reader: impl BufRead,
     mut writer: impl Write,
 ) -> std::io::Result<()> {
     let mut buf = Vec::new();
+    let mut out = String::new();
     loop {
         buf.clear();
         if Read::take(&mut reader, MAX_LINE_BYTES + 1).read_until(b'\n', &mut buf)? == 0 {
@@ -415,25 +602,29 @@ pub fn serve_lines(
                 buf.pop();
             }
         }
-        let response = if !complete && buf.len() as u64 > MAX_LINE_BYTES {
+        out.clear();
+        if !complete && buf.len() as u64 > MAX_LINE_BYTES {
             reader.skip_until(b'\n')?;
             session.stats.requests += 1;
-            session.fail(format!(
-                "bad request: line longer than {MAX_LINE_BYTES} bytes \
-                 (send large states through restore's \"path\")"
-            ))
+            session.fail(
+                format!(
+                    "bad request: line longer than {MAX_LINE_BYTES} bytes \
+                     (send large states through restore's \"path\")"
+                ),
+                &mut out,
+            );
         } else {
             match std::str::from_utf8(&buf) {
                 Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => session.handle_line(line),
+                Ok(line) => session.respond(line, &mut out),
                 Err(e) => {
                     session.stats.requests += 1;
-                    session.fail(format!("bad request: not UTF-8 ({e})"))
+                    session.fail(format!("bad request: not UTF-8 ({e})"), &mut out);
                 }
             }
-        };
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
+        }
+        out.push('\n');
+        writer.write_all(out.as_bytes())?;
         writer.flush()?;
         if session.is_shutdown() {
             break;
@@ -456,14 +647,14 @@ mod tests {
     }
 
     #[test]
-    fn place_fast_path_and_general_path_agree() {
+    fn spaced_and_compact_place_requests_agree() {
         let mut a = session(64, 7);
         let mut b = session(64, 7);
         for _ in 0..20 {
-            let fast = a.handle_line(r#"{"op":"place"}"#);
-            let general = b.handle_line(r#"{"op": "place"}"#);
-            assert_eq!(fast, general);
-            assert!(fast.starts_with(r#"{"ok":true,"bin":"#), "{fast}");
+            let compact = a.handle_line(r#"{"op":"place"}"#);
+            let spaced = b.handle_line(r#" { "op" : "place" } "#);
+            assert_eq!(compact, spaced);
+            assert!(compact.starts_with(r#"{"ok":true,"bin":"#), "{compact}");
         }
         assert_eq!(a.stats().placements, 20);
     }
@@ -858,15 +1049,16 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "{text}");
-        assert!(lines[0].starts_with(r#"{"ok":false"#), "{}", lines[0]);
+        // The parse error, not the field `x` that place does not read.
+        assert!(lines[0].contains("recursion limit"), "{}", lines[0]);
         assert!(lines[1].contains(r#""n":16"#), "{}", lines[1]);
         assert_eq!(s.stats().errors, 1);
     }
 
     #[test]
     fn long_string_request_is_answered_and_the_next_too() {
-        // A 4 MiB string field: the parser copies it in one pass, so the
-        // line is answered (the unknown field is ignored) and so is the
+        // A 4 MiB string field: the parser reads it in one pass, so the
+        // line is answered (refused for its field `pad`) and so is the
         // next request.
         let mut s = session(16, 2);
         let long = format!(r#"{{"op":"query","pad":"{}"}}"#, "x".repeat(4 << 20));
@@ -875,8 +1067,59 @@ mod tests {
         serve_lines(&mut s, input.as_bytes(), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "{text}");
-        assert_eq!(lines[0], lines[1]);
+        assert_eq!(lines.len(), 2, "{}", &text[..text.len().min(200)]);
+        assert!(lines[0].starts_with(r#"{"ok":false"#), "{}", lines[0]);
+        assert!(lines[0].contains("'pad'"), "{}", lines[0]);
+        assert_eq!(lines[1], s.handle_line(r#"{"op":"query"}"#));
         assert!(lines[1].contains(r#""n":16"#), "{}", lines[1]);
+    }
+
+    #[test]
+    fn fields_an_op_does_not_read_are_refused() {
+        let mut s = session(16, 2);
+        let query = s.handle_line(r#"{"op":"query"}"#);
+        for (line, field, lists) in [
+            (r#"{"op":"place","cuont":3}"#, "cuont", "count | weight"),
+            (r#"{"bin":3,"op":"place"}"#, "bin", "count | weight"),
+            (r#"{"op":"depart","bin":1,"count":2}"#, "count", "bin"),
+            (r#"{"op":"snapshot","\u0078":1}"#, "x", "path"),
+            (
+                r#"{"op":"restore","state":null,"rounds":1}"#,
+                "rounds",
+                "state | path",
+            ),
+        ] {
+            let resp = s.handle_line(line);
+            assert!(resp.starts_with(r#"{"ok":false"#), "{line} -> {resp}");
+            assert!(
+                resp.contains(&format!("field '{field}'")),
+                "{line} -> {resp}"
+            );
+            assert!(resp.contains(lists), "{line} -> {resp}");
+        }
+        let stats = s.handle_line(r#"{"op":"stats","verbose":true}"#);
+        assert!(stats.contains("'verbose' (it takes none)"), "{stats}");
+        let shutdown = s.handle_line(r#"{"op":"shutdown","now":true}"#);
+        assert!(shutdown.starts_with(r#"{"ok":false"#), "{shutdown}");
+        assert!(!s.is_shutdown());
+        // A path must be a string.
+        for line in [
+            r#"{"op":"snapshot","path":5}"#,
+            r#"{"op":"restore","path":["x"]}"#,
+        ] {
+            let resp = s.handle_line(line);
+            assert!(
+                resp.contains(r#"field \"path\": expected string"#),
+                "{resp}"
+            );
+        }
+        // Nothing was placed, stepped or restored.
+        assert_eq!(s.handle_line(r#"{"op":"query"}"#), query);
+        // A line that is not JSON gets the parse error, whatever its fields.
+        let broken = s.handle_line(r#"{"op":"place","cuont":3"#);
+        assert!(broken.contains("bad request: JSON error"), "{broken}");
+        // An unknown op is named before its fields.
+        let warp = s.handle_line(r#"{"op":"warp","cuont":3}"#);
+        assert!(warp.contains("unknown op 'warp'"), "{warp}");
     }
 }
