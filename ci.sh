@@ -151,6 +151,25 @@ stage_specs() {
         cargo run -q --release --bin rbb -- "${subcommand}" --spec "${spec}" --quick >/dev/null
     done
 
+    # A misspelt key is refused, not skipped: with `weights` spelt
+    # `wieghts`, the weighted spec must not run as the unit-weight process.
+    echo "==> a spec holding a key that no field names is refused"
+    sed 's/"weights"/"wieghts"/' specs/weighted-zipf.json > target/wieghts.json
+    if ! grep -q '"wieghts"' target/wieghts.json; then
+        echo "ERROR: could not write a misspelt copy of specs/weighted-zipf.json" >&2
+        exit 1
+    fi
+    if cargo run -q --release --bin rbb -- sim --spec target/wieghts.json --quick \
+        > /dev/null 2> target/wieghts.err; then
+        echo "ERROR: rbb sim ran a spec holding the unknown key 'wieghts'" >&2
+        exit 1
+    fi
+    if ! grep -q "'wieghts'" target/wieghts.err; then
+        echo "ERROR: the refusal of the key 'wieghts' does not name it" >&2
+        cat target/wieghts.err >&2
+        exit 1
+    fi
+
     echo "==> ensemble determinism gate: byte-identical reports at 1 vs 4 threads"
     RAYON_NUM_THREADS=1 cargo run -q --release --bin rbb -- ensemble \
         --spec specs/ensemble-stability.json > target/ensemble-t1.json
@@ -363,6 +382,20 @@ EOF
         || ! sed -n 2p "${dir}/long-line.out" | grep -q '^{"ok":true'; then
         echo "ERROR: the 4 MiB request line was not refused for its field 'pad', or the next got no answer" >&2
         cat "${dir}/long-line.out" >&2
+        exit 1
+    fi
+
+    # A state key the snapshot layout does not name is refused, not
+    # skipped, and the session keeps the engine it had.
+    echo "--> a restore whose state holds a key its layout does not name is refused"
+    printf '%s\n' '{"op":"query"}' \
+        '{"op":"restore","state":{"version":1,"engine":"dense","n":8,"shards":1,"round":0,"balls":2,"entries":[[0,1],[5,1]],"rng_states":[[1,2,3,4]],"bogus":7}}' \
+        '{"op":"query"}' \
+        | "${bin}" --stdio --n 64 > "${dir}/stray-state.out"
+    if ! sed -n 2p "${dir}/stray-state.out" | grep -q "^{\"ok\":false.*'bogus'" \
+        || [ "$(sed -n 1p "${dir}/stray-state.out")" != "$(sed -n 3p "${dir}/stray-state.out")" ]; then
+        echo "ERROR: a restore whose state holds \"bogus\":7 was not refused, or it changed the session" >&2
+        cat "${dir}/stray-state.out" >&2
         exit 1
     fi
 

@@ -91,6 +91,16 @@ pub trait Neighbors: std::fmt::Debug + Send + Sync {
 /// refuse a larger one.
 pub const MAX_BEST_OF: usize = 64;
 
+/// The most bins a storage that allocates every bin, dense or sharded, may
+/// hold: 2^26, 256 MiB of `u32` loads. `ScenarioSpec::validate` and
+/// `rbb-serve`'s `restore` take `n` from outside the program and refuse a
+/// larger dense or sharded one before anything is allocated, so that
+/// `n = 2^32` is an error and not an aborted allocation. Sparse storage
+/// allocates per occupied bin and has no such limit. Building and restoring
+/// share the limit, so every session `rbb-serve` builds restores from its
+/// own snapshots.
+pub const MAX_DENSE_BINS: usize = 1 << 26;
+
 /// Where the ball a bin releases goes.
 #[derive(Debug, Clone)]
 pub enum Rule {

@@ -17,7 +17,7 @@
 //! renders as a single JSON object — the wire format `rbb-serve` uses for
 //! its `snapshot`/`restore` requests and checkpoint files.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::engine::Engine;
 use crate::load::MAX_BEST_OF;
@@ -39,8 +39,8 @@ pub const SNAPSHOT_VERSION_WEIGHTED: u32 = 2;
 
 /// Version tag of a d-choice engine's layout: version 1 or 2 plus a
 /// `best_of` key recording `d` (see [`crate::load::Rule::BestOf`]). Its own
-/// tag, because a reader of versions 1 and 2 skips unknown keys and would
-/// resume the snapshot as the uniform process.
+/// tag, because a reader of versions 1 and 2 skipped unknown keys and would
+/// have resumed the snapshot as the uniform process.
 pub const SNAPSHOT_VERSION_BEST_OF: u32 = 3;
 
 /// Engine-kind tag of [`LoadProcess`] snapshots.
@@ -77,12 +77,16 @@ impl std::error::Error for SnapshotError {}
 ///   for the sharded engine — and none of them is the all-zero fixed point.
 /// * `weighted` is present when `version` is [`SNAPSHOT_VERSION_WEIGHTED`],
 ///   may be present at [`SNAPSHOT_VERSION_BEST_OF`], and is absent
-///   otherwise; version-1 snapshots serialize without the key at all,
-///   byte-identical to the pre-weighted layout.
+///   otherwise.
 /// * `best_of` is present exactly when `version` is
 ///   [`SNAPSHOT_VERSION_BEST_OF`], holds `2 ≤ d ≤` [`MAX_BEST_OF`], and
 ///   only on a dense engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// An absent section is left out of the JSON, not written as `null`, so a
+/// version-1 snapshot is byte-identical to the pre-weighted layout. A key
+/// the layout does not name is refused.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SnapshotState {
     /// Layout version ([`SNAPSHOT_VERSION`], [`SNAPSHOT_VERSION_WEIGHTED`]
     /// or [`SNAPSHOT_VERSION_BEST_OF`]).
@@ -102,15 +106,18 @@ pub struct SnapshotState {
     /// Raw xoshiro256++ states, one per engine stream.
     pub rng_states: Vec<[u64; 4]>,
     /// Weight queues and capacity bounds (see the invariants above).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub weighted: Option<WeightedSection>,
     /// The `d` of a d-choice engine — `Some` iff the layout version is
     /// [`SNAPSHOT_VERSION_BEST_OF`].
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub best_of: Option<usize>,
 }
 
 /// The version-2 weighted section: per-bin FIFO weight queues plus the
 /// serialized capacity bounds.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct WeightedSection {
     /// `(bin, weights front→back)` per occupied bin, sorted by bin index.
     /// Empty for a unit-weight engine that only observes capacities.
@@ -125,60 +132,6 @@ impl WeightedSection {
     /// The decoded capacity bounds.
     pub fn capacities(&self) -> Result<Capacities, SnapshotError> {
         Capacities::from_parts(&self.cap_kind, &self.caps).map_err(SnapshotError)
-    }
-}
-
-// Serialize/Deserialize are written by hand (not derived) so that the
-// optional `weighted` and `best_of` keys are *omitted* — not rendered as
-// `null` — when absent: version-1 snapshots must stay byte-identical to the
-// pre-weighted layout, which the serve golden and every checkpoint on disk
-// pin down.
-impl Serialize for SnapshotState {
-    fn serialize(&self) -> Value {
-        let mut fields = vec![
-            ("version".to_string(), self.version.serialize()),
-            ("engine".to_string(), self.engine.serialize()),
-            ("n".to_string(), self.n.serialize()),
-            ("shards".to_string(), self.shards.serialize()),
-            ("round".to_string(), self.round.serialize()),
-            ("balls".to_string(), self.balls.serialize()),
-            ("entries".to_string(), self.entries.serialize()),
-            ("rng_states".to_string(), self.rng_states.serialize()),
-        ];
-        if let Some(w) = &self.weighted {
-            fields.push(("weighted".to_string(), w.serialize()));
-        }
-        if let Some(d) = self.best_of {
-            fields.push(("best_of".to_string(), d.serialize()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for SnapshotState {
-    fn deserialize(value: &Value) -> Result<Self, serde::DeError> {
-        let get = |key: &str| serde::field(value, key);
-        Ok(Self {
-            version: Deserialize::deserialize(get("version")?)
-                .map_err(|e: serde::DeError| e.in_field("version"))?,
-            engine: Deserialize::deserialize(get("engine")?)
-                .map_err(|e: serde::DeError| e.in_field("engine"))?,
-            n: Deserialize::deserialize(get("n")?).map_err(|e: serde::DeError| e.in_field("n"))?,
-            shards: Deserialize::deserialize(get("shards")?)
-                .map_err(|e: serde::DeError| e.in_field("shards"))?,
-            round: Deserialize::deserialize(get("round")?)
-                .map_err(|e: serde::DeError| e.in_field("round"))?,
-            balls: Deserialize::deserialize(get("balls")?)
-                .map_err(|e: serde::DeError| e.in_field("balls"))?,
-            entries: Deserialize::deserialize(get("entries")?)
-                .map_err(|e: serde::DeError| e.in_field("entries"))?,
-            rng_states: Deserialize::deserialize(get("rng_states")?)
-                .map_err(|e: serde::DeError| e.in_field("rng_states"))?,
-            weighted: Deserialize::deserialize(get("weighted")?)
-                .map_err(|e: serde::DeError| e.in_field("weighted"))?,
-            best_of: Deserialize::deserialize(get("best_of")?)
-                .map_err(|e: serde::DeError| e.in_field("best_of"))?,
-        })
     }
 }
 

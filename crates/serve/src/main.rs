@@ -26,9 +26,10 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 
 use rbb_serve::clock::{Clock, MockClock, MonotonicClock};
-use rbb_serve::session::{serve_lines, Session, MAX_RESTORE_BINS};
+use rbb_serve::session::{serve_lines, Session};
 use rbb_sim::spec::EngineSpec;
 use rbb_sim::{build_engine, ScenarioSpec};
+use serde::Deserialize as _;
 
 /// Everything the command line configures.
 struct Args {
@@ -196,17 +197,10 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             "--spec" => args.spec_path = Some(value("--spec")?),
             "--engine" => {
-                args.engine = Some(match value("--engine")?.as_str() {
-                    "dense" => EngineSpec::Dense,
-                    "sparse" => EngineSpec::Sparse,
-                    "sharded" => EngineSpec::Sharded,
-                    "auto" => EngineSpec::Auto,
-                    other => {
-                        return Err(format!(
-                            "--engine must be dense | sparse | sharded | auto, got '{other}'"
-                        ))
-                    }
-                });
+                let name = serde::Value::Str(value("--engine")?);
+                let engine =
+                    EngineSpec::deserialize(&name).map_err(|e| format!("--engine: {e}"))?;
+                args.engine = Some(engine);
             }
             "--shards" => {
                 let k: usize = value("--shards")?
@@ -242,9 +236,11 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
 }
 
 /// Builds the spec (file or defaults), applies overrides, validates, and
-/// wraps the engine into a session. A dense or sharded session holds at
-/// most [`MAX_RESTORE_BINS`] bins, so that every snapshot it takes
-/// restores.
+/// wraps the engine into a session. Validation bounds a dense or sharded
+/// session by [`MAX_DENSE_BINS`], the most bins a `restore` allocates, so
+/// that every snapshot it takes restores.
+///
+/// [`MAX_DENSE_BINS`]: rbb_core::load::MAX_DENSE_BINS
 fn build_session(args: &Args) -> Result<Session, String> {
     let mut spec = match &args.spec_path {
         Some(path) => {
@@ -262,13 +258,6 @@ fn build_session(args: &Args) -> Result<Session, String> {
     }
     if let Some(shards) = args.shards {
         spec.shards = Some(shards);
-    }
-    if spec.resolved_engine() != EngineSpec::Sparse && spec.n > MAX_RESTORE_BINS {
-        return Err(format!(
-            "n = {} bins: dense and sharded sessions are limited to {MAX_RESTORE_BINS} \
-             bins, the most a restore allocates; use --engine sparse",
-            spec.n
-        ));
     }
     let engine = build_engine(&spec).map_err(|e| format!("building the engine: {e}"))?;
     let clock: Box<dyn Clock> = if args.mock_clock {
@@ -314,12 +303,14 @@ mod tests {
 
     #[test]
     fn sessions_above_the_restore_limit_are_refused_before_building() {
-        let over = (MAX_RESTORE_BINS + 1).to_string();
+        let limit = rbb_core::load::MAX_DENSE_BINS;
+        let over = (limit + 1).to_string();
         for engine in ["dense", "sharded"] {
             let argv = ["--stdio", "--n", &over, "--engine", engine];
             let args = parse_args(argv.iter().map(|a| a.to_string())).unwrap();
             let err = build_session(&args).err().expect("refused");
-            assert!(err.contains("--engine sparse"), "{err}");
+            assert!(err.contains(&limit.to_string()), "{err}");
+            assert!(err.contains(r#""engine": "sparse""#), "{err}");
         }
     }
 

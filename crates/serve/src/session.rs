@@ -10,8 +10,9 @@
 //! newline; a longer one gets one error response, its rest is skipped, and
 //! the session keeps serving. A larger state restores from a file through
 //! `restore`'s `path`. A dense or sharded state restores only up to
-//! [`MAX_RESTORE_BINS`] bins, since its restore allocates every bin; a
-//! sparse state has no such limit.
+//! [`MAX_DENSE_BINS`] bins, since its restore allocates every bin; a
+//! sparse state has no such limit. A key the state's layout does not name
+//! is refused.
 //!
 //! | op | request fields | response fields |
 //! |----|----------------|-----------------|
@@ -51,6 +52,7 @@ use std::fmt::Write as _;
 use std::io::{BufRead, Read, Write};
 
 use rbb_core::engine::{Engine, Incremental};
+use rbb_core::load::MAX_DENSE_BINS;
 use rbb_core::prelude::LegitimacyThreshold;
 use rbb_core::snapshot::{restore, SnapshotState, ENGINE_DENSE, ENGINE_SHARDED};
 use serde::{Deserialize, Serialize as _, Value};
@@ -70,13 +72,6 @@ pub const MAX_STEP_BATCH: u64 = 10_000_000;
 /// a sender that never writes a newline cannot grow the daemon's memory
 /// past it. States larger than this go through `restore`'s `path` field.
 pub const MAX_LINE_BYTES: u64 = 64 << 20;
-
-/// Most bins a dense or sharded `restore` may ask for (2^26, 256 MiB of
-/// loads): those restores allocate a `u32` per bin, so a state naming
-/// `n = 2^32` would otherwise abort the daemon on allocation. Checked
-/// before anything is allocated; sparse states are exempt. `rbb-serve`
-/// builds no larger dense or sharded session, so its snapshots restore.
-pub const MAX_RESTORE_BINS: usize = 1 << 26;
 
 /// The answer to a line without a string `op`.
 const NEEDS_OP: &str = "request needs a string \"op\" field";
@@ -546,10 +541,10 @@ impl Session {
             (None, None) => return Err("restore needs a \"state\" or \"path\" field".to_string()),
         };
         let every_bin = [ENGINE_DENSE, ENGINE_SHARDED].contains(&state.engine.as_str());
-        if every_bin && state.n > MAX_RESTORE_BINS {
+        if every_bin && state.n > MAX_DENSE_BINS {
             return Err(format!(
                 "{} state with n = {} bins: dense and sharded restores are limited to \
-                 {MAX_RESTORE_BINS} bins (they allocate every bin); restore larger n \
+                 {MAX_DENSE_BINS} bins (they allocate every bin); restore larger n \
                  as a sparse state",
                 state.engine, state.n
             ));
@@ -756,6 +751,14 @@ mod tests {
         assert!(resp.contains(r#""ok":false"#), "{resp}");
         let none = s.handle_line(r#"{"op":"restore"}"#);
         assert!(none.contains(r#""ok":false"#), "{none}");
+        // A key the layout does not name is refused, and the engine kept.
+        let before = s.handle_line(r#"{"op":"query"}"#);
+        let stray = s.handle_line(
+            r#"{"op":"restore","state":{"version":1,"engine":"dense","n":4,"shards":1,"round":0,"balls":1,"entries":[[0,1]],"rng_states":[[1,2,3,4]],"bogus":7}}"#,
+        );
+        assert!(stray.starts_with(r#"{"ok":false"#), "{stray}");
+        assert!(stray.contains("no field 'bogus'"), "{stray}");
+        assert_eq!(s.handle_line(r#"{"op":"query"}"#), before);
     }
 
     #[test]
@@ -770,7 +773,7 @@ mod tests {
         for (i, line) in lines.into_iter().enumerate() {
             let resp = s.handle_line(line);
             assert!(resp.starts_with(r#"{"ok":false"#), "{resp}");
-            assert!(resp.contains(&MAX_RESTORE_BINS.to_string()), "{resp}");
+            assert!(resp.contains(&MAX_DENSE_BINS.to_string()), "{resp}");
             assert!(resp.contains("sparse"), "{resp}");
             assert_eq!(s.stats().errors, i as u64 + 1);
             let query = s.handle_line(r#"{"op":"query"}"#);

@@ -7,7 +7,10 @@
 //! `protocol/<session>.out`. Those were recorded through
 //! `Session::handle_line` under `MockClock::new(1000)` while requests were
 //! still parsed into a JSON tree, on five sessions of 64 bins: dense unit,
-//! weighted Zipf, d-choice, sparse and sharded.
+//! weighted Zipf, d-choice, sparse and sharded. Lines 74–76 hold numbers
+//! JSON forbids (`01`, `1.`, `+1`); their answers, and so the counts of
+//! the closing `stats` line, were re-recorded when the parser began to
+//! refuse them.
 //!
 //! The lines whose answers changed since then are kept apart, in
 //! `protocol/refused.txt`: each names a field its op does not read, or a

@@ -27,7 +27,7 @@
 //! Specs serialize to JSON like scenarios do; see `specs/ensemble-*.json`
 //! for committed examples and README.md for the schema.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use rbb_core::config::LegitimacyThreshold;
 use rbb_core::metrics::ObserverStack;
@@ -38,7 +38,8 @@ use crate::seed::SeedTree;
 use crate::spec::{ScenarioSpec, SpecError};
 
 /// What an ensemble extracts from each finished trial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case", deny_unknown_fields)]
 pub enum MetricKind {
     /// `max_{t ≤ T} M(t)` — the window max load (Theorem 1(a)).
     WindowMaxLoad,
@@ -73,7 +74,8 @@ pub enum MetricKind {
 }
 
 impl MetricKind {
-    /// The spec-layer name (the JSON `kind` string).
+    /// The spec-layer name (the JSON `kind` string, as the derive spells
+    /// it).
     pub fn name(&self) -> &'static str {
         match self {
             MetricKind::WindowMaxLoad => "window-max-load",
@@ -90,26 +92,6 @@ impl MetricKind {
             MetricKind::FinalCapacityViolations => "final-capacity-violations",
             MetricKind::CapacityViolationRate => "capacity-violation-rate",
         }
-    }
-
-    /// Parses a JSON `kind` string.
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "window-max-load" => MetricKind::WindowMaxLoad,
-            "mean-round-max" => MetricKind::MeanRoundMax,
-            "final-max-load" => MetricKind::FinalMaxLoad,
-            "min-empty-bins" => MetricKind::MinEmptyBins,
-            "quarter-violation-rate" => MetricKind::QuarterViolationRate,
-            "first-legitimate-round" => MetricKind::FirstLegitimateRound,
-            "stop-round" => MetricKind::StopRound,
-            "rounds" => MetricKind::Rounds,
-            "faults" => MetricKind::Faults,
-            "weighted-window-max-load" => MetricKind::WeightedWindowMaxLoad,
-            "final-weighted-max-load" => MetricKind::FinalWeightedMaxLoad,
-            "final-capacity-violations" => MetricKind::FinalCapacityViolations,
-            "capacity-violation-rate" => MetricKind::CapacityViolationRate,
-            _ => return None,
-        })
     }
 
     /// Every metric kind, in report order.
@@ -134,11 +116,13 @@ impl MetricKind {
 
 /// One requested metric: what to extract plus the tail thresholds to count
 /// (`P(X >= t)` columns with Wilson intervals).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct MetricSpec {
     /// What to extract from each trial.
     pub kind: MetricKind,
-    /// Exceedance thresholds (may be empty).
+    /// Exceedance thresholds (may be empty, and then left out of the JSON).
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub thresholds: Vec<f64>,
 }
 
@@ -158,7 +142,8 @@ impl MetricSpec {
 }
 
 /// Report policy: confidence level and quantiles.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ReportSpec {
     /// Two-sided confidence level for mean CIs and Wilson tails
     /// (default 0.95).
@@ -184,6 +169,7 @@ impl ReportSpec {
 
 /// A declarative many-seed ensemble: scenario × replications × metrics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct EnsembleSpec {
     /// The scenario to replicate. Its own `seed` field is ignored; trial
     /// seeds derive from `master_seed` (see the module docs).
@@ -550,62 +536,6 @@ impl EnsembleReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Serde for the spec-layer enums (the stub derive covers structs only).
-// ---------------------------------------------------------------------------
-
-impl Serialize for MetricSpec {
-    fn serialize(&self) -> Value {
-        let mut entries = vec![("kind".to_string(), Value::Str(self.kind.name().to_string()))];
-        if !self.thresholds.is_empty() {
-            entries.push(("thresholds".to_string(), self.thresholds.serialize()));
-        }
-        Value::Object(entries)
-    }
-}
-
-impl Deserialize for MetricSpec {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        let kind = value
-            .get("kind")
-            .ok_or_else(|| DeError::expected("metric object", value))?;
-        let kind = kind
-            .as_str()
-            .ok_or_else(|| DeError::expected("string `kind`", kind))?;
-        let kind = MetricKind::parse(kind)
-            .ok_or_else(|| DeError(format!("unknown metric kind '{kind}'")))?;
-        let thresholds: Option<Vec<f64>> =
-            Deserialize::deserialize(serde::field(value, "thresholds")?)
-                .map_err(|e: DeError| e.in_field("thresholds"))?;
-        Ok(MetricSpec {
-            kind,
-            thresholds: thresholds.unwrap_or_default(),
-        })
-    }
-}
-
-impl Serialize for ReportSpec {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("level".to_string(), self.level.serialize()),
-            ("quantiles".to_string(), self.quantiles.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for ReportSpec {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        if value.as_object().is_none() {
-            return Err(DeError::expected("report object", value));
-        }
-        let level = Deserialize::deserialize(serde::field(value, "level")?)
-            .map_err(|e: DeError| e.in_field("level"))?;
-        let quantiles = Deserialize::deserialize(serde::field(value, "quantiles")?)
-            .map_err(|e: DeError| e.in_field("quantiles"))?;
-        Ok(ReportSpec { level, quantiles })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -789,7 +719,9 @@ mod tests {
     #[test]
     fn weighted_metric_names_round_trip() {
         for kind in MetricKind::all() {
-            assert_eq!(MetricKind::parse(kind.name()), Some(kind), "{kind:?}");
+            let json = serde_json::to_string(&kind).unwrap();
+            assert_eq!(json, format!("\"{}\"", kind.name()), "{kind:?}");
+            assert_eq!(serde_json::from_str::<MetricKind>(&json).unwrap(), kind);
         }
     }
 

@@ -836,7 +836,7 @@ mod tests {
                             w_max: Some(30),
                         });
                         let caps = (0..n as u64).map(|b| 3 + 4 * (b % 5)).collect();
-                        spec.capacities = Some(CapacitiesSpec::Explicit(caps));
+                        spec.capacities = Some(CapacitiesSpec::Explicit { caps });
                     }
                     let mut one_pass = build_engine(&spec).unwrap();
                     let config = start.build(n, m, seed).unwrap();
@@ -915,7 +915,9 @@ mod tests {
         let base = ScenarioSpec::builder(512)
             .balls(6)
             .start(StartSpec::AllInOne)
-            .weights(WeightsSpec::Explicit(vec![9, 1, 4, 1, 25, 2]))
+            .weights(WeightsSpec::Explicit {
+                weights: vec![9, 1, 4, 1, 25, 2],
+            })
             .capacities(CapacitiesSpec::Uniform { c: 30 })
             .horizon_rounds(300)
             .seed(17)

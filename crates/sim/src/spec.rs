@@ -12,7 +12,13 @@
 //! Specs serialize to JSON (`serde_json::to_string_pretty`) and parse back
 //! (`serde_json::from_str`) losslessly; `rbb sim --spec <file.json>` runs a
 //! committed spec from the command line. See `specs/` in the repository
-//! root for examples and README.md for the schema.
+//! root for examples and README.md for the schema. The JSON is derived
+//! with serde's own attributes: `engine`, `strategy` and `stop` are
+//! kebab-case strings (`"all-emptied"`), every other enum a
+//! `{"kind": ..., params}` object. Only [`AdversarySpec`], whose kind and
+//! schedule share one object, is written by hand. A key that no field
+//! names, at any depth, is an error that names it: a misspelt `wieghts` or
+//! a `k` in a `one-per-bin` start does not silently run another process.
 //!
 //! # Determinism
 //!
@@ -72,7 +78,7 @@
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use rbb_core::config::Config;
-use rbb_core::load::MAX_BEST_OF;
+use rbb_core::load::{MAX_BEST_OF, MAX_DENSE_BINS};
 use rbb_core::sampling::{random_assignment_entries, random_assignment_multinomial};
 use rbb_core::strategy::QueueStrategy;
 use rbb_core::weights::{Capacities, Weights, DEFAULT_ZIPF_W_MAX};
@@ -90,7 +96,8 @@ impl std::fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// Initial configuration of the balls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "kebab-case", deny_unknown_fields)]
 pub enum StartSpec {
     /// One ball per bin (requires `balls == n`) — the legitimate start.
     OnePerBin,
@@ -260,7 +267,8 @@ impl Iterator for StartEntries {
 
 /// Which load-process implementation serves the spec — see the module docs
 /// ("Dense vs sparse engine") for the full contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case", deny_unknown_fields)]
 pub enum EngineSpec {
     /// The dense `O(n)`-per-round engine.
     Dense,
@@ -297,7 +305,8 @@ pub const SHARDED_AUTO_MIN_N: usize = 2_000_000;
 pub const DEFAULT_SHARDS: usize = 4;
 
 /// How a moving ball picks its destination (the rebalancing rule).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "kebab-case", deny_unknown_fields)]
 pub enum ArrivalSpec {
     /// Uniform over bins / neighbors — the paper's process.
     Uniform,
@@ -320,7 +329,8 @@ pub enum ArrivalSpec {
 ///
 /// Mirrors [`QueueStrategy`] at the spec layer (the core crate stays free
 /// of serde).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case", deny_unknown_fields)]
 pub enum StrategySpec {
     /// First in, first out.
     Fifo,
@@ -358,7 +368,8 @@ impl StrategySpec {
 /// bit-identical to the historical unit engine. Restricted to the load-only
 /// uniform/complete cell — the only cell whose engines carry the weight
 /// overlay.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "kebab-case", deny_unknown_fields)]
 pub enum WeightsSpec {
     /// Every ball weighs 1 — the paper's model, and the same engine as an
     /// omitted `weights` field.
@@ -374,8 +385,10 @@ pub enum WeightsSpec {
         w_max: Option<u32>,
     },
     /// One weight per ball, in bin order over the start configuration.
-    /// Must have exactly `balls` entries, all ≥ 1.
-    Explicit(Vec<u32>),
+    Explicit {
+        /// Exactly `balls` entries, all ≥ 1.
+        weights: Vec<u32>,
+    },
 }
 
 impl WeightsSpec {
@@ -386,7 +399,7 @@ impl WeightsSpec {
             WeightsSpec::Zipf { s, w_max } => {
                 Weights::zipf(balls, *s, w_max.unwrap_or(DEFAULT_ZIPF_W_MAX))
             }
-            WeightsSpec::Explicit(ws) => Weights::Explicit(ws.clone()).normalized(),
+            WeightsSpec::Explicit { weights } => Weights::Explicit(weights.clone()).normalized(),
         }
     }
 
@@ -397,7 +410,7 @@ impl WeightsSpec {
         match self {
             WeightsSpec::Unit => true,
             WeightsSpec::Zipf { w_max, .. } => w_max.unwrap_or(DEFAULT_ZIPF_W_MAX) == 1,
-            WeightsSpec::Explicit(ws) => ws.iter().all(|&w| w == 1),
+            WeightsSpec::Explicit { weights } => weights.iter().all(|&w| w == 1),
         }
     }
 }
@@ -408,7 +421,8 @@ impl WeightsSpec {
 /// the load-only uniform/complete cell, like [`WeightsSpec`].
 ///
 /// [`Engine::capacity_violations`]: rbb_core::engine::Engine::capacity_violations
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "kebab-case", deny_unknown_fields)]
 pub enum CapacitiesSpec {
     /// No bounds (the same engine as an omitted `capacities` field).
     Unbounded,
@@ -417,8 +431,11 @@ pub enum CapacitiesSpec {
         /// The shared bound.
         c: u64,
     },
-    /// One bound per bin; must have exactly `n` entries, all ≥ 1.
-    Explicit(Vec<u64>),
+    /// One bound per bin.
+    Explicit {
+        /// Exactly `n` entries, all ≥ 1.
+        caps: Vec<u64>,
+    },
 }
 
 impl CapacitiesSpec {
@@ -427,7 +444,7 @@ impl CapacitiesSpec {
         match self {
             CapacitiesSpec::Unbounded => Capacities::Unbounded,
             CapacitiesSpec::Uniform { c } => Capacities::Uniform(*c),
-            CapacitiesSpec::Explicit(caps) => Capacities::Explicit(caps.clone()),
+            CapacitiesSpec::Explicit { caps } => Capacities::Explicit(caps.clone()),
         }
     }
 
@@ -438,7 +455,8 @@ impl CapacitiesSpec {
 }
 
 /// The graph the walk is constrained to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "kebab-case", deny_unknown_fields)]
 pub enum TopologySpec {
     /// Complete graph with self-loops — exactly the paper's process, served
     /// by the dedicated (fast) clique engines.
@@ -537,7 +555,8 @@ pub struct AdversarySpec {
 }
 
 /// How long the scenario runs (an upper bound when a stop condition is set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "kebab-case", deny_unknown_fields)]
 pub enum HorizonSpec {
     /// A fixed number of rounds.
     Rounds {
@@ -563,7 +582,8 @@ impl HorizonSpec {
 }
 
 /// When the run ends before the horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case", deny_unknown_fields)]
 pub enum StopSpec {
     /// Run the full horizon.
     Horizon,
@@ -579,6 +599,7 @@ pub enum StopSpec {
 /// A complete, serializable scenario description. See the module docs for
 /// the JSON schema and determinism contract.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScenarioSpec {
     /// Optional human-readable label (printed by `rbb sim`).
     pub name: Option<String>,
@@ -753,6 +774,13 @@ impl ScenarioSpec {
                 self.n
             )));
         }
+        if self.n > MAX_DENSE_BINS && self.resolved_engine() != EngineSpec::Sparse {
+            return Err(SpecError(format!(
+                "n = {} bins: engines that allocate every bin (dense, sharded) are limited \
+                 to {MAX_DENSE_BINS} bins; set \"engine\": \"sparse\" for a larger n",
+                self.n
+            )));
+        }
         let m = self.balls_or_default();
         if m == 0 {
             return Err(SpecError("balls must be positive".into()));
@@ -785,10 +813,10 @@ impl ScenarioSpec {
                     return Err(SpecError("zipf weights need w_max >= 1".into()));
                 }
             }
-            if let Some(WeightsSpec::Explicit(ws)) = &self.weights {
+            if let Some(WeightsSpec::Explicit { weights }) = &self.weights {
                 // Validate the raw vector: `to_core` collapses all-ones to
                 // the unit model, which would mask an arity mismatch.
-                Weights::Explicit(ws.clone())
+                Weights::Explicit(weights.clone())
                     .validate(m)
                     .map_err(|e| SpecError(format!("invalid weights: {e}")))?;
             }
@@ -1049,268 +1077,56 @@ impl ScenarioSpecBuilder {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Serde: enums lower to `{"kind": "...", ...params}` objects (param-less
-// spec enums to plain strings) against the vendored serde stub's Value
-// model. Hand-written because the stub's derive covers structs only.
-// ---------------------------------------------------------------------------
-
-fn kind_obj(kind: &str, params: Vec<(&str, Value)>) -> Value {
-    let mut entries = vec![("kind".to_string(), Value::Str(kind.to_string()))];
-    entries.extend(params.into_iter().map(|(k, v)| (k.to_string(), v)));
-    Value::Object(entries)
-}
-
-fn read_kind(value: &Value, what: &str) -> Result<String, DeError> {
-    let kind = value
-        .get("kind")
-        .ok_or_else(|| DeError::expected(&format!("{what} object"), value))?;
-    kind.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| DeError::expected("string `kind`", kind))
-}
-
-fn read_param<T: Deserialize>(value: &Value, key: &str) -> Result<T, DeError> {
-    T::deserialize(serde::field(value, key)?).map_err(|e| e.in_field(key))
-}
-
-impl Serialize for StartSpec {
-    fn serialize(&self) -> Value {
-        match self {
-            StartSpec::OnePerBin => kind_obj("one-per-bin", vec![]),
-            StartSpec::AllInOne => kind_obj("all-in-one", vec![]),
-            StartSpec::Packed { k } => kind_obj("packed", vec![("k", k.serialize())]),
-            StartSpec::Geometric => kind_obj("geometric", vec![]),
-            StartSpec::Random { salt } => kind_obj("random", vec![("salt", salt.serialize())]),
-            StartSpec::RandomMultinomial { salt } => {
-                kind_obj("random-multinomial", vec![("salt", salt.serialize())])
-            }
-        }
-    }
-}
-
-impl Deserialize for StartSpec {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match read_kind(value, "start")?.as_str() {
-            "one-per-bin" => Ok(StartSpec::OnePerBin),
-            "all-in-one" => Ok(StartSpec::AllInOne),
-            "packed" => Ok(StartSpec::Packed {
-                k: read_param(value, "k")?,
-            }),
-            "geometric" => Ok(StartSpec::Geometric),
-            "random" => Ok(StartSpec::Random {
-                salt: read_param(value, "salt")?,
-            }),
-            "random-multinomial" => Ok(StartSpec::RandomMultinomial {
-                salt: read_param(value, "salt")?,
-            }),
-            other => Err(DeError(format!("unknown start kind '{other}'"))),
-        }
-    }
-}
-
-impl Serialize for EngineSpec {
-    fn serialize(&self) -> Value {
-        Value::Str(
-            match self {
-                EngineSpec::Dense => "dense",
-                EngineSpec::Sparse => "sparse",
-                EngineSpec::Sharded => "sharded",
-                EngineSpec::Auto => "auto",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl Deserialize for EngineSpec {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match value.as_str() {
-            Some("dense") => Ok(EngineSpec::Dense),
-            Some("sparse") => Ok(EngineSpec::Sparse),
-            Some("sharded") => Ok(EngineSpec::Sharded),
-            Some("auto") => Ok(EngineSpec::Auto),
-            Some(other) => Err(DeError(format!("unknown engine '{other}'"))),
-            None => Err(DeError::expected("engine string", value)),
-        }
-    }
-}
-
-impl Serialize for ArrivalSpec {
-    fn serialize(&self) -> Value {
-        match self {
-            ArrivalSpec::Uniform => kind_obj("uniform", vec![]),
-            ArrivalSpec::DChoice { d } => kind_obj("d-choice", vec![("d", d.serialize())]),
-            ArrivalSpec::Tetris => kind_obj("tetris", vec![]),
-            ArrivalSpec::BatchedTetris { lambda } => {
-                kind_obj("batched-tetris", vec![("lambda", lambda.serialize())])
-            }
-        }
-    }
-}
-
-impl Deserialize for ArrivalSpec {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match read_kind(value, "arrival")?.as_str() {
-            "uniform" => Ok(ArrivalSpec::Uniform),
-            "d-choice" => Ok(ArrivalSpec::DChoice {
-                d: read_param(value, "d")?,
-            }),
-            "tetris" => Ok(ArrivalSpec::Tetris),
-            "batched-tetris" => Ok(ArrivalSpec::BatchedTetris {
-                lambda: read_param(value, "lambda")?,
-            }),
-            other => Err(DeError(format!("unknown arrival kind '{other}'"))),
-        }
-    }
-}
-
-impl Serialize for StrategySpec {
-    fn serialize(&self) -> Value {
-        Value::Str(
-            match self {
-                StrategySpec::Fifo => "fifo",
-                StrategySpec::Lifo => "lifo",
-                StrategySpec::Random => "random",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl Deserialize for StrategySpec {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match value.as_str() {
-            Some("fifo") => Ok(StrategySpec::Fifo),
-            Some("lifo") => Ok(StrategySpec::Lifo),
-            Some("random") => Ok(StrategySpec::Random),
-            Some(other) => Err(DeError(format!("unknown strategy '{other}'"))),
-            None => Err(DeError::expected("strategy string", value)),
-        }
-    }
-}
-
-impl Serialize for WeightsSpec {
-    fn serialize(&self) -> Value {
-        match self {
-            WeightsSpec::Unit => kind_obj("unit", vec![]),
-            WeightsSpec::Zipf { s, w_max } => kind_obj(
-                "zipf",
-                vec![("s", s.serialize()), ("w_max", w_max.serialize())],
-            ),
-            WeightsSpec::Explicit(ws) => kind_obj("explicit", vec![("weights", ws.serialize())]),
-        }
-    }
-}
-
-impl Deserialize for WeightsSpec {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match read_kind(value, "weights")?.as_str() {
-            "unit" => Ok(WeightsSpec::Unit),
-            "zipf" => Ok(WeightsSpec::Zipf {
-                s: read_param(value, "s")?,
-                w_max: read_param(value, "w_max")?,
-            }),
-            "explicit" => Ok(WeightsSpec::Explicit(read_param(value, "weights")?)),
-            other => Err(DeError(format!("unknown weights kind '{other}'"))),
-        }
-    }
-}
-
-impl Serialize for CapacitiesSpec {
-    fn serialize(&self) -> Value {
-        match self {
-            CapacitiesSpec::Unbounded => kind_obj("unbounded", vec![]),
-            CapacitiesSpec::Uniform { c } => kind_obj("uniform", vec![("c", c.serialize())]),
-            CapacitiesSpec::Explicit(caps) => {
-                kind_obj("explicit", vec![("caps", caps.serialize())])
-            }
-        }
-    }
-}
-
-impl Deserialize for CapacitiesSpec {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match read_kind(value, "capacities")?.as_str() {
-            "unbounded" => Ok(CapacitiesSpec::Unbounded),
-            "uniform" => Ok(CapacitiesSpec::Uniform {
-                c: read_param(value, "c")?,
-            }),
-            "explicit" => Ok(CapacitiesSpec::Explicit(read_param(value, "caps")?)),
-            other => Err(DeError(format!("unknown capacities kind '{other}'"))),
-        }
-    }
-}
-
-impl Serialize for TopologySpec {
-    fn serialize(&self) -> Value {
-        match self {
-            TopologySpec::Complete => kind_obj("complete", vec![]),
-            TopologySpec::CompleteGraph => kind_obj("complete-graph", vec![]),
-            TopologySpec::Ring => kind_obj("ring", vec![]),
-            TopologySpec::Torus => kind_obj("torus", vec![]),
-            TopologySpec::Hypercube => kind_obj("hypercube", vec![]),
-            TopologySpec::RandomRegular { degree, salt } => kind_obj(
-                "random-regular",
-                vec![("degree", degree.serialize()), ("salt", salt.serialize())],
-            ),
-            TopologySpec::Star => kind_obj("star", vec![]),
-        }
-    }
-}
-
-impl Deserialize for TopologySpec {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match read_kind(value, "topology")?.as_str() {
-            "complete" => Ok(TopologySpec::Complete),
-            "complete-graph" => Ok(TopologySpec::CompleteGraph),
-            "ring" => Ok(TopologySpec::Ring),
-            "torus" => Ok(TopologySpec::Torus),
-            "hypercube" => Ok(TopologySpec::Hypercube),
-            "random-regular" => Ok(TopologySpec::RandomRegular {
-                degree: read_param(value, "degree")?,
-                salt: read_param(value, "salt")?,
-            }),
-            "star" => Ok(TopologySpec::Star),
-            other => Err(DeError(format!("unknown topology kind '{other}'"))),
-        }
-    }
-}
+// `AdversarySpec` writes its kind and its schedule into one object, which
+// no derive can express, so its serde is written out; its keys are checked
+// as a derived type's are.
 
 impl Serialize for AdversarySpec {
     fn serialize(&self) -> Value {
-        let mut params = Vec::new();
-        let kind = match self.kind {
-            AdversaryKindSpec::AllInOne => "all-in-one",
-            AdversaryKindSpec::Packed { k } => {
-                params.push(("k", k.serialize()));
-                "packed"
-            }
-            AdversaryKindSpec::FollowTheLeader => "follow-the-leader",
-            AdversaryKindSpec::Random => "random",
+        let (kind, k) = match self.kind {
+            AdversaryKindSpec::AllInOne => ("all-in-one", None),
+            AdversaryKindSpec::Packed { k } => ("packed", Some(k)),
+            AdversaryKindSpec::FollowTheLeader => ("follow-the-leader", None),
+            AdversaryKindSpec::Random => ("random", None),
         };
-        match self.schedule {
-            ScheduleSpec::Gamma { gamma } => params.push(("gamma", gamma.serialize())),
-            ScheduleSpec::Period { period } => params.push(("period", period.serialize())),
-        }
-        kind_obj(kind, params)
+        let schedule = match self.schedule {
+            ScheduleSpec::Gamma { gamma } => ("gamma", gamma),
+            ScheduleSpec::Period { period } => ("period", period),
+        };
+        let mut object = vec![("kind".to_string(), kind.serialize())];
+        object.extend(k.map(|k| ("k".to_string(), k.serialize())));
+        object.push((schedule.0.to_string(), schedule.1.serialize()));
+        Value::Object(object)
     }
 }
 
 impl Deserialize for AdversarySpec {
     fn deserialize(value: &Value) -> Result<Self, DeError> {
-        let kind = match read_kind(value, "adversary")?.as_str() {
+        let name = serde::variant(value, Some("kind"))?;
+        let kind = match name {
             "all-in-one" => AdversaryKindSpec::AllInOne,
             "packed" => AdversaryKindSpec::Packed {
-                k: read_param(value, "k")?,
+                k: serde::read_field(value, "k")?,
             },
             "follow-the-leader" => AdversaryKindSpec::FollowTheLeader,
             "random" => AdversaryKindSpec::Random,
-            other => return Err(DeError(format!("unknown adversary kind '{other}'"))),
+            other => {
+                return Err(serde::unknown_variant(
+                    "kind",
+                    other,
+                    &["all-in-one", "packed", "follow-the-leader", "random"],
+                ))
+            }
         };
-        let gamma: Option<u64> = read_param(value, "gamma")?;
-        let period: Option<u64> = read_param(value, "period")?;
-        let schedule = match (gamma, period) {
+        let keys: &[&str] = match kind {
+            AdversaryKindSpec::Packed { .. } => &["kind", "k", "gamma", "period"],
+            _ => &["kind", "gamma", "period"],
+        };
+        serde::deny_unknown_fields(value, &format!("kind '{name}'"), keys)?;
+        let schedule = match (
+            serde::read_field(value, "gamma")?,
+            serde::read_field(value, "period")?,
+        ) {
             (Some(gamma), None) => ScheduleSpec::Gamma { gamma },
             (None, Some(period)) => ScheduleSpec::Period { period },
             _ => {
@@ -1320,60 +1136,6 @@ impl Deserialize for AdversarySpec {
             }
         };
         Ok(AdversarySpec { kind, schedule })
-    }
-}
-
-impl Serialize for HorizonSpec {
-    fn serialize(&self) -> Value {
-        match self {
-            HorizonSpec::Rounds { rounds } => {
-                kind_obj("rounds", vec![("rounds", rounds.serialize())])
-            }
-            HorizonSpec::FactorN { factor } => {
-                kind_obj("factor-n", vec![("factor", factor.serialize())])
-            }
-        }
-    }
-}
-
-impl Deserialize for HorizonSpec {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match read_kind(value, "horizon")?.as_str() {
-            "rounds" => Ok(HorizonSpec::Rounds {
-                rounds: read_param(value, "rounds")?,
-            }),
-            "factor-n" => Ok(HorizonSpec::FactorN {
-                factor: read_param(value, "factor")?,
-            }),
-            other => Err(DeError(format!("unknown horizon kind '{other}'"))),
-        }
-    }
-}
-
-impl Serialize for StopSpec {
-    fn serialize(&self) -> Value {
-        Value::Str(
-            match self {
-                StopSpec::Horizon => "horizon",
-                StopSpec::Legitimate => "legitimate",
-                StopSpec::AllEmptied => "all-emptied",
-                StopSpec::Covered => "covered",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl Deserialize for StopSpec {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match value.as_str() {
-            Some("horizon") => Ok(StopSpec::Horizon),
-            Some("legitimate") => Ok(StopSpec::Legitimate),
-            Some("all-emptied") => Ok(StopSpec::AllEmptied),
-            Some("covered") => Ok(StopSpec::Covered),
-            Some(other) => Err(DeError(format!("unknown stop '{other}'"))),
-            None => Err(DeError::expected("stop string", value)),
-        }
     }
 }
 
@@ -1467,6 +1229,50 @@ mod tests {
         }"#;
         let err = serde_json::from_str::<ScenarioSpec>(json).unwrap_err();
         assert!(err.to_string().contains("start"), "{err}");
+        // A key that no field names is refused by name, at any depth.
+        let json = json.replace("sideways", "one-per-bin");
+        serde_json::from_str::<ScenarioSpec>(&json).unwrap();
+        for (from, to, key) in [
+            (r#""seed""#, r#""bogus": 1, "seed""#, "bogus"),
+            (
+                r#""seed""#,
+                r#""wieghts": {"kind": "unit"}, "seed""#,
+                "wieghts",
+            ),
+            (r#""one-per-bin""#, r#""one-per-bin", "k": 5"#, "k"),
+            (r#""uniform""#, r#""uniform", "d": 2"#, "d"),
+        ] {
+            let err = serde_json::from_str::<ScenarioSpec>(&json.replace(from, to)).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("no field '{key}'")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn engines_that_allocate_every_bin_are_refused_above_the_bin_limit() {
+        // One ball in 2^32 bins: a dense or sharded engine would allocate
+        // 16 GiB of loads and abort, so `validate` refuses it first.
+        let big = |n: usize, engine| {
+            ScenarioSpec::builder(n)
+                .balls(1)
+                .start(StartSpec::AllInOne)
+                .engine(engine)
+                .build()
+        };
+        for engine in [EngineSpec::Dense, EngineSpec::Sharded] {
+            let err = big(1 << 32, engine).validate().unwrap_err();
+            assert!(err.0.contains(&MAX_DENSE_BINS.to_string()), "{err}");
+            assert!(err.0.contains(r#""engine": "sparse""#), "{err}");
+            big(MAX_DENSE_BINS, engine).validate().unwrap();
+        }
+        big(1 << 32, EngineSpec::Sparse).validate().unwrap();
+        // `auto` resolves to sparse storage here, but to sharded storage
+        // for one ball per bin.
+        big(1 << 32, EngineSpec::Auto).validate().unwrap();
+        let dense_cell = ScenarioSpec::builder(MAX_DENSE_BINS + 1).build();
+        assert!(dense_cell.validate().is_err());
     }
 
     #[test]
@@ -1838,8 +1644,12 @@ mod tests {
 
         let explicit = ScenarioSpec::builder(4)
             .balls(4)
-            .weights(WeightsSpec::Explicit(vec![5, 1, 2, 1]))
-            .capacities(CapacitiesSpec::Explicit(vec![9, 9, 9, 9]))
+            .weights(WeightsSpec::Explicit {
+                weights: vec![5, 1, 2, 1],
+            })
+            .capacities(CapacitiesSpec::Explicit {
+                caps: vec![9, 9, 9, 9],
+            })
             .build();
         explicit.validate().unwrap();
         let json = serde_json::to_string_pretty(&explicit).unwrap();
@@ -1878,7 +1688,9 @@ mod tests {
                 s: 2.0,
                 w_max: Some(1),
             },
-            WeightsSpec::Explicit(vec![1; 64]),
+            WeightsSpec::Explicit {
+                weights: vec![1; 64],
+            },
         ] {
             let spec = ScenarioSpec::builder(64).weights(w.clone()).build();
             spec.validate().unwrap();
@@ -1944,17 +1756,23 @@ mod tests {
                 .build(),
             // Wrong arities / zero entries.
             ScenarioSpec::builder(64)
-                .weights(WeightsSpec::Explicit(vec![2, 3]))
+                .weights(WeightsSpec::Explicit {
+                    weights: vec![2, 3],
+                })
                 .build(),
             ScenarioSpec::builder(64)
-                .weights(WeightsSpec::Explicit(vec![1; 63]))
+                .weights(WeightsSpec::Explicit {
+                    weights: vec![1; 63],
+                })
                 .build(),
             ScenarioSpec::builder(4)
                 .balls(4)
-                .weights(WeightsSpec::Explicit(vec![1, 0, 1, 1]))
+                .weights(WeightsSpec::Explicit {
+                    weights: vec![1, 0, 1, 1],
+                })
                 .build(),
             ScenarioSpec::builder(64)
-                .capacities(CapacitiesSpec::Explicit(vec![4, 4]))
+                .capacities(CapacitiesSpec::Explicit { caps: vec![4, 4] })
                 .build(),
             ScenarioSpec::builder(64)
                 .capacities(CapacitiesSpec::Uniform { c: 0 })

@@ -5,13 +5,19 @@
 //! bit-identical to the uninterrupted original, across seeds, start
 //! configurations, shard counts, and interleaved `place`/`depart` traffic.
 //! This is the invariant the `rbb-serve` daemon's checkpointing rides on.
+//! A state carrying a key its layout does not name, at any layout version,
+//! is refused.
+
+mod common;
 
 use proptest::prelude::*;
 
 use rbb_core::engine::{Engine, Incremental};
-use rbb_core::snapshot::{restore, SnapshotState};
-use rbb_sim::{ArrivalSpec, EngineSpec, ScenarioSpec, StartSpec};
-use serde::Deserialize as _;
+use rbb_core::snapshot::{
+    restore, SnapshotState, SNAPSHOT_VERSION, SNAPSHOT_VERSION_BEST_OF, SNAPSHOT_VERSION_WEIGHTED,
+};
+use rbb_sim::{ArrivalSpec, CapacitiesSpec, EngineSpec, ScenarioSpec, StartSpec, WeightsSpec};
+use serde::{Deserialize as _, Serialize as _};
 
 /// The three engines with a snapshot surface, with a shard-count axis for
 /// the sharded one, and the d-choice rule (layout version 3) on the dense
@@ -110,6 +116,7 @@ fn assert_roundtrip(
     let parsed: SnapshotState = serde_json::from_str(&json)
         .unwrap_or_else(|e| panic!("{label}: snapshot JSON must parse back: {e}"));
     assert_eq!(parsed, state, "{label}: JSON round trip must be lossless");
+    common::assert_stray_keys_refused::<SnapshotState>(&state.serialize(), seed);
 
     let mut restored = restore(&parsed).unwrap_or_else(|e| panic!("{label}: restore failed: {e}"));
     assert_twins(original.as_ref(), restored.as_ref(), &label);
@@ -182,6 +189,41 @@ fn one_snapshot_restores_many_identical_engines() {
         assert_eq!(inc(a.as_mut()).place(), inc(b.as_mut()).place());
     }
     assert_twins(a.as_ref(), b.as_ref(), "(twin restores)");
+}
+
+/// Layout versions 1, 2 and 3 each refuse a key they do not name, at the
+/// top level and inside the weighted section.
+#[test]
+fn every_layout_version_refuses_stray_keys() {
+    let weighted = |engine| {
+        ScenarioSpec::builder(40)
+            .weights(WeightsSpec::Zipf {
+                s: 1.0,
+                w_max: None,
+            })
+            .capacities(CapacitiesSpec::Uniform { c: 30 })
+            .engine(engine)
+            .seed(5)
+            .build()
+    };
+    let unit = |arrival| ScenarioSpec::builder(40).arrival(arrival).seed(5).build();
+    let cases = [
+        (unit(ArrivalSpec::Uniform), SNAPSHOT_VERSION),
+        (weighted(EngineSpec::Dense), SNAPSHOT_VERSION_WEIGHTED),
+        (weighted(EngineSpec::Sparse), SNAPSHOT_VERSION_WEIGHTED),
+        (weighted(EngineSpec::Sharded), SNAPSHOT_VERSION_WEIGHTED),
+        (
+            unit(ArrivalSpec::DChoice { d: 2 }),
+            SNAPSHOT_VERSION_BEST_OF,
+        ),
+    ];
+    for (seed, (spec, version)) in (0u64..).zip(cases) {
+        let mut engine = rbb_sim::build_engine(&spec).expect("factory");
+        engine.step();
+        let state = engine.snapshot().expect("snapshot");
+        assert_eq!(state.version, version, "{spec:?}");
+        common::assert_stray_keys_refused::<SnapshotState>(&state.serialize(), seed);
+    }
 }
 
 /// Corrupted snapshots are rejected by `restore`, not trusted.

@@ -1,8 +1,12 @@
-//! Property tests for the declarative scenario layer: `ScenarioSpec` JSON
-//! round-trips losslessly, and spec-built engines reproduce hand-built
+//! Property tests for the declarative scenario layer: `ScenarioSpec` and
+//! `EnsembleSpec` JSON round-trips losslessly and refuses a key at any
+//! depth that no type names, and spec-built engines reproduce hand-built
 //! engines bit for bit across the full strategy × arrival matrix.
 
+mod common;
+
 use proptest::prelude::*;
+use serde::Serialize as _;
 
 use rbb_core::ball_process::BallProcess;
 use rbb_core::config::Config;
@@ -13,8 +17,9 @@ use rbb_core::rng::Xoshiro256pp;
 use rbb_core::strategy::QueueStrategy;
 use rbb_core::tetris::{BatchedTetris, Tetris};
 use rbb_sim::{
-    AdversaryKindSpec, ArrivalSpec, EngineSpec, HorizonSpec, ScenarioSpec, ScheduleSpec, StartSpec,
-    StopSpec, StrategySpec, TopologySpec,
+    AdversaryKindSpec, ArrivalSpec, CapacitiesSpec, EngineSpec, EnsembleSpec, HorizonSpec,
+    MetricKind, MetricSpec, ReportSpec, ScenarioSpec, ScheduleSpec, StartSpec, StopSpec,
+    StrategySpec, TopologySpec, WeightsSpec,
 };
 
 fn arb_start() -> impl Strategy<Value = StartSpec> {
@@ -60,6 +65,33 @@ fn arb_topology() -> impl Strategy<Value = TopologySpec> {
     })
 }
 
+/// Every weights kind, sized to `balls` balls where a kind lists them.
+fn weights(pick: usize, balls: u64, param: u32) -> Option<WeightsSpec> {
+    match pick {
+        0 => None,
+        1 => Some(WeightsSpec::Unit),
+        2 => Some(WeightsSpec::Zipf {
+            s: f64::from(param) / 8.0,
+            w_max: (param % 2 == 0).then_some(param),
+        }),
+        _ => Some(WeightsSpec::Explicit {
+            weights: (0..balls).map(|i| 1 + (i as u32 * param) % 9).collect(),
+        }),
+    }
+}
+
+/// Every capacities kind, sized to `n` bins where a kind lists them.
+fn capacities(pick: usize, n: usize, param: u32) -> Option<CapacitiesSpec> {
+    match pick {
+        0 => None,
+        1 => Some(CapacitiesSpec::Unbounded),
+        2 => Some(CapacitiesSpec::Uniform { c: param.into() }),
+        _ => Some(CapacitiesSpec::Explicit {
+            caps: vec![param.into(); n],
+        }),
+    }
+}
+
 fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
     (
         (2usize..300, any::<u64>(), (0usize..2, 1u64..500)),
@@ -68,7 +100,8 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
         arb_strategy(),
         arb_topology(),
         (0usize..5, 1usize..10, 1u64..10_000),
-        (1u64..100_000, 0usize..4, 0usize..4),
+        (1u64..100_000, 0usize..4, 0usize..5),
+        (0usize..4, 0usize..4, 0usize..3, 1u32..100),
     )
         .prop_map(
             |(
@@ -79,13 +112,15 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
                 topology,
                 (adv_pick, adv_k, adv_period),
                 (horizon, stop_pick, engine_pick),
+                (weights_pick, caps_pick, shards_pick, param),
             )| {
+                let balls = (balls_some == 1).then_some(balls_v);
                 ScenarioSpec {
                     name: Some(format!("prop-{n}-{seed}")),
                     n,
-                    balls: (balls_some == 1).then_some(balls_v),
-                    weights: None,
-                    capacities: None,
+                    balls,
+                    weights: weights(weights_pick, balls.unwrap_or(n as u64), param),
+                    capacities: capacities(caps_pick, n, param),
                     start,
                     arrival,
                     strategy,
@@ -93,9 +128,14 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
                         0 => None,
                         1 => Some(EngineSpec::Dense),
                         2 => Some(EngineSpec::Sparse),
+                        3 => Some(EngineSpec::Sharded),
                         _ => Some(EngineSpec::Auto),
                     },
-                    shards: None,
+                    shards: match shards_pick {
+                        0 => None,
+                        1 => Some(1 + param as usize % 8),
+                        _ => Some(param as usize),
+                    },
                     topology,
                     adversary: match adv_pick {
                         0 => None,
@@ -135,10 +175,53 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
         )
 }
 
+fn arb_ensemble() -> impl Strategy<Value = EnsembleSpec> {
+    (
+        arb_spec(),
+        any::<u64>(),
+        1usize..100,
+        proptest::collection::vec((0usize..13, 0usize..3), 1..4),
+        (0usize..4, 1u32..99),
+    )
+        .prop_map(
+            |(scenario, master_seed, replications, metrics, (report_pick, level))| {
+                let metrics = metrics
+                    .into_iter()
+                    .map(|(kind, thresholds)| MetricSpec {
+                        kind: MetricKind::all()[kind],
+                        thresholds: (1..=thresholds).map(|t| t as f64 * 2.5).collect(),
+                    })
+                    .collect();
+                let level = f64::from(level) / 100.0;
+                let report = match report_pick {
+                    0 => None,
+                    1 => Some(ReportSpec::default()),
+                    2 => Some(ReportSpec {
+                        level: Some(level),
+                        quantiles: None,
+                    }),
+                    _ => Some(ReportSpec {
+                        level: Some(level),
+                        quantiles: Some(vec![0.5, level]),
+                    }),
+                };
+                EnsembleSpec {
+                    scenario,
+                    master_seed,
+                    replications,
+                    metrics,
+                    report,
+                }
+            },
+        )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Any spec — valid or not — survives a JSON round trip losslessly.
+    /// Any spec — valid or not — survives a JSON round trip losslessly, and
+    /// a key that no type names, in any of its objects, is an error naming
+    /// the key.
     #[test]
     fn spec_json_round_trips(spec in arb_spec()) {
         let compact = serde_json::to_string(&spec).unwrap();
@@ -149,6 +232,17 @@ proptest! {
         prop_assert_eq!(&from_pretty, &spec);
         // A second round trip is a fixed point.
         prop_assert_eq!(serde_json::to_string(&from_compact).unwrap(), compact);
+        common::assert_stray_keys_refused::<ScenarioSpec>(&spec.serialize(), spec.seed);
+    }
+
+    /// The same for ensemble specs: the top level, the scenario's objects,
+    /// each metric and the report.
+    #[test]
+    fn ensemble_json_round_trips(spec in arb_ensemble()) {
+        let pretty = serde_json::to_string_pretty(&spec).unwrap();
+        let back: EnsembleSpec = serde_json::from_str(&pretty).unwrap();
+        prop_assert_eq!(&back, &spec);
+        common::assert_stray_keys_refused::<EnsembleSpec>(&spec.serialize(), spec.master_seed);
     }
 
     /// Valid specs build engines; invalid specs report errors (never panic).

@@ -63,7 +63,9 @@ fn assert_same_trajectory(
 fn unit_degenerate_case(family: &str, n: usize, seed: u64, rounds: u64) {
     let plain_spec = family_spec(family, n, seed).build();
     let unit_weighted_spec = family_spec(family, n, seed)
-        .weights(WeightsSpec::Explicit(vec![1; n]))
+        .weights(WeightsSpec::Explicit {
+            weights: vec![1; n],
+        })
         .capacities(CapacitiesSpec::Unbounded)
         .build();
     // All-ones weights + unbounded capacities normalize away entirely: the
