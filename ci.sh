@@ -17,7 +17,8 @@
 #   build        release build, examples
 #   test         cargo test -q, perfbench's tests, engine-equivalence
 #                proptests, rbb-exp smoke
-#   specs        committed specs run; ensemble + sharded determinism diffs
+#   specs        committed specs run; a misspelt or repeated key is
+#                refused; ensemble, sweep and sharded determinism diffs
 #   weighted     weighted regime: specs/weighted-*.json byte-diffed against
 #                their goldens; the weighted sparse ensemble byte-diffed
 #                against its dense twin; unit-degeneration/obliviousness
@@ -130,7 +131,7 @@ stage_test() {
     # rate validations are hard asserts that survive optimized builds.
     cargo test -q --release -p rbb-core --lib rng::
 
-    echo "==> rbb-exp --quick smoke (spec/ensemble-migrated set + e24-e26)"
+    echo "==> rbb-exp --quick smoke (the sweep-spec experiments through their alias, + e24 e26)"
     cargo run -q --release --bin rbb-exp -- --quick --no-write e01 e05 e09 e12 e13 e14 e16 e24 e25 e26 >/dev/null
 
     echo "==> rbb-exp rejects unknown experiment ids"
@@ -170,16 +171,44 @@ stage_specs() {
         exit 1
     fi
 
-    echo "==> ensemble determinism gate: byte-identical reports at 1 vs 4 threads"
-    RAYON_NUM_THREADS=1 cargo run -q --release --bin rbb -- ensemble \
-        --spec specs/ensemble-stability.json > target/ensemble-t1.json
-    RAYON_NUM_THREADS=4 cargo run -q --release --bin rbb -- ensemble \
-        --spec specs/ensemble-stability.json > target/ensemble-t4.json
-    if ! diff -q target/ensemble-t1.json target/ensemble-t4.json >/dev/null; then
-        echo "ERROR: ensemble report differs between RAYON_NUM_THREADS=1 and =4" >&2
-        diff target/ensemble-t1.json target/ensemble-t4.json >&2 || true
+    # A key given twice is refused too, not read as its first: with `n`
+    # repeated, the default spec must not run at the first value.
+    echo "==> a spec holding a key twice is refused"
+    sed 's/"n": 1024,/"n": 3, "n": 1024,/' specs/paper-default.json > target/n-twice.json
+    if ! grep -q '"n": 3, "n": 1024,' target/n-twice.json; then
+        echo "ERROR: could not write a copy of specs/paper-default.json holding n twice" >&2
         exit 1
     fi
+    if cargo run -q --release --bin rbb -- sim --spec target/n-twice.json --quick \
+        > /dev/null 2> target/n-twice.err; then
+        echo "ERROR: rbb sim ran a spec holding the key 'n' twice" >&2
+        exit 1
+    fi
+    if ! grep -q "'n' twice" target/n-twice.err; then
+        echo "ERROR: the refusal of the repeated key 'n' does not name it" >&2
+        cat target/n-twice.err >&2
+        exit 1
+    fi
+
+    # The ensemble and every sweep spec (an experiment as data, at its
+    # quick cells) print the same bytes at any thread count.
+    echo "==> ensemble determinism gate: byte-identical reports at 1 vs 4 threads"
+    local spec stem quick
+    for spec in specs/ensemble-stability.json specs/ensemble-e*.json; do
+        stem=$(basename "${spec}" .json)
+        quick=()
+        [ "${stem}" = ensemble-stability ] || quick=(--quick)
+        echo "--> ${spec} ${quick[*]}"
+        RAYON_NUM_THREADS=1 cargo run -q --release --bin rbb -- ensemble \
+            --spec "${spec}" ${quick[@]+"${quick[@]}"} > "target/${stem}-t1.out"
+        RAYON_NUM_THREADS=4 cargo run -q --release --bin rbb -- ensemble \
+            --spec "${spec}" ${quick[@]+"${quick[@]}"} > "target/${stem}-t4.out"
+        if ! diff -q "target/${stem}-t1.out" "target/${stem}-t4.out" >/dev/null; then
+            echo "ERROR: ${spec} output differs between RAYON_NUM_THREADS=1 and =4" >&2
+            diff "target/${stem}-t1.out" "target/${stem}-t4.out" >&2 || true
+            exit 1
+        fi
+    done
 
     echo "==> sharded determinism gate: byte-identical reports at 1 vs 4 threads (fixed shards: 4)"
     RAYON_NUM_THREADS=1 cargo run -q --release --bin rbb -- sim \

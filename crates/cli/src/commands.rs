@@ -3,39 +3,33 @@
 use rbb_core::adversary::{
     Adversary, AllInOneAdversary, FaultSchedule, FollowTheLeaderAdversary, RandomAdversary,
 };
-use rbb_core::config::{Config, LegitimacyThreshold};
-use rbb_core::engine::Engine;
+use rbb_core::config::LegitimacyThreshold;
 use rbb_core::exact::{appendix_b_exact, ExactChain};
-use rbb_core::load::Rule;
 use rbb_core::metrics::ObserverStack;
 use rbb_core::mixing::mixing_time;
-use rbb_core::process::LoadProcess;
-use rbb_core::rng::Xoshiro256pp;
-use rbb_core::sampling::random_assignment;
 use rbb_core::strategy::QueueStrategy;
-use rbb_graphs::{
-    complete_with_loops, diameter, hypercube, random_regular, ring, spectral_gap, star, torus,
-    Graph,
+use rbb_graphs::{diameter, spectral_gap};
+use rbb_sim::{
+    fmt_f64, EngineSpec, EnsembleSpec, HorizonSpec, ScenarioSpec, StartSpec, StopSpec, TopologySpec,
 };
-use rbb_sim::{fmt_f64, EnsembleSpec, HorizonSpec, ScenarioSpec, StopSpec};
 use rbb_traversal::{faulty_cover_time, single_token_cover_time, ProgressReport, Traversal};
+use serde::{Deserialize, Value};
 
 use crate::args::{Args, ParseError};
 
-/// Builds an initial configuration from a `--start` flag value.
-pub fn build_start(kind: &str, n: usize, seed: u64) -> Result<Config, ParseError> {
-    match kind {
-        "one-per-bin" | "uniform" => Ok(Config::one_per_bin(n)),
-        "all-in-one" => Ok(Config::all_in_one(n, n as u32)),
-        "random" => {
-            let mut rng = Xoshiro256pp::seed_from(seed ^ 0x57A7);
-            Ok(Config::from_loads(random_assignment(&mut rng, n, n as u64)))
-        }
-        "geometric" => Ok(Config::geometric_cascade(n, n as u32)),
-        other => Err(ParseError(format!(
-            "unknown --start '{other}' (one-per-bin | all-in-one | random | geometric)"
-        ))),
+/// Reads the kind `name` given to `--{flag}` through the spec derive, so
+/// the flag takes exactly the spec's names. `params` gives the fields a
+/// kind takes from the command, as `(kind, field, value)`.
+fn spec_kind<T: Deserialize>(
+    flag: &str,
+    name: &str,
+    params: &[(&str, &str, u64)],
+) -> Result<T, ParseError> {
+    let mut object = vec![("kind".to_string(), Value::Str(name.to_string()))];
+    for (_, field, value) in params.iter().filter(|(kind, ..)| *kind == name) {
+        object.push((field.to_string(), Value::UInt(*value)));
     }
+    T::deserialize(&Value::Object(object)).map_err(|e| ParseError(format!("--{flag}: {e}")))
 }
 
 /// Builds a queue strategy from a `--strategy` flag value.
@@ -46,27 +40,6 @@ pub fn build_strategy(kind: &str) -> Result<QueueStrategy, ParseError> {
         "random" => Ok(QueueStrategy::Random),
         other => Err(ParseError(format!(
             "unknown --strategy '{other}' (fifo | lifo | random)"
-        ))),
-    }
-}
-
-/// Builds a topology from a `--kind` flag value at size ~`n`.
-pub fn build_topology(kind: &str, n: usize, seed: u64) -> Result<Graph, ParseError> {
-    match kind {
-        "clique" => Ok(complete_with_loops(n)),
-        "ring" => Ok(ring(n)),
-        "torus" => {
-            let side = (n as f64).sqrt().round().max(3.0) as usize;
-            Ok(torus(side, side))
-        }
-        "hypercube" => Ok(hypercube((n as f64).log2().round().max(1.0) as u32)),
-        "regular" => {
-            let mut rng = Xoshiro256pp::seed_from(seed ^ 0x6E0);
-            Ok(random_regular(n, 4, &mut rng))
-        }
-        "star" => Ok(star(n)),
-        other => Err(ParseError(format!(
-            "unknown --kind '{other}' (clique | ring | torus | hypercube | regular | star)"
         ))),
     }
 }
@@ -189,7 +162,8 @@ pub fn sim(args: &Args) -> Result<(), ParseError> {
 }
 
 /// `rbb ensemble` — run a declarative [`EnsembleSpec`] and print its JSON
-/// report. The report is a pure function of the spec (and the flags), so
+/// report, or, for a spec with a sweep block, its table. The output is a
+/// pure function of the spec (and the flags), so
 /// two invocations — at any `RAYON_NUM_THREADS` — print byte-identical
 /// output; CI diffs them.
 pub fn ensemble(args: &Args) -> Result<(), ParseError> {
@@ -202,6 +176,11 @@ pub fn ensemble(args: &Args) -> Result<(), ParseError> {
     let mut spec: EnsembleSpec =
         serde_json::from_str(&text).map_err(|e| ParseError(format!("{path}: {e}")))?;
     if let Some(seeds) = args.get("seeds") {
+        if spec.sweep.is_some() {
+            return Err(ParseError(
+                "--seeds does not apply to a sweep: each cell sets its replications".into(),
+            ));
+        }
         spec.replications = seeds
             .parse()
             .map_err(|_| ParseError(format!("--seeds: cannot parse '{seeds}'")))?;
@@ -215,6 +194,14 @@ pub fn ensemble(args: &Args) -> Result<(), ParseError> {
         spec.master_seed = master
             .parse()
             .map_err(|_| ParseError(format!("--master-seed: cannot parse '{master}'")))?;
+    }
+    if spec.sweep.is_some() {
+        // A sweep's quick cells are data: `--quick` runs them as written,
+        // with no horizon cap.
+        let table = (spec.run_sweep(args.switch("quick")))
+            .map_err(|e| ParseError(format!("{path}: {e}")))?;
+        print!("{}", table.render());
+        return Ok(());
     }
     if args.switch("quick") {
         // Smoke mode mirrors `rbb sim --quick`: cap the *horizon* (so CI can
@@ -234,24 +221,32 @@ pub fn ensemble(args: &Args) -> Result<(), ParseError> {
     Ok(())
 }
 
-/// `rbb simulate` — run the paper's process and summarize.
+/// `rbb simulate` — run the paper's process from a start, as a
+/// [`ScenarioSpec`] built from the flags, and summarize.
 pub fn simulate(args: &Args) -> Result<(), ParseError> {
     let n: usize = args.get_parsed("n", 1024)?;
     let rounds: u64 = args.get_parsed("rounds", 100 * n as u64)?;
     let seed: u64 = args.get_parsed("seed", 1)?;
-    let start = build_start(&args.get_str("start", "one-per-bin"), n, seed)?;
+    let start_name = args.get_str("start", "one-per-bin");
+    // The random start draws from `seed ^ 0x57A7`, as it always has.
+    let start: StartSpec = spec_kind("start", &start_name, &[("random", "salt", 0x57A7)])?;
+    let spec = ScenarioSpec::builder(n)
+        .start(start)
+        .engine(EngineSpec::Dense)
+        .horizon_rounds(rounds)
+        .seed(seed)
+        .build();
+    let mut scenario = spec.scenario().map_err(|e| ParseError(e.0))?;
     let threshold = LegitimacyThreshold::default();
 
     println!(
-        "repeated balls-into-bins: n = {n}, start = {}, {rounds} rounds, seed = {seed}",
-        args.get_str("start", "one-per-bin")
+        "repeated balls-into-bins: n = {n}, start = {start_name}, {rounds} rounds, seed = {seed}"
     );
-    let mut p = LoadProcess::new(start, Xoshiro256pp::seed_from(seed));
     let mut stack = ObserverStack::new()
         .with_max_load()
         .with_empty_bins()
         .with_legitimacy(threshold);
-    p.run(rounds, &mut stack);
+    scenario.run_observed(&mut stack);
     print_summary(n, &stack, threshold);
     Ok(())
 }
@@ -319,13 +314,31 @@ pub fn traverse(args: &Args) -> Result<(), ParseError> {
     Ok(())
 }
 
-/// `rbb topology` — constrained walks on a chosen graph with structure info.
+/// `rbb topology` — constrained walks on a chosen graph with structure
+/// info, as a [`ScenarioSpec`] built from the flags.
 pub fn topology(args: &Args) -> Result<(), ParseError> {
     let n: usize = args.get_parsed("n", 1024)?;
     let seed: u64 = args.get_parsed("seed", 1)?;
     let kind = args.get_str("kind", "ring");
-    let graph = build_topology(&kind, n, seed)?;
-    let rounds: u64 = args.get_parsed("rounds", 50 * graph.n() as u64)?;
+    // A random regular graph has degree 4 and draws from `seed ^ 0x6E0`.
+    let regular = [
+        ("random-regular", "degree", 4),
+        ("random-regular", "salt", 0x6E0),
+    ];
+    let topology: TopologySpec = spec_kind("kind", &kind, &regular)?;
+    // 50 rounds per node of the graph, unless `--rounds` says otherwise.
+    let mut spec = ScenarioSpec::builder(n)
+        .topology(topology)
+        .horizon_factor(50)
+        .seed(seed)
+        .build();
+    if args.get("rounds").is_some() {
+        let rounds = args.get_parsed("rounds", 0)?;
+        spec.horizon = HorizonSpec::Rounds { rounds };
+    }
+    // Validation refuses a graph its builder cannot make, before any is.
+    let mut scenario = spec.scenario().map_err(|e| ParseError(e.0))?;
+    let (graph, rounds) = (topology.build(n, seed), scenario.horizon());
 
     println!(
         "topology '{kind}': n = {}, edges = {}",
@@ -342,15 +355,12 @@ pub fn topology(args: &Args) -> Result<(), ParseError> {
         spectral_gap(&graph, 1500)
     );
 
-    let ln_n = (graph.n() as f64).ln();
-    let mut p = LoadProcess::legitimate_start(graph.n(), seed)
-        .with_rule(Rule::Neighbors(std::sync::Arc::new(graph)));
-    let mut max_t = rbb_core::metrics::MaxLoadTracker::new();
-    p.run(rounds, &mut max_t);
+    let mut stack = ObserverStack::new().with_max_load();
+    scenario.run_observed(&mut stack);
+    let max = stack.max_load.map_or(0, |t| t.window_max());
     println!(
-        "  after {rounds} rounds: max load {} ({} × ln n)",
-        max_t.window_max(),
-        fmt_f64(max_t.window_max() as f64 / ln_n, 2)
+        "  after {rounds} rounds: max load {max} ({} × ln n)",
+        fmt_f64(max as f64 / (graph.n() as f64).ln(), 2)
     );
     Ok(())
 }
@@ -396,25 +406,51 @@ mod tests {
 
     #[test]
     fn start_builders() {
-        assert_eq!(build_start("one-per-bin", 8, 0).unwrap().max_load(), 1);
-        assert_eq!(build_start("all-in-one", 8, 0).unwrap().max_load(), 8);
-        assert_eq!(build_start("random", 8, 0).unwrap().total_balls(), 8);
-        assert!(build_start("bogus", 8, 0).is_err());
+        // `--start` takes the spec's kind names, with the command's salt.
+        let salt = [("random", "salt", 7)];
+        for (name, want) in [
+            ("one-per-bin", StartSpec::OnePerBin),
+            ("all-in-one", StartSpec::AllInOne),
+            ("geometric", StartSpec::Geometric),
+            ("random", StartSpec::Random { salt: 7 }),
+        ] {
+            assert_eq!(spec_kind::<StartSpec>("start", name, &salt).unwrap(), want);
+        }
+        let err = spec_kind::<StartSpec>("start", "uniform", &salt).unwrap_err();
+        assert!(
+            err.0.contains("--start: unknown kind 'uniform'"),
+            "{}",
+            err.0
+        );
+        assert!(simulate(&args("simulate --start bogus")).is_err());
+    }
+
+    #[test]
+    fn topology_builders() {
+        let regular = [
+            ("random-regular", "degree", 4),
+            ("random-regular", "salt", 1),
+        ];
+        for name in [
+            "complete",
+            "complete-graph",
+            "ring",
+            "torus",
+            "hypercube",
+            "random-regular",
+            "star",
+        ] {
+            let topology: TopologySpec = spec_kind("kind", name, &regular).unwrap();
+            assert!(topology.build(64, 1).is_connected(), "{name}");
+        }
+        let err = spec_kind::<TopologySpec>("kind", "clique", &regular).unwrap_err();
+        assert!(err.0.contains("--kind: unknown kind 'clique'"), "{}", err.0);
     }
 
     #[test]
     fn strategy_builders() {
         assert_eq!(build_strategy("fifo").unwrap(), QueueStrategy::Fifo);
         assert!(build_strategy("stack").is_err());
-    }
-
-    #[test]
-    fn topology_builders() {
-        for kind in ["clique", "ring", "torus", "hypercube", "regular", "star"] {
-            let g = build_topology(kind, 64, 1).unwrap();
-            assert!(g.is_connected(), "{kind}");
-        }
-        assert!(build_topology("moebius", 64, 1).is_err());
     }
 
     #[test]
@@ -431,6 +467,11 @@ mod tests {
     #[test]
     fn topology_runs() {
         topology(&args("topology --kind hypercube --n 64 --rounds 500")).unwrap();
+        topology(&args("topology --kind random-regular --n 64 --rounds 200")).unwrap();
+        // A graph its builder cannot make is an error, not a panic.
+        for kind in ["torus --n 4", "ring --n 2", "random-regular --n 3"] {
+            assert!(topology(&args(&format!("topology --kind {kind}"))).is_err());
+        }
     }
 
     #[test]
@@ -453,5 +494,11 @@ mod tests {
         ))
         .unwrap_err();
         assert!(unparsable.0.contains("--seeds"), "{}", unparsable.0);
+        // A sweep's cells set their own replications.
+        let sweep = ensemble(&args(
+            "ensemble --spec ../../specs/ensemble-e05.json --seeds 3",
+        ))
+        .unwrap_err();
+        assert!(sweep.0.contains("does not apply to a sweep"), "{}", sweep.0);
     }
 }

@@ -5,9 +5,10 @@
 //! rbb sim      --spec <file.json> [--seed S] [--quick]
 //! rbb ensemble --spec <file.json> [--seeds N] [--master-seed S] [--quick]
 //! rbb simulate [--n 1024] [--rounds R] [--start one-per-bin|all-in-one|random|geometric]
-//!              [--strategy fifo|lifo|random] [--seed S]
+//!              [--seed S]
 //! rbb traverse [--n 512] [--gamma 6] [--adversary all-in-one|random|follow-the-leader]
-//! rbb topology [--kind clique|ring|torus|hypercube|regular|star] [--n 1024] [--rounds R]
+//! rbb topology [--kind complete|complete-graph|ring|torus|hypercube|random-regular|star]
+//!              [--n 1024] [--rounds R]
 //! rbb exact    [--n 3]
 //! ```
 
@@ -21,7 +22,8 @@ fn usage() {
         "usage: rbb <sim|ensemble|simulate|traverse|topology|exact> [--key value]...\n\
          \n\
          sim        run a declarative scenario: --spec <file.json> [--seed S] [--quick]\n\
-         ensemble   run a many-seed ensemble and print its JSON report:\n\
+         ensemble   run a many-seed ensemble and print its JSON report (a sweep\n\
+         \u{20}          spec prints its table; --quick runs its quick cells):\n\
          \u{20}          --spec <file.json> [--seeds N] [--master-seed S] [--quick]\n\
          simulate   run the paper's process and summarize load/legitimacy\n\
          traverse   multi-token traversal cover time (optional --gamma faults)\n\

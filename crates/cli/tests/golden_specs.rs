@@ -4,6 +4,10 @@
 //! silently. A behavior change that alters any committed spec's output must
 //! update the fixture in the same commit.
 //!
+//! A sweep spec (`specs/ensemble-eNN*.json`, an experiment as data) prints
+//! its quick table. `rbb-experiments`' tests check the paper's claims over
+//! the table its fixture pins, so no sweep runs twice in the test suite.
+//!
 //! Regenerate fixtures deliberately with:
 //!
 //! ```text

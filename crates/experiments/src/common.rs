@@ -1,6 +1,7 @@
-//! Shared experiment infrastructure: context, registry, and report helpers.
+//! Shared experiment infrastructure: context, registry entries, and the
+//! runner of the experiments that are committed sweep specs.
 
-use rbb_sim::{OutputSink, SeedTree};
+use rbb_sim::{EnsembleSpec, OutputSink, SeedTree, SpecError};
 
 /// Everything an experiment needs to run.
 #[derive(Debug, Clone)]
@@ -33,6 +34,15 @@ impl ExpContext {
     }
 }
 
+/// How an experiment runs.
+#[derive(Debug, Clone, Copy)]
+pub enum Run {
+    /// Code that prints its own header and tables.
+    Code(fn(&ExpContext)),
+    /// Committed sweep specs (`specs/ensemble-eNN*.json`), one table each.
+    Sweeps(&'static [&'static str]),
+}
+
 /// A registered experiment.
 pub struct Experiment {
     /// Identifier, e.g. `"e01"`.
@@ -42,26 +52,49 @@ pub struct Experiment {
     /// The paper claim being reproduced.
     pub claim: &'static str,
     /// Entry point.
-    pub run: fn(&ExpContext),
+    pub run: Run,
+}
+
+impl Experiment {
+    /// The experiment's sweep specs as parsed, with `master_seed` set to
+    /// the context's: the seeds `ctx.seeds.scope(cell)` gives each cell.
+    /// Empty for code.
+    pub fn sweeps(&self, ctx: &ExpContext) -> Result<Vec<EnsembleSpec>, SpecError> {
+        let Run::Sweeps(texts) = self.run else {
+            return Ok(Vec::new());
+        };
+        (texts.iter())
+            .map(|text| {
+                let mut spec: EnsembleSpec = (serde_json::from_str(text))
+                    .map_err(|e| SpecError(format!("{}: {e}", self.id)))?;
+                spec.master_seed = ctx.seeds.master();
+                Ok(spec)
+            })
+            .collect()
+    }
+
+    /// Runs the experiment, printing its header and tables. A sweep's
+    /// tables go to the artifact sink too, under its scenario name.
+    pub fn execute(&self, ctx: &ExpContext) -> Result<(), SpecError> {
+        if let Run::Code(run) = self.run {
+            run(ctx);
+            return Ok(());
+        }
+        header(self.id, self.title, self.claim);
+        for (i, spec) in self.sweeps(ctx)?.iter().enumerate() {
+            let table = spec.run_sweep(ctx.quick)?.render();
+            print!("{}{table}", if i > 0 { "\n" } else { "" });
+            let name = spec.scenario.name.as_deref().unwrap_or("table");
+            let _ = ctx.sink.write_text(name, &table);
+        }
+        Ok(())
+    }
 }
 
 /// Prints the standard experiment header.
 pub fn header(id: &str, title: &str, claim: &str) {
     println!("\n=== {} — {} ===", id.to_uppercase(), title);
     println!("claim: {claim}\n");
-}
-
-/// Formats an `Option<u64>` round count (None = cap exceeded).
-pub fn fmt_round(r: Option<u64>) -> String {
-    match r {
-        Some(t) => t.to_string(),
-        None => ">cap".to_string(),
-    }
-}
-
-/// Returns `v[i]` as f64 convenience for building CSV rows.
-pub fn f(x: impl Into<f64>) -> f64 {
-    x.into()
 }
 
 #[cfg(test)]
@@ -81,11 +114,5 @@ mod tests {
         let a = ExpContext::for_tests("e01");
         let b = ExpContext::for_tests("e02");
         assert_ne!(a.seeds.master(), b.seeds.master());
-    }
-
-    #[test]
-    fn fmt_round_variants() {
-        assert_eq!(fmt_round(Some(42)), "42");
-        assert_eq!(fmt_round(None), ">cap");
     }
 }

@@ -1,4 +1,4 @@
-//! `rbb-exp` — runs the experiment suite E01–E26.
+//! `rbb-exp` — runs the experiment suite E01–E27.
 //!
 //! Usage:
 //! ```text
@@ -11,7 +11,7 @@ use rbb_sim::{OutputSink, SeedTree, DEFAULT_MASTER_SEED, RESULTS_DIR};
 
 fn usage() -> ! {
     eprintln!("usage: rbb-exp [--quick] [--seed <u64>] [--no-write] (all | list | <id>...)");
-    eprintln!("       ids: e01..e26; `list` prints the registry");
+    eprintln!("       ids: e01..e27; `list` prints the registry");
     std::process::exit(2);
 }
 
@@ -79,7 +79,10 @@ fn main() {
                     OutputSink::disabled()
                 },
             };
-            (e.run)(&ctx);
+            if let Err(err) = e.execute(&ctx) {
+                eprintln!("{}: {err}", e.id);
+                std::process::exit(1);
+            }
             println!("[{} done in {:.1?}]", e.id, t0.elapsed());
             ran += 1;
         }

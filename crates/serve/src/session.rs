@@ -759,6 +759,13 @@ mod tests {
         assert!(stray.starts_with(r#"{"ok":false"#), "{stray}");
         assert!(stray.contains("no field 'bogus'"), "{stray}");
         assert_eq!(s.handle_line(r#"{"op":"query"}"#), before);
+        // So is a key given twice, which would otherwise restore its first.
+        let twice = s.handle_line(
+            r#"{"op":"restore","state":{"version":1,"engine":"dense","n":8,"n":4,"shards":1,"round":0,"balls":1,"entries":[[0,1]],"rng_states":[[1,2,3,4]]}}"#,
+        );
+        assert!(twice.starts_with(r#"{"ok":false"#), "{twice}");
+        assert!(twice.contains("field 'n' twice"), "{twice}");
+        assert_eq!(s.handle_line(r#"{"op":"query"}"#), before);
     }
 
     #[test]

@@ -36,6 +36,7 @@ use rbb_stats::{mean_ci, MetricAccumulator};
 use crate::runner::run_trials_seeded;
 use crate::seed::SeedTree;
 use crate::spec::{ScenarioSpec, SpecError};
+use crate::sweep::SweepSpec;
 
 /// What an ensemble extracts from each finished trial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -182,6 +183,11 @@ pub struct EnsembleSpec {
     pub metrics: Vec<MetricSpec>,
     /// Report policy (`null` for defaults).
     pub report: Option<ReportSpec>,
+    /// Cells to run instead of the spec itself, one table row each, by
+    /// [`EnsembleSpec::run_sweep`] ([`EnsembleSpec::run`] runs the base
+    /// alone; see [`crate::sweep`]). Left out of the JSON when absent.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub sweep: Option<SweepSpec>,
 }
 
 impl EnsembleSpec {
@@ -197,6 +203,7 @@ impl EnsembleSpec {
                 MetricSpec::plain(MetricKind::MeanRoundMax),
             ],
             report: None,
+            sweep: None,
         }
     }
 

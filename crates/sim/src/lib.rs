@@ -10,9 +10,11 @@
 //! [`Engine`](rbb_core::engine::Engine) trait; [`ensemble::EnsembleSpec`]
 //! replicates one scenario across many seeds and folds the trials into
 //! mergeable streaming statistics (see the [`ensemble`] module for the
-//! determinism contract and report schema). Every experiment in
-//! `rbb-experiments` is a pure function of its [`seed::SeedTree`] scope, so
-//! tables regenerate bit-identically regardless of thread count; spec-built
+//! determinism contract and report schema), and its [`sweep`] block runs
+//! one ensemble per cell into one table, an experiment as data. Every
+//! experiment in `rbb-experiments` is a pure function of its
+//! [`seed::SeedTree`] scope, so tables regenerate bit-identically
+//! regardless of thread count; spec-built
 //! engines reproduce the hand-constructed trajectories bit for bit (see the
 //! determinism notes in [`spec`]).
 //!
@@ -41,6 +43,7 @@ pub mod runner;
 pub mod scenario;
 pub mod seed;
 pub mod spec;
+pub mod sweep;
 pub mod table;
 
 pub use ensemble::{

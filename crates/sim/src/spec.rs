@@ -349,15 +349,6 @@ impl StrategySpec {
             StrategySpec::Random => QueueStrategy::Random,
         }
     }
-
-    /// Spec value for a core strategy.
-    pub fn from_core(s: QueueStrategy) -> Self {
-        match s {
-            QueueStrategy::Fifo => StrategySpec::Fifo,
-            QueueStrategy::Lifo => StrategySpec::Lifo,
-            QueueStrategy::Random => StrategySpec::Random,
-        }
-    }
 }
 
 /// Per-ball weights — the weighted generalization of the unit-load model.

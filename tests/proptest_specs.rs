@@ -211,6 +211,7 @@ fn arb_ensemble() -> impl Strategy<Value = EnsembleSpec> {
                     replications,
                     metrics,
                     report,
+                    sweep: None,
                 }
             },
         )
