@@ -16,9 +16,11 @@
 #   lint         clippy, rbb-lint (self-check + gate + JSON artifact), rustdoc
 #   build        release build, examples
 #   test         cargo test -q, perfbench's tests, engine-equivalence
-#                proptests, rbb-exp smoke
+#                proptests, rbb-exp smoke; rbb-exp ends quietly on a
+#                closed stdout
 #   specs        committed specs run; a misspelt or repeated key is
-#                refused; ensemble, sweep and sharded determinism diffs
+#                refused; rbb sim and rbb ensemble end quietly on a closed
+#                stdout; ensemble, sweep and sharded determinism diffs
 #   weighted     weighted regime: specs/weighted-*.json byte-diffed against
 #                their goldens; the weighted sparse ensemble byte-diffed
 #                against its dense twin; unit-degeneration/obliviousness
@@ -61,6 +63,24 @@ esac
 
 STAGE_NAMES=()
 STAGE_TIMES=()
+
+# Runs `cargo run --bin <bin> -- <args>...` into a pipe whose reader exits
+# at once, as `| head` does once it has its lines. The run must end with
+# status 0 and print nothing on stderr: a closed stdout is not a crash.
+closed_stdout_is_quiet() {
+    local bin=$1
+    shift
+    echo "--> ${bin} $* | true"
+    mkdir -p target
+    local status=0
+    cargo run -q --release --bin "${bin}" -- "$@" 2> target/closed-stdout.err | true \
+        || status=$?
+    if [ "${status}" -ne 0 ] || [ -s target/closed-stdout.err ]; then
+        echo "ERROR: ${bin} $* exited ${status} on a closed stdout" >&2
+        cat target/closed-stdout.err >&2
+        exit 1
+    fi
+}
 
 run_stage() {
     local name=$1
@@ -134,6 +154,9 @@ stage_test() {
     echo "==> rbb-exp --quick smoke (the sweep-spec experiments through their alias, + e24 e26)"
     cargo run -q --release --bin rbb-exp -- --quick --no-write e01 e05 e09 e12 e13 e14 e16 e24 e25 e26 >/dev/null
 
+    echo "==> rbb-exp ends quietly on a closed stdout"
+    closed_stdout_is_quiet rbb-exp --quick --no-write e02
+
     echo "==> rbb-exp rejects unknown experiment ids"
     if cargo run -q --release --bin rbb-exp -- --quick --no-write e01 e99 >/dev/null 2>&1; then
         echo "ERROR: rbb-exp accepted unknown id e99" >&2
@@ -151,6 +174,10 @@ stage_specs() {
         echo "--> rbb ${subcommand} --spec ${spec} --quick"
         cargo run -q --release --bin rbb -- "${subcommand}" --spec "${spec}" --quick >/dev/null
     done
+
+    echo "==> rbb sim and rbb ensemble end quietly on a closed stdout"
+    closed_stdout_is_quiet rbb sim --spec specs/paper-default.json --quick
+    closed_stdout_is_quiet rbb ensemble --spec specs/ensemble-stability.json --quick
 
     # A misspelt key is refused, not skipped: with `weights` spelt
     # `wieghts`, the weighted spec must not run as the unit-weight process.

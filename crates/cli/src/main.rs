@@ -35,6 +35,7 @@ fn usage() {
 }
 
 fn main() {
+    rbb_sim::output::exit_quietly_on_closed_stdout();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match Args::parse(argv) {
         Ok(a) => a,

@@ -6,11 +6,18 @@
 //! per-ball: walk progress (number of moves — the `Ω(t/log n)` claim),
 //! queueing delay, and a per-move hook that the traversal crate uses to
 //! maintain visited-set bitmaps for cover-time measurement (Corollary 1).
+//!
+//! On a graph ([`BallProcess::with_graph`]) a released ball goes to a
+//! uniform neighbor of its bin instead of a uniform bin: the Section 5
+//! token walk, whose load-only twin is the load engine under
+//! [`Rule::Neighbors`](crate::load::Rule::Neighbors).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::config::Config;
-use crate::engine::Engine;
+use crate::engine::{Engine, Faults};
+use crate::load::Neighbors;
 use crate::rng::Xoshiro256pp;
 use crate::sampling::UniformSampler;
 use crate::strategy::QueueStrategy;
@@ -47,6 +54,9 @@ pub struct BallProcess {
     /// Uniform sampler keyed on `n`, cached so no destination draw
     /// rebuilds the Lemire rejection threshold (a `u64` modulo).
     sampler: UniformSampler,
+    /// The graph released balls walk on, one vertex per bin; `None` sends
+    /// them to a uniform bin, the paper's process.
+    graph: Option<Arc<dyn Neighbors>>,
 }
 
 impl BallProcess {
@@ -83,7 +93,20 @@ impl BallProcess {
             stats: vec![BallStats::default(); m as usize],
             movers: Vec::new(),
             sampler,
+            graph: None,
         }
+    }
+
+    /// The same process on a graph with one vertex per bin: a released ball
+    /// goes to a uniform neighbor of its bin instead of a uniform bin (the
+    /// Section 5 walk; a complete graph with self-loops is the paper's
+    /// process), drawn where [`step_with`](Self::step_with) draws the
+    /// uniform bin. Panics on a graph whose vertex count is not the bin
+    /// count.
+    pub fn with_graph(mut self, graph: Arc<dyn Neighbors>) -> Self {
+        assert_eq!(graph.n(), self.n(), "a walk needs one graph vertex per bin");
+        self.graph = Some(graph);
+        self
     }
 
     /// Convenience: one ball per bin, FIFO.
@@ -147,7 +170,8 @@ impl BallProcess {
     /// Each non-empty bin, in bin order, consumes its queue pick's draws
     /// (one position bounded by the queue length under
     /// [`Random`](QueueStrategy::Random), none otherwise) and then one
-    /// `uniform_usize(n)` for its ball's destination.
+    /// `uniform_usize(n)` for its ball's destination, or on a graph one
+    /// [`Neighbors::random_neighbor`] draw.
     pub fn step_with(&mut self, mut on_move: impl FnMut(BallId, usize, u64)) -> usize {
         let n = self.queues.len();
         let round = self.round + 1;
@@ -177,8 +201,12 @@ impl BallProcess {
             st.moves += 1;
             st.total_wait += wait;
             st.max_wait = st.max_wait.max(wait);
-            // rbb-lint: allow(lossy-cast, reason = "n <= u32::MAX + 1 is asserted at construction; draws are < n")
-            let dest = self.sampler.sample(&mut self.rng) as u32;
+            let dest = match &self.graph {
+                // rbb-lint: allow(lossy-cast, reason = "n <= u32::MAX + 1 is asserted at construction; draws are < n")
+                None => self.sampler.sample(&mut self.rng) as u32,
+                // rbb-lint: allow(lossy-cast, reason = "a neighbor is a vertex, one per bin, so it is < n like a uniform draw")
+                Some(graph) => graph.random_neighbor(u, &mut self.rng) as u32,
+            };
             self.movers.push((ball, dest));
         }
 
@@ -217,28 +245,6 @@ impl BallProcess {
             return 0.0;
         }
         self.stats.iter().map(|s| s.moves).sum::<u64>() as f64 / self.stats.len() as f64
-    }
-
-    /// The §4.1 adversary: reassigns every ball to an arbitrary bin given by
-    /// `placement[ball]`. Queue order after a fault is by ball id (the
-    /// adversary controls placement, not intra-bin order, which is
-    /// irrelevant to the analysis).
-    pub fn adversarial_reassign(&mut self, placement: &[usize]) {
-        assert_eq!(placement.len(), self.stats.len(), "one bin per ball");
-        let n = self.queues.len();
-        for q in &mut self.queues {
-            q.clear();
-        }
-        for (ball, &bin) in placement.iter().enumerate() {
-            assert!(bin < n, "bin out of range");
-            self.queues[bin].push_back(ball as BallId);
-            self.arrival_round[ball] = self.round;
-        }
-        let loads = self.config.loads_mut();
-        for (u, q) in self.queues.iter().enumerate() {
-            // rbb-lint: allow(lossy-cast, reason = "queue length <= total balls <= u32::MAX, asserted at construction")
-            loads[u] = q.len() as u32;
-        }
     }
 
     /// Validates internal consistency (queues vs load vector vs ball count).
@@ -290,16 +296,36 @@ impl Engine for BallProcess {
         &self.config
     }
 
-    fn supports_faults(&self) -> bool {
-        true
-    }
-
-    fn apply_fault(&mut self, placement: &[usize]) {
-        self.adversarial_reassign(placement);
+    fn faults(&mut self) -> Option<&mut dyn Faults> {
+        Some(self)
     }
 
     fn min_progress(&self) -> Option<u64> {
         Some(BallProcess::min_progress(self))
+    }
+}
+
+impl Faults for BallProcess {
+    /// The §4.1 adversary: reassigns every ball to an arbitrary bin given by
+    /// `placement[ball]`. Queue order after a fault is by ball id (the
+    /// adversary controls placement, not intra-bin order, which is
+    /// irrelevant to the analysis).
+    fn apply_fault(&mut self, placement: &[usize]) {
+        assert_eq!(placement.len(), self.stats.len(), "one bin per ball");
+        let n = self.queues.len();
+        for q in &mut self.queues {
+            q.clear();
+        }
+        for (ball, &bin) in placement.iter().enumerate() {
+            assert!(bin < n, "bin out of range");
+            self.queues[bin].push_back(ball as BallId);
+            self.arrival_round[ball] = self.round;
+        }
+        let loads = self.config.loads_mut();
+        for (u, q) in self.queues.iter().enumerate() {
+            // rbb-lint: allow(lossy-cast, reason = "queue length <= total balls <= u32::MAX, asserted at construction")
+            loads[u] = q.len() as u32;
+        }
     }
 }
 
@@ -350,6 +376,99 @@ mod tests {
         }
         p.round = round;
         movers.len()
+    }
+
+    /// A ring of `n` bins: one `uniform_usize(2)` draw picks the left or
+    /// right neighbor.
+    #[derive(Debug)]
+    struct Ring(usize);
+
+    impl Neighbors for Ring {
+        fn random_neighbor(&self, v: usize, rng: &mut Xoshiro256pp) -> usize {
+            (v + [self.0 - 1, 1][rng.uniform_usize(2)]) % self.0
+        }
+
+        fn n(&self) -> usize {
+            self.0
+        }
+    }
+
+    /// A `w × h` torus, bin `y·w + x` at `(x, y)`: one `uniform_usize(4)`
+    /// draw picks the left, right, lower or upper neighbor.
+    #[derive(Debug)]
+    struct Torus(usize, usize);
+
+    impl Neighbors for Torus {
+        fn random_neighbor(&self, v: usize, rng: &mut Xoshiro256pp) -> usize {
+            let (w, h) = (self.0, self.1);
+            let (x, y) = (v % w, v / w);
+            match rng.uniform_usize(4) {
+                0 => y * w + (x + w - 1) % w,
+                1 => y * w + (x + 1) % w,
+                2 => (y + h - 1) % h * w + x,
+                _ => (y + 1) % h * w + x,
+            }
+        }
+
+        fn n(&self) -> usize {
+            self.0 * self.1
+        }
+    }
+
+    #[test]
+    fn graph_walk_matches_reference_under_every_strategy() {
+        // The reference is the token walk as a plain loop over queues: each
+        // non-empty node, in order, takes its queue pick (one position draw
+        // under Random, none otherwise) and then one neighbor draw; all
+        // tokens land at once. Loads and queue order must agree every
+        // round, and the stream state at the end.
+        let graphs: [Arc<dyn Neighbors>; 2] = [Arc::new(Ring(24)), Arc::new(Torus(6, 5))];
+        for graph in graphs {
+            for strategy in QueueStrategy::ALL {
+                let n = graph.n();
+                let label = format!("{graph:?} {}", strategy.label());
+                let mut p = BallProcess::new(
+                    Config::one_per_bin(n),
+                    strategy,
+                    Xoshiro256pp::seed_from(12),
+                )
+                .with_graph(graph.clone());
+                let mut rng = Xoshiro256pp::seed_from(12);
+                let mut queues: Vec<VecDeque<BallId>> =
+                    (0..n as BallId).map(|v| VecDeque::from([v])).collect();
+                for r in 0..300 {
+                    let mut movers = Vec::new();
+                    for (u, queue) in queues.iter_mut().enumerate() {
+                        let len = queue.len();
+                        let token = match strategy {
+                            _ if len == 0 => continue,
+                            QueueStrategy::Fifo => queue.pop_front(),
+                            QueueStrategy::Lifo => queue.pop_back(),
+                            QueueStrategy::Random => {
+                                queue.swap(rng.uniform_usize(len), len - 1);
+                                queue.pop_back()
+                            }
+                        };
+                        movers.push((token.unwrap(), graph.random_neighbor(u, &mut rng)));
+                    }
+                    for &(token, v) in &movers {
+                        queues[v].push_back(token);
+                    }
+                    assert_eq!(p.step(), movers.len(), "{label}, round {r}");
+                    for (u, queue) in queues.iter().enumerate() {
+                        assert_eq!(p.queue(u), queue, "{label}, round {r}, node {u}");
+                        assert_eq!(p.config().loads()[u] as usize, queue.len());
+                    }
+                }
+                assert_eq!(p.rng, rng, "{label}: stream states diverged");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one graph vertex per bin")]
+    fn a_token_walk_needs_a_graph_of_n_vertices() {
+        let _ = BallProcess::legitimate_start(40, 1).with_graph(Arc::new(Ring(41)));
     }
 
     #[test]
@@ -575,7 +694,7 @@ mod tests {
         let mut p = BallProcess::legitimate_start(16, 9);
         p.run(10, crate::metrics::NullObserver);
         let placement = vec![3usize; 16];
-        p.adversarial_reassign(&placement);
+        p.apply_fault(&placement);
         p.validate().unwrap();
         assert_eq!(p.config().loads()[3], 16);
         assert_eq!(p.config().max_load(), 16);

@@ -97,7 +97,7 @@ impl CoupledRun {
 
     /// Starts the coupling without the empty-bins precondition (useful for
     /// probing *why* the precondition is needed).
-    pub fn new_unchecked(config: Config, seed: u64) -> Self {
+    fn new_unchecked(config: Config, seed: u64) -> Self {
         // rbb-lint: allow(rng-construct, reason = "the Lemma-3 coupling derives two disjoint streams from one seed; core cannot depend on rbb_sim::seed")
         let original = LoadProcess::new(config.clone(), Xoshiro256pp::stream(seed, 0));
         // rbb-lint: allow(rng-construct, reason = "second disjoint stream of the Lemma-3 coupling")

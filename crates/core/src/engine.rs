@@ -1,17 +1,26 @@
 //! The unified simulation surface: one trait in front of every engine.
 //!
 //! Every process in this workspace advances in synchronous rounds over a
-//! load [`Config`]uration. Six types implement [`Engine`]: the load engine
+//! load [`Config`]uration. Five types implement [`Engine`]: the load engine
 //! ([`LoadEngine`], behind [`LoadProcess`] and its sparse and sharded
 //! siblings, which also runs the d-choice process and the load-only graph
-//! walk under its destination [`Rule`]), [`BallProcess`], [`Tetris`],
-//! [`BatchedTetris`], and, in the sibling crates, the traversal and the
-//! token-identity graph walk. [`Engine`] captures exactly that contract, so
-//! drivers (the CLI, the `rbb_sim` scenario runner, the benchmark harness)
-//! can be written once against `dyn Engine` instead of once per process,
-//! and the historical per-process run families (`run` / `run_silent` /
+//! walk under its destination [`Rule`]), [`BallProcess`] (ball identities,
+//! sent to a uniform bin or, on a graph, to a uniform neighbor),
+//! [`Tetris`], [`BatchedTetris`], and, in the traversal crate, the
+//! traversal, which adds visited sets to a [`BallProcess`] on the clique or
+//! on any graph. [`Engine`] captures exactly that contract, so drivers (the
+//! CLI, the `rbb_sim` scenario runner, the benchmark harness) can be
+//! written once against `dyn Engine` instead of once per process, and the
+//! historical per-process run families (`run` / `run_silent` /
 //! `run_batched` / `run_rounds_batched` / `run_until`) collapse into the
 //! provided methods here.
+//!
+//! # Capabilities
+//!
+//! What only some engines can do is reached through an accessor that
+//! answers `None` for the others, so no provided method panics:
+//! [`Engine::incremental`] hands out the [`Incremental`] allocation
+//! surface, and [`Engine::faults`] the §4.1 adversary's [`Faults`] move.
 //!
 //! # One round path
 //!
@@ -124,25 +133,13 @@ pub trait Engine {
         None
     }
 
-    /// Whether [`apply_fault`](Engine::apply_fault) is supported. Engines
-    /// whose state cannot replay an arbitrary placement (e.g. Tetris, whose
-    /// ball count is not conserved, and the weighted load engines, whose
-    /// weight overlay cannot tell which ball a placement moves) report
-    /// `false` and the scenario layer rejects adversarial specs against
-    /// them.
-    fn supports_faults(&self) -> bool {
-        false
-    }
-
-    /// The §4.1 adversary move: reassigns every ball, `placement[ball] =
-    /// bin`. Panics if unsupported ([`supports_faults`] is the guard) or if
-    /// the placement does not match the engine's ball count / bin range.
-    ///
-    /// [`supports_faults`]: Engine::supports_faults
-    fn apply_fault(&mut self, placement: &[usize]) {
-        let _ = placement;
-        // rbb-lint: allow(panic, reason = "guarded by supports_faults(); the scenario factory rejects faulty specs for engines without support")
-        panic!("this engine does not support adversarial reassignment");
+    /// The §4.1 adversary's move, for engines that can replay an arbitrary
+    /// placement of their balls. `None` for Tetris, whose ball count is not
+    /// conserved, and for the weighted load engines, whose weight overlay
+    /// cannot tell which ball a placement moves; the scenario layer refuses
+    /// an adversary against them.
+    fn faults(&mut self) -> Option<&mut dyn Faults> {
+        None
     }
 
     /// The incremental allocation surface, for engines that support it —
@@ -257,6 +254,14 @@ pub trait Engine {
     }
 }
 
+/// The §4.1 adversary's move on an engine that conserves its balls.
+/// Reached through [`Engine::faults`].
+pub trait Faults {
+    /// Reassigns every ball, `placement[ball] = bin`. Panics if the
+    /// placement does not match the engine's ball count or bin range.
+    fn apply_fault(&mut self, placement: &[usize]);
+}
+
 /// Incremental allocation between rounds: new balls placed by the engine's
 /// own uniform draw, and departures from a named bin. Reached through
 /// [`Engine::incremental`].
@@ -345,13 +350,15 @@ mod tests {
     }
 
     #[test]
-    fn default_apply_fault_panics_and_supports_faults_gates_it() {
+    fn faults_are_none_for_engines_that_cannot_replay_a_placement() {
         let mut t = Tetris::new(Config::one_per_bin(8), Xoshiro256pp::seed_from(5));
-        assert!(!Engine::supports_faults(&t));
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            t.apply_fault(&[0; 8]);
-        }));
-        assert!(r.is_err());
+        assert!(Engine::faults(&mut t).is_none());
+        let mut b = BatchedTetris::new(Config::one_per_bin(8), 0.5, Xoshiro256pp::seed_from(5));
+        assert!(Engine::faults(&mut b).is_none());
+        let mut p = LoadProcess::legitimate_start(8, 5);
+        assert!(Engine::faults(&mut p).is_some());
+        let mut bp = BallProcess::legitimate_start(8, 5);
+        assert!(Engine::faults(&mut bp).is_some());
     }
 
     #[test]
@@ -401,7 +408,9 @@ mod tests {
     fn fault_via_trait_matches_inherent_reassign() {
         let mut a = LoadProcess::legitimate_start(8, 7);
         let mut b = a.clone();
-        a.apply_fault(&[0; 8]);
+        a.faults()
+            .expect("unit load engines take faults")
+            .apply_fault(&[0; 8]);
         b.adversarial_reassign(Config::all_in_one(8, 8));
         assert_eq!(a.config(), b.config());
 
@@ -410,8 +419,9 @@ mod tests {
             QueueStrategy::Fifo,
             Xoshiro256pp::seed_from(8),
         );
-        assert!(bp.supports_faults());
-        bp.apply_fault(&[2, 2, 2, 2]);
+        bp.faults()
+            .expect("ball engines take faults")
+            .apply_fault(&[2, 2, 2, 2]);
         assert_eq!(bp.config().loads()[2], 4);
         bp.validate().unwrap();
     }

@@ -212,25 +212,6 @@ impl ExactChain {
             .map(|(&p, _)| p)
             .sum()
     }
-
-    /// Exact distribution of the arrival count at `bin` in the next round,
-    /// given the chain is currently distributed as `dist`: the arrival count
-    /// at a fixed bin is `Binomial(h(q), 1/n)` conditionally on the current
-    /// state `q`.
-    pub fn arrival_distribution(&self, dist: &[f64], _bin: usize) -> Vec<f64> {
-        let mut out = vec![0.0; self.m as usize + 1];
-        for (i, &pi) in dist.iter().enumerate() {
-            if pi == 0.0 {
-                continue;
-            }
-            // rbb-lint: allow(lossy-cast, reason = "occupied-bin count <= n, and exact analysis is only feasible for tiny n")
-            let h = self.configs[i].iter().filter(|&&l| l > 0).count() as u32;
-            for k in 0..=h {
-                out[k as usize] += pi * binom_pmf(h, 1.0 / self.n as f64, k);
-            }
-        }
-        out
-    }
 }
 
 /// Exact `Binomial(h, p)` pmf at `k` (small `h`).
@@ -407,16 +388,6 @@ mod tests {
         let p4 = chain.prob_max_load_at_least(&pi, 4);
         assert!(p1 >= p2 && p2 >= p4);
         assert!((p1 - 1.0).abs() < 1e-12, "max load is always >= 1");
-    }
-
-    #[test]
-    fn arrival_distribution_is_probability() {
-        let chain = ExactChain::build(3, 3);
-        let d = chain.dirac(&[1, 1, 1]);
-        let arr = chain.arrival_distribution(&d, 0);
-        assert!((arr.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        // h = 3, so P(0 arrivals) = (2/3)^3.
-        assert!((arr[0] - (2.0f64 / 3.0).powi(3)).abs() < 1e-12);
     }
 
     #[test]

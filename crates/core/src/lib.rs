@@ -105,7 +105,7 @@ pub mod prelude {
     pub use crate::config::{Config, LegitimacyThreshold};
     pub use crate::coupling::{CoupledRun, CouplingReport};
     pub use crate::det_hash::{DetHashMap, DetHashSet};
-    pub use crate::engine::{Engine, Incremental};
+    pub use crate::engine::{Engine, Faults, Incremental};
     pub use crate::markov::ZChain;
     pub use crate::metrics::{
         CapacityTracker, EmptyBinsTracker, LegitimacyTracker, MaxLoadTracker, NullObserver,

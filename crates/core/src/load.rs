@@ -61,7 +61,7 @@
 use std::sync::Arc;
 
 use crate::config::Config;
-use crate::engine::{Engine, Incremental};
+use crate::engine::{Engine, Faults, Incremental};
 use crate::rng::Xoshiro256pp;
 use crate::sampling::{throw_uniform, UniformSampler};
 use crate::snapshot::{
@@ -758,30 +758,11 @@ impl<S: LoadStore> Engine for LoadEngine<S> {
 
     /// Unit-weight engines only: a placement says where each ball goes but
     /// not which weight it carries, so the overlay could not follow it.
-    fn supports_faults(&self) -> bool {
-        self.weighted.is_none()
-    }
-
-    /// Placement-based fault: rebuilds the loads from `placement[ball] =
-    /// bin` in `O(n + m)` (`O(m)` for sparse storage). Consumes no engine
-    /// randomness, so faulty trajectories stay comparable across storages.
-    /// Panics on a weighted engine before touching the loads.
-    fn apply_fault(&mut self, placement: &[usize]) {
-        assert!(
-            self.weighted.is_none(),
-            "adversarial reassignment is unsupported on a weighted engine"
-        );
-        assert_eq!(
-            placement.len() as u64,
-            self.balls,
-            "adversary must conserve balls"
-        );
-        let n = self.store.n();
-        self.store.clear();
-        for &bin in placement {
-            assert!(bin < n, "bin {bin} out of range 0..{n}");
-            // rbb-lint: allow(lossy-cast, reason = "bin < n, and every storage asserts n fits the u32 index range")
-            self.store.arrive(bin as u32);
+    fn faults(&mut self) -> Option<&mut dyn Faults> {
+        if self.weighted.is_none() {
+            Some(self)
+        } else {
+            None
         }
     }
 
@@ -877,6 +858,31 @@ impl<S: LoadStore> Engine for LoadEngine<S> {
             weighted,
             best_of,
         })
+    }
+}
+
+impl<S: LoadStore> Faults for LoadEngine<S> {
+    /// Placement-based fault: rebuilds the loads from `placement[ball] =
+    /// bin` in `O(n + m)` (`O(m)` for sparse storage). Consumes no engine
+    /// randomness, so faulty trajectories stay comparable across storages.
+    /// Panics on a weighted engine before touching the loads.
+    fn apply_fault(&mut self, placement: &[usize]) {
+        assert!(
+            self.weighted.is_none(),
+            "adversarial reassignment is unsupported on a weighted engine"
+        );
+        assert_eq!(
+            placement.len() as u64,
+            self.balls,
+            "adversary must conserve balls"
+        );
+        let n = self.store.n();
+        self.store.clear();
+        for &bin in placement {
+            assert!(bin < n, "bin {bin} out of range 0..{n}");
+            // rbb-lint: allow(lossy-cast, reason = "bin < n, and every storage asserts n fits the u32 index range")
+            self.store.arrive(bin as u32);
+        }
     }
 }
 
@@ -1019,15 +1025,15 @@ pub(crate) mod tests {
         assert_eq!(Engine::snapshot(&plain), Engine::snapshot(&unit));
     }
 
-    /// A weighted engine reports no fault support, and `apply_fault` panics
-    /// on it before touching the loads; a unit engine with only capacities
-    /// still supports faults.
+    /// A weighted engine answers no `faults()`, and a direct `apply_fault`
+    /// panics on it before touching the loads; a unit engine with only
+    /// capacities still takes faults.
     pub(crate) fn assert_fault_support<S: LoadStore>(
         mut weighted: LoadEngine<S>,
         mut capacity_only: LoadEngine<S>,
     ) {
         assert!(weighted.weighted.is_some());
-        assert!(!weighted.supports_faults());
+        assert!(weighted.faults().is_none());
         let before = weighted.config().clone();
         let placement = vec![0; weighted.balls() as usize];
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1042,9 +1048,11 @@ pub(crate) mod tests {
         weighted.check_overlay().unwrap();
 
         assert!(capacity_only.weighted.is_none() && !capacity_only.capacities.is_unbounded());
-        assert!(capacity_only.supports_faults());
         let balls = capacity_only.balls();
-        capacity_only.apply_fault(&vec![0; balls as usize]);
+        capacity_only
+            .faults()
+            .expect("a unit engine with capacities takes faults")
+            .apply_fault(&vec![0; balls as usize]);
         assert_eq!(u64::from(Engine::bin_load(&capacity_only, 0)), balls);
         capacity_only.run_silent(5);
         assert_eq!(capacity_only.config().total_balls(), balls);

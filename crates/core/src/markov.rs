@@ -104,12 +104,6 @@ pub fn lemma5_tail_bound(t: u64) -> f64 {
     (-(t as f64) / 144.0).exp()
 }
 
-/// Whether Lemma 5's hypothesis `t ≥ 8k` holds.
-#[inline]
-pub fn lemma5_applicable(k: u64, t: u64) -> bool {
-    t >= 8 * k
-}
-
 /// Samples `trials` absorption times of the chain started at `k`, capping
 /// each run at `cap` steps (a `None` is recorded as `cap + 1`, which keeps
 /// empirical tails conservative). Returns the sorted times.
@@ -178,7 +172,6 @@ mod tests {
         // Check: P_1(τ > 100) ≤ e^{-100/144} ≈ 0.50 — empirically it is tiny.
         let times = sample_absorption_times(256, 1, 2000, 10_000, 6);
         let emp = empirical_tail(&times, 100);
-        assert!(lemma5_applicable(1, 100));
         assert!(emp <= lemma5_tail_bound(100), "emp {emp}");
         assert!(emp < 0.01, "true tail should be tiny, got {emp}");
     }
@@ -196,12 +189,6 @@ mod tests {
     fn tail_bound_decreases() {
         assert!(lemma5_tail_bound(288) < lemma5_tail_bound(144));
         assert!((lemma5_tail_bound(144) - (-1.0f64).exp()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn applicability_condition() {
-        assert!(lemma5_applicable(2, 16));
-        assert!(!lemma5_applicable(2, 15));
     }
 
     #[test]

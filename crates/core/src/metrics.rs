@@ -117,7 +117,6 @@ pub struct EmptyBinsTracker {
     /// from round 1 onward; pass 1 to skip nothing, 2 to skip round 1).
     from_round: u64,
     min_empty: usize,
-    min_round: u64,
     sum_empty: u64,
     rounds: u64,
     violations_below_quarter: u64,
@@ -129,7 +128,6 @@ impl EmptyBinsTracker {
         Self {
             from_round,
             min_empty: usize::MAX,
-            min_round: 0,
             sum_empty: 0,
             rounds: 0,
             violations_below_quarter: 0,
@@ -148,11 +146,6 @@ impl EmptyBinsTracker {
         } else {
             self.min_empty
         }
-    }
-
-    /// Round attaining the minimum.
-    pub fn min_round(&self) -> u64 {
-        self.min_round
     }
 
     /// Mean number of empty bins per round.
@@ -187,10 +180,7 @@ impl EmptyBinsTracker {
         if round < self.from_round {
             return;
         }
-        if empty < self.min_empty {
-            self.min_empty = empty;
-            self.min_round = round;
-        }
+        self.min_empty = self.min_empty.min(empty);
         if 4 * empty < n {
             self.violations_below_quarter += 1;
         }
@@ -624,7 +614,6 @@ mod tests {
         t.observe(1, &cfg(&[0, 0, 1, 3])); // 2 empty of 4: ok (2 >= 1)
         t.observe(2, &cfg(&[1, 1, 1, 1])); // 0 empty: violation
         assert_eq!(t.min_empty(), 0);
-        assert_eq!(t.min_round(), 2);
         assert_eq!(t.violations_below_quarter(), 1);
         assert!((t.mean_empty() - 1.0).abs() < 1e-12);
     }

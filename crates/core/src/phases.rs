@@ -22,10 +22,6 @@ pub struct PhaseTracker {
     durations: Vec<u64>,
     /// Load at the first round of each completed-or-ongoing phase.
     opening_loads: Vec<u32>,
-    /// Peak load observed within each completed phase.
-    peak_loads: Vec<u32>,
-    /// Peak within the current phase, per bin.
-    current_peak: Vec<u32>,
 }
 
 impl PhaseTracker {
@@ -37,8 +33,6 @@ impl PhaseTracker {
             phase_start: vec![None; k],
             durations: Vec::new(),
             opening_loads: Vec::new(),
-            peak_loads: Vec::new(),
-            current_peak: vec![0; k],
         }
     }
 
@@ -50,16 +44,6 @@ impl PhaseTracker {
     /// Completed phase durations.
     pub fn durations(&self) -> &[u64] {
         &self.durations
-    }
-
-    /// Loads at phase openings (first round the bin was seen non-empty).
-    pub fn opening_loads(&self) -> &[u32] {
-        &self.opening_loads
-    }
-
-    /// Peak loads within completed phases.
-    pub fn peak_loads(&self) -> &[u32] {
-        &self.peak_loads
     }
 
     /// Number of completed phases.
@@ -97,17 +81,13 @@ impl RoundObserver for PhaseTracker {
                     // Phase opens.
                     self.phase_start[i] = Some((round, l));
                     self.opening_loads.push(l);
-                    self.current_peak[i] = l;
                 }
                 (Some((start, _)), 0) => {
                     // Phase closes.
                     self.durations.push(round - start);
-                    self.peak_loads.push(self.current_peak[i]);
                     self.phase_start[i] = None;
                 }
-                (Some(_), l) => {
-                    self.current_peak[i] = self.current_peak[i].max(l);
-                }
+                (Some(_), _) => {}
             }
         }
     }
@@ -132,18 +112,7 @@ mod tests {
         t.observe(4, &cfg(&[0, 2])); // closes: duration 4-2 = 2
         assert_eq!(t.completed(), 1);
         assert_eq!(t.durations(), &[2]);
-        assert_eq!(t.opening_loads(), &[2]);
-        assert_eq!(t.peak_loads(), &[2]);
-    }
-
-    #[test]
-    fn peak_inside_phase_recorded() {
-        let mut t = PhaseTracker::new(vec![0]);
-        t.observe(1, &cfg(&[1]));
-        t.observe(2, &cfg(&[4]));
-        t.observe(3, &cfg(&[0]));
-        assert_eq!(t.peak_loads(), &[4]);
-        assert_eq!(t.opening_loads(), &[1]);
+        assert_eq!(t.max_opening_load(), 2);
     }
 
     #[test]
@@ -152,7 +121,7 @@ mod tests {
         t.observe(1, &cfg(&[3]));
         t.observe(2, &cfg(&[2]));
         assert_eq!(t.completed(), 0);
-        assert_eq!(t.opening_loads(), &[3], "opening recorded immediately");
+        assert_eq!(t.max_opening_load(), 3, "opening recorded immediately");
     }
 
     #[test]

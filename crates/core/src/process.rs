@@ -271,7 +271,8 @@ impl LoadProcess {
     /// Replaces the configuration wholesale — the §4.1 adversary's move.
     /// Panics if the new configuration changes the ball count (the adversary
     /// may *re-assign* balls, not create or destroy them), and on a weighted
-    /// engine before touching the loads, as [`Engine::apply_fault`] does: a
+    /// engine before touching the loads, as
+    /// [`Faults::apply_fault`](crate::engine::Faults::apply_fault) does: a
     /// configuration does not say which weight goes where.
     pub fn adversarial_reassign(&mut self, new_config: Config) {
         assert!(

@@ -492,7 +492,7 @@ pub fn shard_streams(seed: u64, shards: usize) -> Vec<Xoshiro256pp> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, Incremental};
+    use crate::engine::{Engine, Faults, Incremental};
     use crate::load::tests::{
         assert_fault_support, assert_matches_reference, assert_place_and_depart,
         assert_snapshot_round_trip, assert_unit_weights_build_the_same_engine,
@@ -633,8 +633,8 @@ mod tests {
             assert_eq!(dense.step(), sharded.step());
         }
         let placement: Vec<usize> = (0..32).map(|i| i % 5).collect();
-        Engine::apply_fault(&mut dense, &placement);
-        Engine::apply_fault(&mut sharded, &placement);
+        Faults::apply_fault(&mut dense, &placement);
+        Faults::apply_fault(&mut sharded, &placement);
         assert_eq!(dense.config(), Engine::config(&sharded));
         assert_twins(dense, sharded, 60);
     }
@@ -644,7 +644,7 @@ mod tests {
         let mut p = ShardedLoadProcess::legitimate_start(60, 17, 7);
         p.run_silent(30);
         let placement: Vec<usize> = (0..60).map(|i| (i * 3) % 10).collect();
-        Engine::apply_fault(&mut p, &placement);
+        Faults::apply_fault(&mut p, &placement);
         assert_eq!(Engine::nonempty_bins(&p), 10);
         assert_eq!(Engine::config(&p).total_balls(), 60);
         // Post-fault rounds keep the counters consistent (debug asserts
@@ -657,7 +657,7 @@ mod tests {
     #[should_panic(expected = "conserve")]
     fn apply_fault_rejects_mass_change() {
         let mut p = ShardedLoadProcess::legitimate_start(8, 1, 2);
-        Engine::apply_fault(&mut p, &[0; 9]);
+        Faults::apply_fault(&mut p, &[0; 9]);
     }
 
     #[test]

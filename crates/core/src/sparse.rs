@@ -449,7 +449,7 @@ impl SparseLoadProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, Incremental};
+    use crate::engine::{Engine, Faults, Incremental};
     use crate::load::tests::{
         assert_fault_support, assert_matches_reference, assert_place_and_depart,
         assert_snapshot_round_trip, assert_unit_weights_build_the_same_engine,
@@ -595,8 +595,8 @@ mod tests {
             sparse.step();
         }
         let placement: Vec<usize> = (0..32).map(|i| i % 5).collect();
-        Engine::apply_fault(&mut dense, &placement);
-        Engine::apply_fault(&mut sparse, &placement);
+        Faults::apply_fault(&mut dense, &placement);
+        Faults::apply_fault(&mut sparse, &placement);
         assert_eq!(dense.config(), Engine::config(&sparse));
         // Post-fault trajectories keep agreeing (no RNG was consumed).
         assert_twins(dense, sparse, 60);
@@ -606,7 +606,7 @@ mod tests {
     #[should_panic(expected = "conserve")]
     fn apply_fault_rejects_mass_change() {
         let mut p = SparseLoadProcess::legitimate_start(8, 1);
-        Engine::apply_fault(&mut p, &[0; 9]);
+        Faults::apply_fault(&mut p, &[0; 9]);
     }
 
     #[test]

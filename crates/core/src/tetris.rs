@@ -18,6 +18,17 @@ use crate::engine::Engine;
 use crate::rng::Xoshiro256pp;
 use crate::sampling::{binomial, throw_uniform};
 
+/// The discard pass of both Tetris processes: every non-empty bin throws
+/// one ball away. Returns the number discarded. Consumes no draws.
+fn discard_one_per_bin(loads: &mut [u32]) -> usize {
+    let mut discarded = 0;
+    for l in loads.iter_mut().filter(|l| **l > 0) {
+        *l -= 1;
+        discarded += 1;
+    }
+    discarded
+}
+
 /// The Tetris process with exactly `⌊(3/4)n⌋` arrivals per round.
 ///
 /// ```
@@ -79,19 +90,11 @@ impl Tetris {
         self.config.n()
     }
 
-    /// Advances one round; returns the number of balls discarded.
+    /// Advances one round; returns the number of balls discarded. This is
+    /// [`step_reusing`](Tetris::step_reusing) with no dictated
+    /// destinations: all `⌊(3/4)n⌋` new balls are thrown u.a.r.
     pub fn step(&mut self) -> usize {
-        let loads = self.config.loads_mut();
-        let mut discarded = 0usize;
-        for l in loads.iter_mut() {
-            if *l > 0 {
-                *l -= 1;
-                discarded += 1;
-            }
-        }
-        throw_uniform(&mut self.rng, loads, self.arrivals_per_round);
-        self.round += 1;
-        discarded
+        self.step_reusing(&[])
     }
 
     /// Advances one round where the destinations of the first
@@ -108,13 +111,7 @@ impl Tetris {
             "coupling case (ii): more movers than Tetris arrivals"
         );
         let loads = self.config.loads_mut();
-        let mut discarded = 0usize;
-        for l in loads.iter_mut() {
-            if *l > 0 {
-                *l -= 1;
-                discarded += 1;
-            }
-        }
+        let discarded = discard_one_per_bin(loads);
         for &d in reused {
             loads[d] += 1;
         }
@@ -230,13 +227,7 @@ impl BatchedTetris {
         let n = self.config.n();
         let arrivals = binomial(&mut self.rng, n as u64, self.lambda) as usize;
         let loads = self.config.loads_mut();
-        let mut discarded = 0usize;
-        for l in loads.iter_mut() {
-            if *l > 0 {
-                *l -= 1;
-                discarded += 1;
-            }
-        }
+        let discarded = discard_one_per_bin(loads);
         throw_uniform(&mut self.rng, loads, arrivals);
         self.round += 1;
         (discarded, arrivals)

@@ -1,8 +1,9 @@
 //! E23 — multi-token traversal beyond the clique (extension).
 //!
 //! The paper solves multi-token traversal on the complete graph and leaves
-//! general topologies open (Section 5). Using the token-identity graph
-//! engine we measure the parallel cover time on ring / torus / hypercube /
+//! general topologies open (Section 5). Using the traversal over the
+//! ball-identity engine on a graph we measure the parallel cover time on
+//! ring / torus / hypercube /
 //! random-regular at matched `n` and compare it to (a) the single-walk cover
 //! time on the same topology and (b) the clique's `n log² n` scale. The
 //! multi-token slowdown over a single walk stays a bounded small factor on
@@ -10,13 +11,17 @@
 //! delays compound the walk's Θ(n²) cover) — congestion never blows up,
 //! consistent with the paper's conjecture.
 
+use std::sync::Arc;
+
+use rbb_core::ball_process::BallProcess;
+use rbb_core::config::Config;
 use rbb_core::rng::Xoshiro256pp;
-use rbb_graphs::{
-    complete_with_loops, cover_time, hypercube, random_regular, ring, torus, Graph,
-    GraphTokenProcess,
-};
+use rbb_core::strategy::QueueStrategy;
+use rbb_graphs::{complete_with_loops, cover_time, hypercube, random_regular, ring, torus, Graph};
+use rbb_sim::seed::engine_rng;
 use rbb_sim::{fmt_f64, run_trials_seeded, Table};
 use rbb_stats::Summary;
+use rbb_traversal::Traversal;
 
 use crate::common::{header, ExpContext};
 
@@ -79,8 +84,10 @@ pub fn compute(ctx: &ExpContext, n: usize, trials: usize) -> Vec<E23Row> {
                     let g = build(name, n, seed);
                     let mut rng = Xoshiro256pp::seed_from(seed ^ 0x51);
                     let single = cover_time(&g, 0, cap, &mut rng);
-                    let mut p = GraphTokenProcess::one_per_node(g, seed);
-                    let parallel = p.run_to_cover(cap);
+                    let start = Config::one_per_bin(g.n());
+                    let walk = BallProcess::new(start, QueueStrategy::Fifo, engine_rng(seed))
+                        .with_graph(Arc::new(g));
+                    let parallel = Traversal::from_process(walk).run_to_cover(cap);
                     (parallel, single)
                 });
             let par = Summary::from_iter(results.iter().filter_map(|r| r.0.map(|x| x as f64)));

@@ -16,6 +16,7 @@ fn usage() -> ! {
 }
 
 fn main() {
+    rbb_sim::output::exit_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut write = true;

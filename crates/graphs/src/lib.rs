@@ -6,9 +6,10 @@
 //! the maximum load behaves on general (regular) graphs; this crate provides
 //! the topologies (ring, torus, hypercube, random regular, Erdős–Rényi,
 //! clique with/without self-loops), single random walks with cover/hitting
-//! times, the neighbor draw of the load-only constrained parallel walk
-//! (the core load engine under `Rule::Neighbors`), and the token-identity
-//! walk.
+//! times, and the neighbor draw of the constrained parallel walks: the core
+//! load engine walks on a graph under `Rule::Neighbors`, and the core
+//! ball-identity engine under `BallProcess::with_graph`, which
+//! `rbb_traversal::Traversal` wraps for visited sets (see [`parallel`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +23,5 @@ pub use graph::{
     complete, complete_with_loops, erdos_renyi, hypercube, path, random_regular, ring, star, torus,
     Graph,
 };
-pub use parallel::GraphTokenProcess;
 pub use properties::{bfs_distances, degree_stats, diameter, eccentricity, spectral_gap};
 pub use walk::{cover_time, hitting_time, RandomWalk};

@@ -60,7 +60,7 @@ pub fn degree_stats(graph: &Graph) -> (usize, usize, f64) {
 /// Works on connected graphs; the laziness removes periodicity (e.g. on
 /// bipartite graphs like even rings or hypercubes, plain `P` has an
 /// eigenvalue −1 that would dominate).
-pub fn lazy_walk_slem(graph: &Graph, iterations: usize) -> f64 {
+fn lazy_walk_slem(graph: &Graph, iterations: usize) -> f64 {
     let n = graph.n();
     assert!(n >= 2);
     // Stationary distribution of the (lazy) walk: proportional to degree.

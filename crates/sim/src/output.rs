@@ -1,11 +1,34 @@
 //! Machine-readable experiment output: JSON records and CSV series, written
-//! under `results/` so EXPERIMENTS.md numbers can be regenerated and diffed.
+//! under `results/` so EXPERIMENTS.md numbers can be regenerated and diffed;
+//! and the binaries' stdout, which ends quietly when its reader has gone.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use serde::Serialize;
+
+/// Makes a closed stdout end the process quietly with status 0, the way a
+/// closed pipe ends a program that does not ignore `SIGPIPE`
+/// (`rbb sim … | head -2`). Rust ignores `SIGPIPE`, so the write fails with
+/// a broken-pipe error and `print!` panics on it; the hook this installs
+/// turns exactly that panic into the exit and hands every other panic to
+/// the hook it replaces. `print!` stays the way to write, so the test
+/// harness still captures what library code prints. The binaries call this
+/// first in `main`.
+pub fn exit_quietly_on_closed_stdout() {
+    let closed = (1..=255)
+        .map(std::io::Error::from_raw_os_error)
+        .find(|e| e.kind() == std::io::ErrorKind::BrokenPipe)
+        .map(|e| format!("failed printing to stdout: {e}"));
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if closed.is_some() && info.payload().downcast_ref::<String>() == closed.as_ref() {
+            std::process::exit(0);
+        }
+        previous(info);
+    }));
+}
 
 /// Where experiment artifacts land (relative to the workspace root).
 pub const RESULTS_DIR: &str = "results";

@@ -23,7 +23,7 @@ use rbb_core::adversary::{
     RandomAdversary,
 };
 use rbb_core::ball_process::BallProcess;
-use rbb_core::config::LegitimacyThreshold;
+use rbb_core::config::{Config, LegitimacyThreshold};
 use rbb_core::engine::Engine;
 use rbb_core::load::Rule;
 use rbb_core::metrics::ObserverStack;
@@ -35,7 +35,6 @@ use crate::seed::{adversary_rng, engine_rng};
 use rbb_core::sharded::{shard_streams, ShardedLoadProcess};
 use rbb_core::sparse::SparseLoadProcess;
 use rbb_core::tetris::{BatchedTetris, Tetris};
-use rbb_graphs::GraphTokenProcess;
 use rbb_traversal::Traversal;
 
 use crate::spec::{
@@ -53,10 +52,13 @@ use crate::spec::{
 /// | complete | tetris | — | any | [`Tetris`] |
 /// | complete | batched-tetris | — | any | [`BatchedTetris`] |
 /// | graph | uniform | — | any but covered | [`LoadProcess`] under [`Rule::Neighbors`] |
-/// | graph | uniform | set | any | [`GraphTokenProcess`] |
+/// | graph | uniform | set | any | [`Traversal`] over [`BallProcess::with_graph`] |
 ///
 /// The d-choice and graph-walk cells build dense storage only (the spec
-/// layer refuses other engines and weights there). The load-only cell is
+/// layer refuses other engines and weights there). The graph token walk
+/// starts one token per node and draws from the engine stream
+/// ([`engine_rng`]), the clique's `covered` cell from the traversal's
+/// `stream(seed, 0)`. The load-only cell is
 /// one arm: it resolves dense vs sparse vs sharded through
 /// [`ScenarioSpec::resolved_engine`] (dense and sparse are
 /// bit-identical; sharded is bit-identical at `shards: 1` and law-equal
@@ -93,11 +95,12 @@ pub fn build_engine(spec: &ScenarioSpec) -> Result<Box<dyn Engine>, SpecError> {
                 let rule = Rule::Neighbors(Arc::new(graph));
                 Ok(Box::new(dense(n, m)?.with_rule(rule)))
             }
-            Some(s) => Ok(Box::new(GraphTokenProcess::with_strategy(
-                graph,
-                s.to_core(),
-                seed,
-            ))),
+            Some(s) => {
+                let start = Config::one_per_bin(graph.n());
+                let walk = BallProcess::new(start, s.to_core(), engine_rng(seed))
+                    .with_graph(Arc::new(graph));
+                Ok(Box::new(Traversal::from_process(walk)))
+            }
         };
     }
 
@@ -297,11 +300,11 @@ pub struct Scenario {
 impl ScenarioSpec {
     /// Validates the spec and constructs the scenario (factory entry point).
     pub fn scenario(&self) -> Result<Scenario, SpecError> {
-        let engine = build_engine(self)?;
+        let mut engine = build_engine(self)?;
         let fault_arm = match &self.adversary {
             None => None,
             Some(adv) => {
-                if !engine.supports_faults() {
+                if engine.faults().is_none() {
                     return Err(SpecError(
                         "this engine does not support adversarial reassignment".into(),
                     ));
@@ -384,9 +387,11 @@ impl Scenario {
                         engine.config(),
                         &mut arm.rng,
                     );
-                    engine.apply_fault(&placement);
+                    if let Some(target) = engine.faults() {
+                        target.apply_fault(&placement);
+                        faults += 1;
+                    }
                     stop.update(engine);
-                    faults += 1;
                 }
             }
             if self.stop != StopSpec::Horizon && stop.met(engine) {

@@ -2,6 +2,7 @@
 //! rounds, with cover-time measurement.
 
 use rbb_core::adversary::{Adversary, FaultSchedule};
+use rbb_core::engine::Faults;
 use rbb_core::rng::Xoshiro256pp;
 use rbb_core::strategy::QueueStrategy;
 
@@ -47,7 +48,7 @@ pub fn faulty_cover_time(
                 traversal.process().config(),
                 &mut adv_rng,
             );
-            traversal.adversarial_reassign(&placement);
+            traversal.apply_fault(&placement);
             faults += 1;
         }
     }

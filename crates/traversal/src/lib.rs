@@ -8,7 +8,8 @@
 //! faults at frequency `≤ 1/(γn)`, `γ ≥ 6`.
 //!
 //! * [`traversal`] — the traversal engine with per-token visited bitsets and
-//!   the single-token baseline.
+//!   the single-token baseline; wrapped around a ball engine on a graph it
+//!   measures the Section 5 token walk's cover time too.
 //! * [`progress`] — the `Ω(t/log n)` per-token progress accounting.
 //! * [`faults`] — fault-injected cover-time runs.
 //! * [`bitset`] — the word-packed visited-set implementation.

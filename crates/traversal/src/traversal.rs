@@ -1,14 +1,18 @@
-//! Multi-token traversal on the complete graph (Section 4, Corollary 1).
+//! Multi-token traversal on the complete graph (Section 4, Corollary 1)
+//! and, off the clique, on any graph (Section 5).
 //!
 //! `n` tokens perform the repeated balls-into-bins process; each token must
 //! visit all `n` nodes ("parallel resource assignment in mutual exclusion").
 //! The **parallel cover time** is the first round by which every token has
 //! visited every node. Corollary 1: `O(n log² n)` w.h.p. — a single `log n`
-//! factor above the single-token cover time `O(n log n)`.
+//! factor above the single-token cover time `O(n log n)`. Wrapped around a
+//! [`BallProcess`] on a graph ([`BallProcess::with_graph`]), the same
+//! visited sets measure the parallel cover time of the constrained token
+//! walk on that graph.
 
 use rbb_core::ball_process::BallProcess;
 use rbb_core::config::Config;
-use rbb_core::engine::Engine;
+use rbb_core::engine::{Engine, Faults};
 use rbb_core::rng::Xoshiro256pp;
 use rbb_core::strategy::QueueStrategy;
 
@@ -41,9 +45,23 @@ impl Traversal {
 
     /// Starts from an arbitrary configuration; tokens are placed densely
     /// (see [`BallProcess::new`]) and their starting node counts as visited.
+    ///
+    /// # RNG stream
+    ///
+    /// The process draws from `Xoshiro256pp::stream(seed, 0)`.
     pub fn from_config(config: Config, strategy: QueueStrategy, seed: u64) -> Self {
-        let n = config.n();
-        let process = BallProcess::new(config, strategy, Xoshiro256pp::stream(seed, 0));
+        Self::from_process(BallProcess::new(
+            config,
+            strategy,
+            Xoshiro256pp::stream(seed, 0),
+        ))
+    }
+
+    /// Tracks the visited sets of `process`'s tokens, on the clique or on
+    /// the graph the process walks ([`BallProcess::with_graph`]); each
+    /// token's current node counts as visited. Consumes no draws.
+    pub fn from_process(process: BallProcess) -> Self {
+        let n = process.n();
         let m = process.balls() as usize;
         let mut visited = vec![FixedBitSet::new(n); m];
         let mut covered = 0usize;
@@ -135,18 +153,6 @@ impl Traversal {
         }
         Some(self.round())
     }
-
-    /// Applies an adversarial reassignment (§4.1): `placement[token] = node`.
-    /// The post-fault position counts as visited (the token is there).
-    pub fn adversarial_reassign(&mut self, placement: &[usize]) {
-        self.process.adversarial_reassign(placement);
-        for (token, &node) in placement.iter().enumerate() {
-            let v = &mut self.visited[token];
-            if v.insert(node) && v.is_full() {
-                self.covered_tokens += 1;
-            }
-        }
-    }
 }
 
 /// The run family is provided by [`Engine`]. The traversal's visited-set
@@ -169,12 +175,8 @@ impl Engine for Traversal {
         self.process.config()
     }
 
-    fn supports_faults(&self) -> bool {
-        true
-    }
-
-    fn apply_fault(&mut self, placement: &[usize]) {
-        self.adversarial_reassign(placement);
+    fn faults(&mut self) -> Option<&mut dyn Faults> {
+        Some(self)
     }
 
     fn covered(&self) -> Option<bool> {
@@ -183,6 +185,21 @@ impl Engine for Traversal {
 
     fn min_progress(&self) -> Option<u64> {
         Some(self.process.min_progress())
+    }
+}
+
+impl Faults for Traversal {
+    /// The §4.1 adversary, `placement[token] = node`, applied to the
+    /// process; the post-fault position counts as visited (the token is
+    /// there).
+    fn apply_fault(&mut self, placement: &[usize]) {
+        self.process.apply_fault(placement);
+        for (token, &node) in placement.iter().enumerate() {
+            let v = &mut self.visited[token];
+            if v.insert(node) && v.is_full() {
+                self.covered_tokens += 1;
+            }
+        }
     }
 }
 
@@ -289,7 +306,7 @@ mod tests {
     fn adversarial_reassign_updates_visited() {
         let mut t = Traversal::new(8, QueueStrategy::Fifo, 7);
         let placement: Vec<usize> = (0..8).map(|i| (i + 1) % 8).collect();
-        t.adversarial_reassign(&placement);
+        t.apply_fault(&placement);
         for token in 0..8 {
             assert!(t.visited(token).contains((token + 1) % 8));
             assert_eq!(t.visited(token).count_ones(), 2);

@@ -1,8 +1,13 @@
 //! Cross-crate integration: traversal + faults + graphs + stats.
 
+use std::sync::Arc;
+
 use rbb_core::adversary::{AllInOneAdversary, FaultSchedule, FollowTheLeaderAdversary};
+use rbb_core::ball_process::BallProcess;
+use rbb_core::config::Config;
+use rbb_core::rng::Xoshiro256pp;
 use rbb_core::strategy::QueueStrategy;
-use rbb_graphs::{complete_with_loops, GraphTokenProcess};
+use rbb_graphs::complete_with_loops;
 use rbb_stats::{power_fit, Summary};
 use rbb_traversal::{faulty_cover_time, single_token_cover_time, ProgressReport, Traversal};
 
@@ -32,24 +37,33 @@ fn parallel_cover_time_scaling() {
     assert!(fit.r_squared > 0.95, "R² {}", fit.r_squared);
 }
 
-/// The traversal engine on the clique and the generic graph-token engine on
-/// K_n-with-loops implement the same protocol: cover times agree in scale.
+/// The traversal on the clique and the token walk on K_n-with-loops are one
+/// process: `complete_with_loops(n)` lists every vertex's neighbors as
+/// `0..n`, so a neighbor draw is the uniform draw. From the same stream
+/// they cover at the same round with the same visited sets.
 #[test]
 fn traversal_engines_agree_on_clique() {
     let n = 64;
-    let mut a_sum = 0.0;
-    let mut b_sum = 0.0;
-    for t in 0..5u64 {
-        let mut a = Traversal::new(n, QueueStrategy::Fifo, 600 + t);
-        a_sum += a.run_to_cover(10_000_000).unwrap() as f64;
-        let mut b = GraphTokenProcess::one_per_node(complete_with_loops(n), 700 + t);
-        b_sum += b.run_to_cover(10_000_000).unwrap() as f64;
+    for (t, strategy) in (0..5u64).zip(QueueStrategy::ALL.iter().cycle()) {
+        let seed = 600 + t;
+        let mut uniform = Traversal::new(n, *strategy, seed);
+        let start = Config::one_per_bin(n);
+        let walk = BallProcess::new(start, *strategy, Xoshiro256pp::stream(seed, 0))
+            .with_graph(Arc::new(complete_with_loops(n)));
+        let mut clique = Traversal::from_process(walk);
+        let cover = uniform.run_to_cover(10_000_000).expect("covers");
+        assert_eq!(clique.run_to_cover(10_000_000), Some(cover), "seed {seed}");
+        for token in 0..n {
+            assert_eq!(
+                uniform.visited(token),
+                clique.visited(token),
+                "token {token}"
+            );
+        }
+        for bin in 0..n {
+            assert_eq!(uniform.process().queue(bin), clique.process().queue(bin));
+        }
     }
-    let ratio = a_sum / b_sum;
-    assert!(
-        ratio > 0.5 && ratio < 2.0,
-        "engines disagree: ratio {ratio}"
-    );
 }
 
 /// §4.1 end-to-end: γ = 6 faults from two different adversaries leave the

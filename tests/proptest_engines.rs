@@ -10,7 +10,8 @@
 //!
 //! Engines are built through `rbb_sim::build_engine` from one spec, so the
 //! matrix automatically tracks the factory table (clique engines, d-choice,
-//! Tetris variants, traversal, and both graph walkers).
+//! Tetris variants, traversal, and both graph walks: loads under the
+//! neighbor rule, tokens as the traversal over a ball engine on the graph).
 
 use std::sync::Arc;
 
@@ -47,7 +48,7 @@ const COVERED_ENGINES: &[&str] = &[
     "Tetris",
     "BatchedTetris",
     "Traversal",
-    "GraphTokenProcess",
+    "Traversal (graph token walk)",
 ];
 
 /// Every distinct engine family the factory serves, as spec fragments:

@@ -88,8 +88,9 @@ fn assert_pair_identical(
             let placement: Vec<usize> = (0..dense.balls() as usize)
                 .map(|ball| (ball * 7 + 1) % dense.n())
                 .collect();
-            dense.apply_fault(&placement);
-            sharded.apply_fault(&placement);
+            let take = "unit engines take faults";
+            dense.faults().expect(take).apply_fault(&placement);
+            sharded.faults().expect(take).apply_fault(&placement);
             assert_eq!(dense.config(), sharded.config(), "fault diverged");
         }
     }
@@ -130,7 +131,7 @@ proptest! {
         let spec = base_spec(n, m, start, seed);
         let mut dense = build(&spec, EngineSpec::Dense, None);
         let mut sharded = build(&spec, EngineSpec::Sharded, Some(1));
-        prop_assert!(sharded.supports_faults());
+        prop_assert!(sharded.faults().is_some());
         let fault = with_fault.then_some(fault_round);
         assert_pair_identical(dense.as_mut(), sharded.as_mut(), rounds, fault);
     }
@@ -174,13 +175,13 @@ proptest! {
         let placement: Vec<usize> = (0..n).map(|ball| (ball * 3 + 2) % n).collect();
         let mut dense = build(&spec, EngineSpec::Dense, None);
         for _ in 0..pre_rounds { dense.step_batched(); }
-        dense.apply_fault(&placement);
+        dense.faults().expect("unit engines take faults").apply_fault(&placement);
         let reference = dense.config().clone();
         for shards in SHARD_COUNTS {
             let shards = shards.min(n);
             let mut sharded = build(&spec, EngineSpec::Sharded, Some(shards));
             for _ in 0..pre_rounds { sharded.step_batched(); }
-            sharded.apply_fault(&placement);
+            sharded.faults().expect("unit engines take faults").apply_fault(&placement);
             prop_assert_eq!(sharded.config(), &reference, "shards = {}", shards);
             // Post-fault rounds keep the law invariants.
             assert_law_invariants(sharded.as_mut(), n as u64, 10);

@@ -105,8 +105,9 @@ fn assert_pair_identical(
             let placement: Vec<usize> = (0..dense.balls() as usize)
                 .map(|ball| (ball * 7 + 1) % dense.n())
                 .collect();
-            dense.apply_fault(&placement);
-            sparse.apply_fault(&placement);
+            let take = "unit engines take faults";
+            dense.faults().expect(take).apply_fault(&placement);
+            sparse.faults().expect(take).apply_fault(&placement);
             assert_eq!(dense.config(), sparse.config(), "fault diverged");
         }
     }
@@ -140,8 +141,8 @@ proptest! {
         weighted in any::<bool>(),
     ) {
         let (mut dense, mut sparse) = engine_pair(n, m, start, seed, weighted);
-        prop_assert_eq!(dense.supports_faults(), !weighted);
-        prop_assert_eq!(sparse.supports_faults(), !weighted);
+        prop_assert_eq!(dense.faults().is_some(), !weighted);
+        prop_assert_eq!(sparse.faults().is_some(), !weighted);
         prop_assert_eq!(dense.weighted(), weighted);
         prop_assert_eq!(sparse.weighted(), weighted);
         let fault = (with_fault && !weighted).then_some(fault_round);
