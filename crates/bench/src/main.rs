@@ -81,8 +81,8 @@ struct Gate {
     flag: &'static str,
     label: &'static str,
     ratio: fn(&Derived) -> Option<f64>,
-    /// A parallel-scaling assertion: enforced only on machines with at
-    /// least as many cores as the pair has shards.
+    /// A parallel-scaling assertion: its threshold assumes one worker per
+    /// shard and is scaled by the share of shards that can run at once.
     parallel: bool,
 }
 
@@ -334,13 +334,17 @@ fn main() {
         println!("wrote {path}");
     }
 
-    // The sharded gate is a *parallel-scaling* assertion: with fewer cores
-    // than shards the kernel cannot physically beat the dense single-core
-    // scan (sharding only redistributes the same work plus outbox traffic),
-    // so enforcing the threshold there would gate on the machine's shape,
-    // not on a code regression. Its ratio is still printed and recorded.
+    // The sharded gate is a *parallel-scaling* assertion: its threshold
+    // assumes one worker per shard. With fewer workers (the pool's threads
+    // that can run at once) it requires `min × workers / shards`, the share
+    // of the shards' parallelism the machine can express: 1.0x at the
+    // 2.0x threshold on two workers. Fewer workers make the speedup
+    // smaller, not impossible: on one worker the sharded rounds still beat
+    // the dense scan (1.42-1.54x at RAYON_NUM_THREADS=1 on the quick
+    // profile, 2-core x86-64 host).
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let shards = profile.sharded_shards;
+    let workers = report.threads.min(cores).min(shards);
     let mut failed = false;
     println!();
     for (gate, min) in GATES.iter().zip(mins) {
@@ -349,27 +353,35 @@ fn main() {
             println!("{}: {r:.2}x", gate.label);
         }
         let Some(min) = min else { continue };
-        match ratio {
-            None => {
-                eprintln!(
-                    "perf gate FAILED: {} — its pair was filtered out",
-                    gate.label
-                );
-                failed = true;
-            }
-            Some(r) if gate.parallel && cores < shards => println!(
-                "perf gate SKIPPED: {} {r:.2}x, required {min:.2}x on >= {shards} cores; \
-                 this machine has {cores} (ratio recorded in BENCH.json)",
+        let (required, scaled) = if gate.parallel && workers < shards {
+            let required = min * workers as f64 / shards as f64;
+            (
+                required,
+                format!(" ({min:.2}x for {workers} of {shards} shards at once)"),
+            )
+        } else {
+            (min, String::new())
+        };
+        let Some(r) = ratio else {
+            eprintln!(
+                "perf gate FAILED: {} — its pair was filtered out",
                 gate.label
-            ),
-            Some(r) if r >= min => println!("perf gate OK: {} {r:.2}x >= {min:.2}x", gate.label),
-            Some(r) => {
-                eprintln!(
-                    "perf gate FAILED: {} {r:.2}x < required {min:.2}x",
-                    gate.label
-                );
-                failed = true;
-            }
+            );
+            failed = true;
+            continue;
+        };
+        let margin = (r / required - 1.0) * 100.0;
+        if r >= required {
+            println!(
+                "perf gate OK: {} {r:.2}x >= {required:.2}x{scaled}, margin {margin:+.0}%",
+                gate.label
+            );
+        } else {
+            eprintln!(
+                "perf gate FAILED: {} {r:.2}x < required {required:.2}x{scaled}, margin {margin:+.0}%",
+                gate.label
+            );
+            failed = true;
         }
     }
     if failed {

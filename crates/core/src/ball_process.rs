@@ -62,6 +62,8 @@ pub struct BallProcess {
 impl BallProcess {
     /// Creates the process from an initial configuration: ball ids are
     /// assigned densely, bin by bin (bin 0 holds balls `0..q_0`, etc).
+    /// Panics if the balls outnumber the `u32` ids or `n` exceeds the `u32`
+    /// index range.
     ///
     /// # RNG stream
     ///
@@ -72,6 +74,12 @@ impl BallProcess {
     pub fn new(config: Config, strategy: QueueStrategy, rng: Xoshiro256pp) -> Self {
         let m = config.total_balls();
         assert!(m <= u32::MAX as u64, "ball ids are u32");
+        // Destinations are u32 bin indices, as in every storage.
+        assert!(
+            config.n() <= u32::MAX as usize + 1,
+            "bin count {} exceeds the u32 index range",
+            config.n()
+        );
         let mut queues: Vec<VecDeque<BallId>> = Vec::with_capacity(config.n());
         let mut next: BallId = 0;
         for &q in config.loads() {

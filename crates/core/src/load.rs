@@ -289,7 +289,10 @@ pub trait LoadStore: Clone + std::fmt::Debug {
     /// materialization for the others).
     fn config(&self) -> &Config;
 
-    /// Maximum load.
+    /// Maximum load. This provided scan over the occupied bins is `O(n)`
+    /// on dense storage (which answers from its configuration, also a
+    /// scan) and `O(#occupied)` on sparse storage; sharded storage keeps
+    /// each shard's maximum and answers in `O(S)`.
     fn max_load(&self) -> u32 {
         self.occupied().map(|(_, l)| l).max().unwrap_or(0)
     }

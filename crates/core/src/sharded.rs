@@ -8,11 +8,18 @@
 //! into two embarrassingly parallel phases joined by a barrier:
 //!
 //! 1. **Depart + throw** (per shard): a branchless departure scan over the
-//!    shard's own column, then a batched Lemire draw of that shard's
-//!    destinations — one global uniform draw per departure, from the
-//!    *shard's* stream — routed into per-destination-shard outboxes.
+//!    shard's own column, then one global uniform draw per departure, from
+//!    the *shard's* stream, each pushed as it is drawn into the outbox of
+//!    the shard that owns the drawn bin.
 //! 2. **Merge** (per shard): each shard applies its inbound arrivals,
 //!    reading the senders' outboxes in shard-index order.
+//!
+//! Besides the columns, a round holds only the outboxes: the `S × S`
+//! vectors of column indices, about 4 bytes per departing ball, reused
+//! across rounds. Each shard also keeps its non-empty count and its
+//! maximum load as the two phases go (the departure scan yields the
+//! post-departure maximum, the merge raises it), so the per-round
+//! statistics the observers read cost `O(S)`, not a scan of the loads.
 //!
 //! # Partition
 //!
@@ -41,7 +48,7 @@
 //!
 //! The per-shard streams are documented at [`SHARD_STREAM_SALT`].
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::sync::Mutex;
 
 use rayon::prelude::*;
@@ -116,17 +123,21 @@ impl Router {
     }
 }
 
-/// One owned shard: a contiguous column of the (strided) load vector, an
-/// incremental non-empty counter, and the batched draw scratch. Its RNG
-/// stream is the engine's stream of the same index.
+/// One owned shard: a contiguous column of the (strided) load vector and
+/// two statistics of it kept up to date. Its RNG stream is the engine's
+/// stream of the same index.
 #[derive(Debug, Clone)]
 struct Shard {
     /// Column `loads[idx]` is the load of global bin `idx * S + s`.
     loads: Vec<u32>,
     /// Number of non-empty bins in this column (maintained incrementally).
     nonempty: usize,
-    /// This round's raw draws (global bins, draw order).
-    dests: Vec<u32>,
+    /// The column's maximum load, or `None` while unknown: after
+    /// construction, and after a removal from a bin at the maximum. Every
+    /// round and [`ShardedStore::clear`] make it known again, and
+    /// [`Shard::max_load`] recounts an unknown column once and keeps the
+    /// count, so no removal pays for a recount it may never need.
+    max: Cell<Option<u32>>,
 }
 
 impl Shard {
@@ -137,23 +148,53 @@ impl Shard {
         debug_assert_ne!(*slot, u32::MAX, "column slot {idx} would overflow u32");
         self.nonempty += usize::from(*slot == 0);
         *slot += 1;
+        let load = *slot;
+        let max = self.max.get_mut();
+        *max = max.map(|m| m.max(load));
+    }
+
+    /// The column's maximum load: the kept value, or a recount of the
+    /// column, which is then kept.
+    fn max_load(&self) -> u32 {
+        self.max.get().unwrap_or_else(|| {
+            let max = self.loads.iter().copied().max().unwrap_or(0);
+            self.max.set(Some(max));
+            max
+        })
+    }
+
+    /// Whether the kept statistics match a recount of the column, the
+    /// maximum being known: what every round leaves.
+    fn statistics_hold(&self) -> bool {
+        let (nonempty, max) =
+            (self.loads.iter()).fold((0, 0), |(k, m), &l| (k + usize::from(l > 0), m.max(l)));
+        self.nonempty == nonempty && self.max.get() == Some(max)
     }
 }
 
-/// Phase 1 for one shard: branchless departure scan over the column, then
-/// the shard's batched destination draws from its own stream, routed into
-/// its outbox row (cleared first). Returns the departure count.
+/// Phase 1 for one shard: branchless departure scan over the column, which
+/// also yields its post-departure maximum, then one destination draw per
+/// departure from the shard's own stream, pushed as it is drawn into the
+/// outbox row (cleared first) of the shard that owns it and handed to
+/// `on_draw` as a global bin. Returns the departure count.
+///
+/// # RNG stream
+///
+/// Consumes one `sampler` draw from `rng` per departure, in draw order:
+/// the draws a `fill_u32` of the departure count would make.
 fn depart_and_throw(
     shard: &mut Shard,
     row: &mut OutRow,
     rng: &mut Xoshiro256pp,
     sampler: &UniformSampler,
     router: Router,
+    mut on_draw: impl FnMut(u32),
 ) -> usize {
     // Counted in u32 lanes: a shard's non-empty bins never outnumber the
     // balls, which the engine keeps at or below u32::MAX.
     let mut departures = 0u32;
     let mut still = 0u32;
+    let mut max = 0u32;
     for l in shard.loads.iter_mut() {
         // Branchless, like the dense kernel: at equilibrium occupancy the
         // `l > 0` branch is close to worst-case unpredictable.
@@ -161,34 +202,62 @@ fn depart_and_throw(
         *l -= occupied;
         departures += occupied;
         still += u32::from(*l > 0);
+        max = max.max(*l);
     }
     shard.nonempty = still as usize;
+    *shard.max.get_mut() = Some(max);
+    // Each outbox takes about `departures / S` draws, give or take the
+    // square root of that. Reserving the share and four times its root
+    // before the first push spares the outboxes the copies, and the unused
+    // half, of growing by doubling; a reserve the outbox holds is a no-op.
+    let share = departures as usize / row.len();
     for dest in row.iter_mut() {
         dest.clear();
+        dest.reserve_exact(share + 4 * share.isqrt() + 16);
     }
-    shard.dests.resize(departures as usize, 0);
-    sampler.fill_u32(rng, &mut shard.dests);
-    for &b in &shard.dests {
+    // Drawn from a copy that is written back after the loop, so the stream
+    // stays in registers across the pushes.
+    let mut stream = rng.clone();
+    for _ in 0..departures {
+        // rbb-lint: allow(lossy-cast, reason = "the sampler is keyed on n, and fill asserts n fits the u32 index range")
+        let b = sampler.sample(&mut stream) as u32;
         let (t, idx) = router.route(b);
         row[t].push(idx);
+        on_draw(b);
     }
+    *rng = stream;
     departures as usize
 }
 
 /// Phase 2 for one shard: applies the inbound arrivals addressed to shard
-/// `t`, reading every sender's outbox in shard-index order. Arrival
-/// application is commutative, so this order is a convention, not a
-/// correctness requirement.
+/// `t`, reading every sender's outbox in shard-index order, and raises the
+/// shard's maximum to the loads they reach. Arrival application is
+/// commutative, so this order is a convention, not a correctness
+/// requirement.
 fn apply_inbound(shard: &mut Shard, rows: &[OutRow], t: usize) {
+    let loads = &mut shard.loads;
+    // Newly occupied slots, and the highest load an arrival reached.
+    let (mut fresh, mut reached) = (0usize, 0u32);
     for row in rows {
         for &idx in &row[t] {
-            shard.add(idx);
+            let slot = &mut loads[idx as usize];
+            debug_assert_ne!(*slot, u32::MAX, "column slot {idx} would overflow u32");
+            fresh += usize::from(*slot == 0);
+            *slot += 1;
+            reached = reached.max(*slot);
         }
     }
+    shard.nonempty += fresh;
+    let max = shard.max.get_mut();
+    *max = max.map(|m| m.max(reached));
 }
 
 /// Sharded load storage: `S` strided columns under the `b mod S` routing, with
-/// the round's outboxes and a sequential and a parallel round driver.
+/// the round's outboxes and a sequential and a parallel round driver. Each
+/// shard keeps its non-empty count and its maximum load, so
+/// [`LoadStore::nonempty`] and [`LoadStore::max_load`] cost `O(S)`; a
+/// maximum that a removal made unknown is recounted over that one column
+/// on the next read.
 #[derive(Debug, Clone)]
 pub struct ShardedStore {
     n: usize,
@@ -206,22 +275,28 @@ pub struct ShardedStore {
 impl ShardedStore {
     /// Both phases in shard-index order on the calling thread. With
     /// `srcs`, each shard's departing bins are recorded in column order and
-    /// its draws appended to `draws.dests` in draw order — at `S = 1`
-    /// exactly the dense scan.
+    /// its draws appended to `draws.dests` in draw order as they are drawn
+    /// — at `S = 1` exactly the dense scan.
     fn round_sequential(&mut self, draws: &mut Draws, mut srcs: Option<&mut Vec<u32>>) -> usize {
         let router = self.router;
+        let Draws {
+            streams,
+            sampler,
+            dests,
+            ..
+        } = draws;
         let mut departures = 0usize;
-        draws.dests.clear();
+        dests.clear();
         let columns = self.shards.iter_mut().zip(&mut self.outboxes);
-        for (((shard, row), rng), s) in columns.zip(&mut draws.streams).zip(0u32..) {
-            if let Some(srcs) = srcs.as_deref_mut() {
-                let occupied = shard.loads.iter().zip(0u32..).filter(|&(&l, _)| l > 0);
-                srcs.extend(occupied.map(|(_, idx)| router.unroute(s, idx)));
-            }
-            departures += depart_and_throw(shard, row, rng, &draws.sampler, router);
-            if srcs.is_some() {
-                draws.dests.extend_from_slice(&shard.dests);
-            }
+        for (((shard, row), rng), s) in columns.zip(streams).zip(0u32..) {
+            departures += match srcs.as_deref_mut() {
+                Some(srcs) => {
+                    let occupied = shard.loads.iter().zip(0u32..).filter(|&(&l, _)| l > 0);
+                    srcs.extend(occupied.map(|(_, idx)| router.unroute(s, idx)));
+                    depart_and_throw(shard, row, rng, sampler, router, |b| dests.push(b))
+                }
+                None => depart_and_throw(shard, row, rng, sampler, router, |_| {}),
+            };
         }
         for (t, shard) in self.shards.iter_mut().enumerate() {
             apply_inbound(shard, &self.outboxes, t);
@@ -248,7 +323,7 @@ impl ShardedStore {
                 let mut guard = work[s].lock().expect("shard mutex poisoned");
                 let (shard, row, rng) = &mut *guard;
                 // rbb-lint: allow(rng-in-par, reason = "rng is the engine stream of this shard, pre-salted with SHARD_STREAM_SALT at construction; tasks never share a stream")
-                depart_and_throw(shard, row, rng, &sampler, router)
+                depart_and_throw(shard, row, rng, &sampler, router, |_| {})
             })
             .collect::<Vec<usize>>()
             .into_iter()
@@ -273,7 +348,8 @@ impl LoadStore for ShardedStore {
     const BIN_HANDLES: bool = true;
 
     /// Routes each entry straight into its shard's column: the columns are
-    /// the only `O(n)` buffers construction allocates.
+    /// the only `O(n)` buffers construction allocates. The shards' maxima
+    /// start unknown, so filling does no work per entry beyond the write.
     fn fill(
         n: usize,
         shards: usize,
@@ -291,7 +367,7 @@ impl LoadStore for ShardedStore {
             .map(|s| Shard {
                 loads: vec![0u32; (n - s).div_ceil(shards)],
                 nonempty: 0,
-                dests: Vec::new(),
+                max: Cell::new(None),
             })
             .collect();
         entries.for_each(|(bin, load)| {
@@ -317,7 +393,8 @@ impl LoadStore for ShardedStore {
 
     /// Runs the parallel driver for unit rounds once `n ≥ PAR_MIN_N` (and
     /// `S > 1`), the sequential one otherwise; weighted rounds always run
-    /// sequentially, which records the transport order.
+    /// sequentially, which records the transport order. Debug builds
+    /// recount every shard's statistics once per round.
     fn round(&mut self, draws: &mut Draws, srcs: Option<&mut Vec<u32>>) -> usize {
         let moved = if srcs.is_none() && self.shards.len() > 1 && self.n >= PAR_MIN_N {
             self.round_parallel(draws)
@@ -325,10 +402,7 @@ impl LoadStore for ShardedStore {
             self.round_sequential(draws, srcs)
         };
         self.dense.take();
-        debug_assert!(self
-            .shards
-            .iter()
-            .all(|s| s.nonempty == s.loads.iter().filter(|&&l| l > 0).count()));
+        debug_assert!(self.shards.iter().all(Shard::statistics_hold));
         moved
     }
 
@@ -339,12 +413,18 @@ impl LoadStore for ShardedStore {
         bin
     }
 
+    /// A removal from a bin at its shard's maximum leaves that maximum
+    /// unknown; the next [`max_load`](LoadStore::max_load) recounts it.
     fn remove(&mut self, bin: u32) -> Option<u32> {
         let (s, idx) = self.router.route(bin);
         let shard = &mut self.shards[s];
         let slot = &mut shard.loads[idx as usize];
         if *slot == 0 {
             return None;
+        }
+        let max = shard.max.get_mut();
+        if *max == Some(*slot) {
+            *max = None;
         }
         *slot -= 1;
         shard.nonempty -= usize::from(*slot == 0);
@@ -361,6 +441,7 @@ impl LoadStore for ShardedStore {
         for shard in &mut self.shards {
             shard.loads.fill(0);
             shard.nonempty = 0;
+            *shard.max.get_mut() = Some(0);
         }
         self.dense.take();
     }
@@ -374,9 +455,11 @@ impl LoadStore for ShardedStore {
         })
     }
 
+    /// `O(S)` once every shard's maximum is known, as every round leaves
+    /// it; a shard whose maximum is unknown (after construction or a
+    /// removal at its maximum) is recounted here, once.
     fn max_load(&self) -> u32 {
-        let loads = self.shards.iter().flat_map(|s| &s.loads);
-        loads.copied().max().unwrap_or(0)
+        self.shards.iter().map(Shard::max_load).max().unwrap_or(0)
     }
 
     /// `O(S)`: the per-shard counters are maintained incrementally.
@@ -561,6 +644,11 @@ mod tests {
                     par.store.entries(),
                     "shards={shards} round {r}"
                 );
+                assert_eq!(
+                    seq.store.max_load(),
+                    par.store.max_load(),
+                    "shards={shards} round {r}"
+                );
             }
             assert_eq!(seq.draws.streams, par.draws.streams, "shards={shards}");
         }
@@ -692,6 +780,81 @@ mod tests {
         // Debug builds recount the incremental counters every round.
         p.run_silent(20);
         assert_eq!(p.balls(), 59);
+    }
+
+    /// `max_load()` and `nonempty_bins()` against a recount over
+    /// `bin_load`.
+    fn assert_statistics(p: &ShardedLoadProcess, step: &str) {
+        let loads = (0..Engine::n(p)).map(|b| Engine::bin_load(p, b));
+        let (max, nonempty) = loads.fold((0, 0), |(m, k), l| (m.max(l), k + usize::from(l > 0)));
+        assert_eq!(Engine::max_load(p), max, "max load after {step}");
+        assert_eq!(
+            Engine::nonempty_bins(p),
+            nonempty,
+            "non-empty bins after {step}"
+        );
+    }
+
+    /// Rounds interleaved with placements, departures (from a shared and
+    /// then from the unique maximum), a fault where the engine takes one
+    /// and a snapshot → restore, recounting the tracked statistics after
+    /// every step.
+    fn assert_statistics_tracked(mut p: ShardedLoadProcess) {
+        let n = Engine::n(&p);
+        assert_statistics(&p, "construction");
+        for step in ["round", "round"] {
+            p.step();
+            assert_statistics(&p, step);
+        }
+        for step in ["place", "place", "place"] {
+            p.place();
+            assert_statistics(&p, step);
+        }
+        p.step();
+        assert_statistics(&p, "round after placements");
+        let max = Engine::max_load(&p);
+        let at_max: Vec<usize> = (0..n).filter(|&b| Engine::bin_load(&p, b) == max).collect();
+        for &b in &at_max[1..] {
+            assert!(p.depart(b));
+        }
+        assert_statistics(&p, "departures from a shared maximum");
+        assert!(p.depart(at_max[0]));
+        assert_statistics(&p, "departure from the unique maximum");
+        assert_eq!(Engine::max_load(&p), max - 1);
+        p.step();
+        assert_statistics(&p, "round after departures");
+        // Every third ball onto a bin of its own, the rest onto bin 0.
+        let placement: Vec<usize> = (0..p.balls() as usize)
+            .map(|i| if i % 3 == 0 { i / 3 } else { 0 })
+            .collect();
+        if let Some(faults) = p.faults() {
+            faults.apply_fault(&placement);
+            assert_statistics(&p, "fault");
+            p.step();
+            assert_statistics(&p, "round after the fault");
+        }
+        let snapshot = Engine::snapshot(&p).unwrap();
+        let mut q = ShardedLoadProcess::from_snapshot(&snapshot).unwrap();
+        assert_statistics(&q, "restore");
+        let b = q.place();
+        assert_statistics(&q, "place after the restore");
+        assert!(q.depart(b));
+        assert_statistics(&q, "departure after the restore");
+        q.step();
+        assert_statistics(&q, "round after the restore");
+    }
+
+    #[test]
+    fn tracked_statistics_match_a_recount_after_every_step() {
+        // Below PAR_MIN_N every round runs the sequential driver; at it, a
+        // unit round over more than one shard runs the parallel one.
+        for n in [97, PAR_MIN_N] {
+            for shards in [1usize, 2, 3, 4, 7] {
+                assert_statistics_tracked(ShardedLoadProcess::legitimate_start(n, 29, shards));
+                let caps = Capacities::Uniform(40);
+                assert_statistics_tracked(zipf_process(n, 29, shards, caps));
+            }
+        }
     }
 
     #[test]

@@ -304,6 +304,14 @@ pub const SHARDED_AUTO_MIN_N: usize = 2_000_000;
 /// reproducibility key.
 pub const DEFAULT_SHARDS: usize = 4;
 
+/// Most visited bits a token-identity spec may ask for. A spec that tracks
+/// which bins each token has visited (a `strategy` with the `covered` stop
+/// on the complete topology, or any `strategy` on a graph) builds a
+/// traversal holding one `n`-bit set per token: `n·m` bits, allocated
+/// up front. `2^32` bits is 512 MiB; every committed token spec has
+/// `n ≤ 1024`.
+pub const MAX_VISITED_BITS: u64 = 1 << 32;
+
 /// How a moving ball picks its destination (the rebalancing rule).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "kebab-case", deny_unknown_fields)]
@@ -942,6 +950,16 @@ impl ScenarioSpec {
                 "the covered stop needs token identities; set a `strategy`".into(),
             ));
         }
+        let tracks_visits = self.stop == StopSpec::Covered || !self.topology.is_complete();
+        let visited_bits = (self.n as u64).saturating_mul(m);
+        if self.strategy.is_some() && tracks_visits && visited_bits > MAX_VISITED_BITS {
+            return Err(SpecError(format!(
+                "n = {} bins and m = {m} tokens: a token walk keeps one n-bit visited set \
+                 per token, n·m = {visited_bits} bits, above the limit of {MAX_VISITED_BITS} \
+                 bits (512 MiB)",
+                self.n
+            )));
+        }
         if let Some(adv) = &self.adversary {
             match adv.schedule {
                 ScheduleSpec::Gamma { gamma: 0 } => {
@@ -1264,6 +1282,51 @@ mod tests {
         big(1 << 32, EngineSpec::Auto).validate().unwrap();
         let dense_cell = ScenarioSpec::builder(MAX_DENSE_BINS + 1).build();
         assert!(dense_cell.validate().is_err());
+    }
+
+    #[test]
+    fn token_walks_are_refused_above_the_visited_bit_limit() {
+        // One fifo token per node of a 2^20-node ring: 2^40 visited bits,
+        // 128 GiB the traversal would allocate before its first round.
+        let ring = r#"{
+            "name": "fifo-ring-2p20",
+            "n": 1048576,
+            "balls": null,
+            "start": {"kind": "one-per-bin"},
+            "arrival": {"kind": "uniform"},
+            "strategy": "fifo",
+            "topology": {"kind": "ring"},
+            "adversary": null,
+            "horizon": {"kind": "rounds", "rounds": 1},
+            "stop": "horizon",
+            "seed": 1
+        }"#;
+        let spec: ScenarioSpec = serde_json::from_str(ring).unwrap();
+        let err = spec.validate().unwrap_err();
+        for named in ["n = 1048576", "m = 1048576", &MAX_VISITED_BITS.to_string()] {
+            assert!(err.0.contains(named), "{err}");
+        }
+        let walk = |n: usize| {
+            ScenarioSpec::builder(n)
+                .strategy(StrategySpec::Fifo)
+                .topology(TopologySpec::Ring)
+        };
+        walk(1 << 16).build().validate().unwrap();
+        // The clique's covered cell keeps the same sets: n·m bits, with
+        // m tokens over n bins.
+        let covered = |m: u64| {
+            ScenarioSpec::builder(1 << 16)
+                .balls(m)
+                .start(StartSpec::AllInOne)
+                .strategy(StrategySpec::Fifo)
+                .stop(StopSpec::Covered)
+                .build()
+        };
+        covered(1 << 16).validate().unwrap();
+        assert!(covered((1 << 16) + 1).validate().is_err());
+        // Without a covered stop the clique's tokens keep no visited sets.
+        let ball_process = walk(1 << 20).topology(TopologySpec::Complete).build();
+        ball_process.validate().unwrap();
     }
 
     #[test]
